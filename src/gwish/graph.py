@@ -5,6 +5,11 @@ is chordal iff, visiting vertices in MCS order, every vertex's already
 visited neighbourhood is complete (Tarjan & Yannakakis 1984).  Maximal
 cliques and a perfect sequence with the running intersection property are
 read off the same visit order following Blair & Peyton (1993).
+
+Single-edge moves on a decomposable graph are tested locally, without
+re-running MCS (Giudici & Green 1999): with S = N(u) & N(v), adding (u, v)
+keeps the graph decomposable iff S separates u from v, and deleting it does
+iff S is complete.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidMove, NotDecomposable
+from .errors import IndexOutOfRange, InvalidMove, NotDecomposable, NoValidMove
 
 Edge = tuple[int, int]
 
@@ -113,12 +118,18 @@ class UndirectedGraph:
             self.p, ((perm[i], perm[j]) for i, j in self.edges)
         )
 
-    def connected(self, u: int, v: int) -> bool:
-        """Breadth-first reachability between two vertices."""
+    def connected(self, u: int, v: int, blocked: Iterable[int] = ()) -> bool:
+        """Breadth-first reachability between u and v avoiding ``blocked``.
+
+        The ``blocked`` vertices are treated as removed from the graph; u and
+        v must not be among them.  Blocking S = N(u) & N(v) turns this into
+        the separator test for adding the edge (u, v) to a decomposable graph
+        (Giudici & Green 1999); see ``move_is_decomposable``.
+        """
         if u == v:
             return True
         nbrs = self.neighbor_sets
-        seen = {u}
+        seen = {u, *blocked}
         queue = deque([u])
         while queue:
             w = queue.popleft()
@@ -186,15 +197,9 @@ def _mcs_visit(
     return order, earlier
 
 
-def _all_complete(adj: np.ndarray, sets: Iterable[Sequence[int]]) -> bool:
-    for s in sets:
-        k = len(s)
-        if k < 2:
-            continue
-        block = adj[np.ix_(s, s)]
-        if int(block.sum()) != k * (k - 1):
-            return False
-    return True
+def _all_complete(g: UndirectedGraph, sets: Iterable[Sequence[int]]) -> bool:
+    nbrs = g.neighbor_sets
+    return all(nbrs[a].issuperset(s[k + 1:]) for s in sets for k, a in enumerate(s))
 
 
 def is_decomposable(g: UndirectedGraph) -> bool:
@@ -202,7 +207,7 @@ def is_decomposable(g: UndirectedGraph) -> bool:
     if g.p <= 2 or len(g.edges) <= 2:
         return True
     _, earlier = _mcs_visit(g)
-    return _all_complete(g.adjacency, earlier)
+    return _all_complete(g, earlier)
 
 
 def perfect_sequence(
@@ -216,23 +221,22 @@ def perfect_sequence(
     tie-break permutation, yielding another valid perfect sequence.
     """
     order, earlier = _mcs_visit(g, priority)
-    adj = g.adjacency
-    if not _all_complete(adj, earlier):
+    if not _all_complete(g, earlier):
         raise NotDecomposable("graph is not chordal")
 
-    # Candidate cliques in visit order; drop those contained in a later one.
-    candidates = [frozenset(earlier[i]) | {order[i]} for i in range(g.p)]
-    keep: list[frozenset[int]] = []
-    for i, cand in enumerate(candidates):
-        if any(cand <= candidates[j] for j in range(i + 1, g.p)):
-            continue
-        keep.append(cand)
+    # The i-th visited vertex closes a maximal clique iff the next vertex has
+    # no more earlier neighbours than it has (Blair & Peyton 1993).
+    keep = [
+        frozenset(earlier[i]) | {order[i]}
+        for i in range(g.p)
+        if i == g.p - 1 or len(earlier[i + 1]) <= len(earlier[i])
+    ]
 
     seps: list[frozenset[int]] = []
     seen: set[int] = set()
     for l, cl in enumerate(keep):
         if l > 0:
-            seps.append(cl & frozenset(seen))
+            seps.append(cl & seen)
         seen |= cl
     return PerfectSequence(tuple(keep), tuple(seps))
 
@@ -245,9 +249,8 @@ def check_perfect_sequence(g: UndirectedGraph, seq: PerfectSequence) -> None:
     equals its clique's intersection with the history and is contained in
     some earlier clique (running intersection), and separators are complete.
     """
-    adj = g.adjacency
     cliques = seq.cliques
-    if not _all_complete(adj, [sorted(c) for c in cliques]):
+    if not _all_complete(g, [sorted(c) for c in cliques]):
         raise AssertionError("a clique is not complete")
     covered: set[int] = set()
     edges: set[Edge] = set()
@@ -277,23 +280,26 @@ def move_is_decomposable(g: UndirectedGraph, edge: Edge, kind: str) -> bool:
     """Would adding/deleting ``edge`` leave the graph decomposable?
 
     Requires ``g`` itself decomposable and the move applicable (the edge
-    absent for ``add``, present for ``delete``).  Additions use an exact
-    shortcut: joining two components never breaks chordality, while two
-    connected vertices without a common neighbour always do (the shortest
-    path plus the new edge forms a chordless cycle).  Remaining cases fall
-    back to a full chordality test on the modified graph.
+    absent for ``add``, present for ``delete``).  Both answers are local in
+    S = N(u) & N(v) (Giudici & Green 1999):
+
+    - adding (u, v) is valid iff v is unreachable from u once S is removed,
+      which covers u and v in different components (S empty, no path) and
+      connected without a common neighbour (S empty, a path; the shortest
+      path plus the new edge is a chordless cycle);
+    - deleting (u, v) is valid iff S is complete, i.e. the edge lies in
+      exactly one maximal clique.
     """
     u, v = _normalize_edge(*edge)
+    sep = g.neighbor_sets[u] & g.neighbor_sets[v]
     if kind == "add":
         if g.has_edge(u, v):
             raise InvalidMove(f"cannot add existing edge {(u, v)}")
-        if not (g.neighbor_sets[u] & g.neighbor_sets[v]):
-            return not g.connected(u, v)
-        return is_decomposable(g.with_edge(u, v))
+        return not g.connected(u, v, blocked=sep)
     if kind == "delete":
         if not g.has_edge(u, v):
             raise InvalidMove(f"cannot delete absent edge {(u, v)}")
-        return is_decomposable(g.without_edge(u, v))
+        return _all_complete(g, [tuple(sep)])
     raise InvalidMove(f"unknown move kind {kind!r}")
 
 
@@ -319,21 +325,34 @@ def random_decomposable_move(
 ) -> UndirectedGraph:
     """Apply one uniformly chosen decomposability-preserving add/delete.
 
-    For additions only vertex pairs at distance two or in different
-    components can qualify, so candidates are drawn from that set.  Raises
-    NoValidMove when no move of the requested kind exists.
+    Candidates are shuffled and the first one that passes the local test of
+    ``move_is_decomposable`` is applied.  An addition can only qualify for
+    vertex pairs with a common neighbour or in different components
+    (connected pairs without one close a chordless cycle), so the add
+    candidates are that set, read in row-major pair order from one component
+    labelling and one two-step adjacency product.  Raises NoValidMove when no
+    move of the requested kind exists.
     """
-    from .errors import NoValidMove
-
     if kind == "add":
+        nbrs = g.neighbor_sets
+        comp = [-1] * g.p
+        for root in range(g.p):
+            if comp[root] < 0:
+                comp[root] = root
+                stack = [root]
+                while stack:
+                    for x in nbrs[stack.pop()]:
+                        if comp[x] < 0:
+                            comp[x] = root
+                            stack.append(x)
+        labels = np.asarray(comp)
         adj = g.adjacency
-        two_step = (adj.astype(np.int8) @ adj.astype(np.int8)) > 0
-        cand = [
-            (i, j)
-            for i in range(g.p)
-            for j in range(i + 1, g.p)
-            if not adj[i, j] and (two_step[i, j] or not g.connected(i, j))
-        ]
+        # Common-neighbour counts in float32 go through BLAS and stay exact
+        # below 2**24 vertices; a narrow integer type would wrap.
+        a = adj.astype(np.float32)
+        mask = ~adj & (((a @ a) > 0) | (labels[:, None] != labels[None, :]))
+        rows, cols = np.nonzero(np.triu(mask, 1))
+        cand = list(zip(rows.tolist(), cols.tolist()))
         rng.shuffle(cand)
         for e in cand:
             if move_is_decomposable(g, e, "add"):

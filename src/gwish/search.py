@@ -10,7 +10,12 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .graph import UndirectedGraph, decomposable_neighbors, move_is_decomposable
+from .graph import (
+    UndirectedGraph,
+    decomposable_neighbors,
+    move_is_decomposable,
+    perfect_sequence,
+)
 from .model import (
     Dataset,
     GraphScore,
@@ -264,9 +269,10 @@ def bayes_estimator_l1_stein(
     if mc_draws < 1:
         raise ValueError("mc_draws must be positive")
     p = data.p
+    seq = perfect_sequence(graph)
     acc = np.zeros((p, p))
     for _ in range(mc_draws):
-        omega = sample_precision_given_graph(data, graph, hyper, rng)
+        omega = sample_precision_given_graph(data, graph, hyper, rng, seq=seq)
         lower, _ = cholesky_logdet(omega)
         acc += cho_solve((lower, True), np.eye(p))
     sigma_bar = symmetrize(acc / mc_draws)

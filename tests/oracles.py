@@ -50,6 +50,17 @@ def chordal_by_cycle_scan(p: int, edges: set[tuple[int, int]]) -> bool:
     return not chordless_cycle_exists(p, edges)
 
 
+def reachable(p: int, edges: set[tuple[int, int]], u: int, v: int) -> bool:
+    """Plain breadth-first search from u over an edge set."""
+    seen, queue = {u}, [u]
+    for a in queue:
+        for b in range(p):
+            if b not in seen and (min(a, b), max(a, b)) in edges:
+                seen.add(b)
+                queue.append(b)
+    return v in seen
+
+
 def wishart_batch(
     df: float, scale: np.ndarray, rng: np.random.Generator, size: int
 ) -> np.ndarray:

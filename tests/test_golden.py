@@ -1,0 +1,114 @@
+"""Golden outputs: small CLI pipelines must write byte-identical files.
+
+Each pipeline runs through ``gwish.cli.main`` with fixed seeds and the
+SHA-256 of every file it writes is compared with a pinned value.  A
+refactor that claims to leave behaviour unchanged must keep these hashes;
+a change that alters outputs on purpose re-records them and says why.
+
+The floating-point outputs depend on numpy/BLAS rounding, so the hashes
+are tied to the platform they were recorded on (CPython 3, numpy 2.4,
+OpenBLAS, x86-64).  On a mismatch the assertion prints the observed
+hashes, which is how they are re-recorded.
+"""
+
+import hashlib
+
+import pytest
+
+from gwish.cli import main
+
+
+def run(*argv):
+    assert main([str(a) for a in argv]) == 0, argv
+
+
+def hashes(root):
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def select_pipeline(tmp):
+    run("gen-data", "--kind", "ar2", "--p", 12, "--n", 60, "--seed", 3,
+        "--out", tmp / "data")
+    run("mcmc", "--data", tmp / "data", "--kernel", "uniform", "--init", "threshold",
+        "--burn-in", 400, "--iterations", 600, "--seed", 3, "--out", tmp / "chain")
+
+
+def ratio_pipeline(tmp):
+    for case in (2, 3):
+        run("ratio-experiment", "--case", case, "--p-list", "20,60", "--n", 60,
+            "--seed", 5, "--out", tmp / f"case{case}")
+
+
+def mode_estimate_pipeline(tmp):
+    run("gen-data", "--kind", "ar1", "--p", 10, "--n", 50, "--seed", 4,
+        "--out", tmp / "data")
+    run("search", "--data", tmp / "data", "--search-iters", 5, "--seed", 4,
+        "--out", tmp / "mode")
+    run("estimate", "--data", tmp / "data", "--estimator", "l1-stein",
+        "--graph", tmp / "mode" / "mode_graph.edges", "--mc-draws", 30,
+        "--seed", 4, "--out", tmp / "est")
+
+
+GOLDEN = {
+    "select": (select_pipeline, {
+        "chain/best_graph.edges":
+            "7679dc41a7fcd4a5856151014e0bbbef81170042597cb979752bf38ec83c9b83",
+        "chain/inclusion.csv":
+            "35b2d210892ae60ebdf33ad104aa1c82a8ad5e7b86570eae566193c50f279f4f",
+        "chain/median_graph.edges":
+            "7679dc41a7fcd4a5856151014e0bbbef81170042597cb979752bf38ec83c9b83",
+        "chain/meta.json":
+            "bf1d6a6d07057490f1dfcffb319a86418907148214112aa7c339045a653c6fcf",
+        "chain/trace.csv":
+            "32580fdd680ac74005c09a9205c87304b81af386cbe952249bf90c30f04e9e1f",
+        "data/X.csv":
+            "47e2fbda32c556f669dc80a6827ee599d561d0cff0627e3e326e7fdb25ec2ffe",
+        "data/graph0.edges":
+            "99c6ce6d132e0435381d61a5cd21d8953118c110e05c3e43b0ba511cfd4d13e7",
+        "data/meta.json":
+            "cccfc04690ac1f3d657b61158660aac01e7938c1d9bb0e65d443be27bb0f6367",
+        "data/omega0.csv":
+            "3cd432471b5fce9f82fda6121cc2f9c6006effaab80464082c4caff11ac5410f",
+    }),
+    "ratio": (ratio_pipeline, {
+        "case2/meta.json":
+            "13d5d81b5a75bafb233a155a9fdcbe5900147b06f46166bfd84d6c572d509347",
+        "case2/ratio.csv":
+            "5106d68a96a69c5fe978a41b9dde2992dd2fbf21c39d2cb889494132133e4a69",
+        "case3/meta.json":
+            "a11ccb6beff38a21162c1d43622366343d4678dd0726b0484bbc4643b9e6ca0f",
+        "case3/ratio.csv":
+            "9f9ac9897fc42c189ba7b17f533fa19509e1e44a3eee5204a0941fb6df51a661",
+    }),
+    "mode_estimate": (mode_estimate_pipeline, {
+        "data/X.csv":
+            "292636ad3cdf65ee5f9f79e6b891a21c4cbabcf56104d5ae88edbefbcd4b12df",
+        "data/graph0.edges":
+            "401d108514baebeaaf4f3fffedb2bc9cb694b32487645900eea1ea92a0a53f85",
+        "data/meta.json":
+            "ca9ba03467961ba796774cd32ba8c34b95cd18153ff37f846d5423c7522d5b70",
+        "data/omega0.csv":
+            "7eef329e33d1cca45893be2b9f777b850a6701815abc24e3a8465b510efca4c2",
+        "est/meta.json":
+            "9a551f5e994e44b12ae228cd43357cc8b735d4c6224fd7fbf5a7c323d087d570",
+        "est/omega_hat.csv":
+            "8cf8bd38169adc24651fe106c483347e70740c5881fe4a9976c25eb069d8c54c",
+        "mode/meta.json":
+            "0e6481e13e6987c7c299930b59c10f380dbbd4a859dffcf7f7dd78d8a72274fa",
+        "mode/mode.json":
+            "1b4c000e2edb86be13387490bab080571020163ba9369586bb5afff64f94027d",
+        "mode/mode_graph.edges":
+            "a1eb4b3de130b510dbe82e5ce52e3713858edcb0d908c58fa9aef68ecba12ddb",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_outputs(name, tmp_path):
+    pipeline, expected = GOLDEN[name]
+    pipeline(tmp_path)
+    assert hashes(tmp_path) == expected

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gwish.errors import InvalidMove, NotDecomposable
+from gwish.errors import InvalidMove, NotDecomposable, NoValidMove
 from gwish.graph import (
     UndirectedGraph,
     check_perfect_sequence,
@@ -18,7 +20,7 @@ from gwish.graph import (
 )
 from gwish.numerics import make_rng
 
-from oracles import chordal_by_cycle_scan
+from oracles import chordal_by_cycle_scan, reachable
 
 
 def all_graphs(p):
@@ -202,6 +204,78 @@ class TestMoves:
             g3 = random_decomposable_move(g, "delete", rng)
             assert g3.size == g.size - 1
             assert is_decomposable(g3)
+
+    def test_add_with_many_common_neighbours(self):
+        # 0 and 1 share 128 common neighbours, which wraps an int8 count to
+        # -128; the pair must still be found and the addition is valid.
+        p = 130
+        g = UndirectedGraph.complete(p).without_edge(0, 1)
+        assert is_decomposable(g)
+        g2 = random_decomposable_move(g, "add", make_rng(0, 0))
+        assert g2 == UndirectedGraph.complete(p)
+
+
+def random_chordal_graph(p, seed, steps):
+    """A decomposable graph reached by seeded random add/delete moves."""
+    rng = np.random.default_rng(seed)
+    g = UndirectedGraph.empty(p)
+    for _ in range(steps):
+        kind = "add" if g.size == 0 or rng.random() < 0.7 else "delete"
+        try:
+            g = random_decomposable_move(g, kind, rng)
+        except NoValidMove:
+            pass
+    return g
+
+
+chordal_graphs = st.builds(
+    random_chordal_graph,
+    p=st.integers(min_value=2, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    steps=st.integers(min_value=0, max_value=40),
+)
+
+
+class ShuffleRecorder:
+    """Stands in for the generator: records the candidate list, keeps order."""
+
+    def shuffle(self, seq):
+        self.seen = list(seq)
+
+
+class TestLocalMoveRules:
+    """The local add/delete rules against apply-then-test, on random chordal graphs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(chordal_graphs)
+    def test_every_move_agrees_with_apply_then_test(self, g):
+        assert is_decomposable(g)
+        for i in range(g.p):
+            for j in range(i + 1, g.p):
+                if (i, j) in g.edges:
+                    expected = is_decomposable(g.without_edge(i, j))
+                    assert move_is_decomposable(g, (i, j), "delete") == expected
+                else:
+                    expected = is_decomposable(g.with_edge(i, j))
+                    assert move_is_decomposable(g, (i, j), "add") == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(chordal_graphs)
+    def test_add_candidates_match_per_pair_bfs(self, g):
+        nbrs = g.neighbor_sets
+        expected = [
+            (i, j)
+            for i in range(g.p)
+            for j in range(i + 1, g.p)
+            if (i, j) not in g.edges
+            and (nbrs[i] & nbrs[j] or not reachable(g.p, set(g.edges), i, j))
+        ]
+        recorder = ShuffleRecorder()
+        try:
+            random_decomposable_move(g, "add", recorder)
+        except NoValidMove:
+            pass
+        assert recorder.seen == expected
 
 
 class TestEdgeListIO:
