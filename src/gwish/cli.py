@@ -281,7 +281,6 @@ def _cmd_search(args) -> int:
         config=config,
         search_iters=args.search_iters,
         rng=rng,
-        threads=args.threads,
     )
     write_edge_list(result.mode_graph, str(out / "mode_graph.edges"))
     payload = {
@@ -303,7 +302,6 @@ def _cmd_search(args) -> int:
             "seed": args.seed,
             "stream": args.stream,
             "search_iters": args.search_iters,
-            "threads": args.threads,
             "ridge_grid": list(config.ridge_grid),
             "threshold_grid_size": len(config.threshold_grid),
             "max_candidates": config.max_candidates,
@@ -502,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--search-iters", type=int, default=30)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--stream", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_search)
 

@@ -7,6 +7,12 @@ from the uniform kernel as written, without a decomposability correction.
 The ``exact`` kernel draws uniformly from the decomposable single-edge
 neighbourhood and corrects by the neighbourhood sizes, giving an exactly
 invariant chain at the cost of enumerating neighbourhoods.
+
+A proposal is scored by the clique-local four-term delta of
+``GraphScorer.log_posterior_delta``; only an accepted state gets a full
+clique/separator score, so every recorded score is exact.  A proposal
+outside the support (more than r_max edges, or a clique larger than n) has
+a delta of -inf and is rejected.
 """
 
 from __future__ import annotations
@@ -26,8 +32,15 @@ from .graph import (
     is_decomposable,
     move_is_decomposable,
 )
-from .model import Dataset, GraphScore, GraphScorer, Hyperparameters
+from .model import (
+    Dataset,
+    GraphScore,
+    GraphScorer,
+    Hyperparameters,
+    sample_precision_given_graph,
+)
 from .numerics import make_rng
+from .search import threshold_init
 
 KERNELS = ("uniform", "exact")
 
@@ -174,8 +187,9 @@ def mh_step(
 ) -> tuple[ChainState, bool]:
     """Advance one Metropolis-Hastings step; returns (state, accepted).
 
-    Exactly one new score evaluation happens per step; the current state's
-    score is reused from the cache carried in ``state``.
+    The proposal is scored by one four-term delta against the current
+    state's cached score; a full score is computed only on acceptance, so
+    the carried score is always exact.
     """
     if kernel == "exact":
         if state.neighbors is None:
@@ -185,11 +199,12 @@ def mh_step(
     else:
         g_new, lqr = _propose_uniform(state.graph, rng)
         nbrs_new = None
-    new_score = scorer.score(g_new)
-    log_alpha = new_score.log_posterior - state.score.log_posterior + lqr
+    (edge,) = state.graph.edges ^ g_new.edges
+    kind = "add" if g_new.size > state.graph.size else "delete"
+    log_alpha = scorer.log_posterior_delta(state.graph, edge, kind) + lqr
     u = rng.random()
     if math.log(u) < log_alpha:
-        return ChainState(g_new, new_score, nbrs_new), True
+        return ChainState(g_new, scorer.score(g_new), nbrs_new), True
     return state, False
 
 
@@ -202,8 +217,6 @@ def _resolve_init(
         return config.init
     if config.init == "empty":
         return UndirectedGraph.empty(data.p)
-    from .search import threshold_init
-
     return threshold_init(data, hyper)
 
 
@@ -247,8 +260,6 @@ def run_chain(
         if config.track_graphs:
             counts[state.graph] += 1
         if prec_sum is not None and (it - config.burn_in) % config.thin == 0:
-            from .model import sample_precision_given_graph
-
             prec_sum += sample_precision_given_graph(data, state.graph, hyper, rng)
             prec_draws += 1
 

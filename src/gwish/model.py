@@ -24,7 +24,6 @@ separator completion.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -32,12 +31,19 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import CliqueTooLarge, DimensionMismatch, NotDecomposable
-from .graph import PerfectSequence, UndirectedGraph, is_decomposable, perfect_sequence
+from .graph import (
+    Edge,
+    PerfectSequence,
+    UndirectedGraph,
+    is_decomposable,
+    perfect_sequence,
+)
 from .numerics import (
     LOG_2,
     LOG_2PI,
     cholesky_logdet,
     log_multigamma,
+    sample_wishart_complete,
     submatrix,
     symmetrize,
 )
@@ -184,6 +190,15 @@ def _log_binomial(m: int, k: int) -> float:
     return math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
 
 
+def _log_size_prior(p: int, k: int, hyper: Hyperparameters) -> float:
+    # the prior of log_graph_prior for a decomposable graph with k edges
+    m = p * (p - 1) // 2
+    r = hyper.r_max if hyper.r_max is not None else m
+    if k > r:
+        return -math.inf
+    return -_log_binomial(m, k) - k * hyper.c_tau * math.log(p)
+
+
 def log_graph_prior(g: UndirectedGraph, hyper: Hyperparameters) -> float:
     """Log prior of a graph, up to the common normalising constant.
 
@@ -191,20 +206,20 @@ def log_graph_prior(g: UndirectedGraph, hyper: Hyperparameters) -> float:
     over decomposable graphs with at most r_max edges (m = p(p-1)/2);
     anything outside that support gets -inf.
     """
-    m = g.max_edges
-    k = g.size
-    r = hyper.r_max if hyper.r_max is not None else m
-    if k > r or not is_decomposable(g):
+    log_prior = _log_size_prior(g.p, g.size, hyper)
+    if log_prior == -math.inf or not is_decomposable(g):
         return -math.inf
-    return -_log_binomial(m, k) - k * hyper.c_tau * math.log(g.p)
+    return log_prior
 
 
 class GraphScorer:
     """Scores graphs against one dataset and hyperparameter setting.
 
     Clique and separator contributions depend on the vertex subset only, so
-    their Gram log determinants are cached across calls; the cache is lock
-    protected and deterministic, making scores safe to reuse across chains.
+    their Gram log determinants are cached across calls; the cache is
+    deterministic, making scores safe to reuse across chains.  A single-edge
+    move changes only four of these terms (``move_delta``), so moves are
+    scored without rebuilding a perfect sequence.
     """
 
     def __init__(self, data: Dataset, hyper: Hyperparameters):
@@ -212,22 +227,18 @@ class GraphScorer:
         self.hyper = hyper
         self._logdet: dict[tuple[int, ...], float] = {}
         self._scalar: dict[int, float] = {}
-        self._lock = threading.Lock()
 
     def _gram_logdet(self, subset: tuple[int, ...]) -> float:
-        with self._lock:
-            cached = self._logdet.get(subset)
+        cached = self._logdet.get(subset)
         if cached is not None:
             return cached
         _, val = cholesky_logdet(submatrix(self.data.gram, subset))
-        with self._lock:
-            self._logdet[subset] = val
+        self._logdet[subset] = val
         return val
 
     def _scalar_term(self, q: int) -> float:
         # size-only part of a clique contribution
-        with self._lock:
-            cached = self._scalar.get(q)
+        cached = self._scalar.get(q)
         if cached is not None:
             return cached
         n, nu, g = self.data.n, self.hyper.nu, self.hyper.g
@@ -237,8 +248,7 @@ class GraphScorer:
             - log_multigamma((nu + q - 1) / 2.0, q)
             - q / 2.0 * ((n + nu + q - 1) * math.log1p(g) - (nu + q - 1) * math.log(g))
         )
-        with self._lock:
-            self._scalar[q] = val
+        self._scalar[q] = val
         return val
 
     def clique_term(self, subset: frozenset[int]) -> float:
@@ -271,17 +281,54 @@ class GraphScorer:
         return self.log_marginal_core(g, seq) - n * p / 2.0 * LOG_2PI
 
     def score(self, g: UndirectedGraph, seq: PerfectSequence | None = None) -> GraphScore:
-        m = g.max_edges
-        r = self.hyper.r_max if self.hyper.r_max is not None else m
-        if g.size > r:
+        log_prior = _log_size_prior(g.p, g.size, self.hyper)
+        if log_prior == -math.inf:
             # outside the prior support; marginal never evaluated
             return GraphScore(log_marginal=-math.inf, log_prior=-math.inf)
         # perfect_sequence raises NotDecomposable, so the prior can skip its
         # own chordality test once a sequence is in hand
         if seq is None:
             seq = perfect_sequence(g)
-        log_prior = -_log_binomial(m, g.size) - g.size * self.hyper.c_tau * math.log(g.p)
         return GraphScore(log_marginal=self.log_marginal(g, seq), log_prior=log_prior)
+
+    def move_delta(self, g: UndirectedGraph, edge: Edge, kind: str) -> float:
+        """log_marginal_core(g') - log_marginal_core(g) for one single-edge move.
+
+        ``g`` and g' (``g`` with ``edge`` added or deleted) must both be
+        decomposable.  With S = N(u) & N(v), the move merges or splits the
+        cliques S | {u} and S | {v} around the clique S | {u, v}, so only
+        four terms change (Giudici & Green 1999):
+        ``term(S | uv) - term(S | u) - term(S | v) + term(S)`` for an
+        addition, negated for a deletion.
+        """
+        u, v = edge
+        sep = g.neighbor_sets[u] & g.neighbor_sets[v]
+        delta = (
+            self.clique_term(sep | {u, v})
+            - self.clique_term(sep | {u})
+            - self.clique_term(sep | {v})
+            + self.clique_term(sep)
+        )
+        return delta if kind == "add" else -delta
+
+    def log_posterior_delta(self, g: UndirectedGraph, edge: Edge, kind: str) -> float:
+        """Log posterior of g' minus that of ``g`` for one single-edge move.
+
+        The size-prior change plus ``move_delta``.  -inf when g' lies outside
+        the support: more than r_max edges (the marginal is then never
+        evaluated), or an addition whose new clique S | {u, v} has more
+        vertices than the sample size.
+        """
+        k = g.size + 1 if kind == "add" else g.size - 1
+        log_prior = _log_size_prior(g.p, k, self.hyper)
+        if log_prior == -math.inf:
+            return -math.inf
+        if kind == "add":
+            u, v = edge
+            if len(g.neighbor_sets[u] & g.neighbor_sets[v]) + 2 > self.data.n:
+                return -math.inf
+        prior_delta = log_prior - _log_size_prior(g.p, g.size, self.hyper)
+        return self.move_delta(g, edge, kind) + prior_delta
 
 
 def log_marginal_likelihood(
@@ -344,8 +391,6 @@ def sample_precision_given_graph(
     normal).  Omega is then assembled as the sum of completed clique
     inverses minus separator inverses, which has support exactly on G.
     """
-    from .numerics import sample_wishart_complete
-
     if seq is None:
         seq = perfect_sequence(g)
     n, p = data.n, data.p

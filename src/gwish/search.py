@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -15,6 +14,7 @@ from .graph import (
     decomposable_neighbors,
     move_is_decomposable,
     perfect_sequence,
+    random_decomposable_move,
 )
 from .model import (
     Dataset,
@@ -25,7 +25,7 @@ from .model import (
     sample_precision_given_graph,
 )
 from .numerics import cholesky_logdet, symmetrize
-from .errors import NoValidMove
+from .errors import CliqueTooLarge, NoValidMove
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,10 @@ def _ridge_edge_order(
 
 
 def candidate_graphs(
-    data: Dataset, config: CandidateConfig | None = None
-) -> list[UndirectedGraph]:
+    data: Dataset,
+    config: CandidateConfig | None = None,
+    scorer: GraphScorer | None = None,
+) -> list:
     """Decomposable candidates from ridge-inverse thresholding plus repair.
 
     For each ridge value, each threshold keeps a prefix of the edges sorted
@@ -104,10 +106,17 @@ def candidate_graphs(
     longer prefix only appends edges, one greedy pass per ridge value yields
     all prefixes.  Duplicates are dropped, order is deterministic, and at
     most ``max_candidates`` graphs are returned.
+
+    With a ``scorer``, each candidate comes as a (graph, log posterior)
+    pair: the empty graph's score plus the move deltas of the additions
+    along the pass.  A candidate outside the support scores -inf, and so
+    does every later one of its pass, since the pass only adds edges.
     """
     config = config or CandidateConfig()
-    out: list[UndirectedGraph] = []
+    out: list = []
     seen: set[frozenset] = set()
+    empty = UndirectedGraph.empty(data.p)
+    empty_lp = scorer.score(empty).log_posterior if scorer is not None else 0.0
     for lam in config.ridge_grid:
         entries = _ridge_edge_order(data, lam)
         weights = np.array([t[0] for t in entries])
@@ -116,42 +125,46 @@ def candidate_graphs(
             {int(np.searchsorted(-weights, -tau, side="left"))
              for tau in config.threshold_grid}
         )
-        g = UndirectedGraph.empty(data.p)
+        g, lp = empty, empty_lp
         consumed = 0
         for length in lengths:
             while consumed < length:
                 _, i, j = entries[consumed]
                 consumed += 1
                 if move_is_decomposable(g, (i, j), "add"):
+                    if scorer is not None and lp > -math.inf:
+                        lp += scorer.log_posterior_delta(g, (i, j), "add")
                     g = g.with_edge(i, j)
             if g.edges not in seen:
                 seen.add(g.edges)
-                out.append(g)
+                out.append(g if scorer is None else (g, lp))
                 if len(out) >= config.max_candidates:
                     return out
     return out
 
 
-def _score_many(
-    scorer: GraphScorer, graphs: Sequence[UndirectedGraph], threads: int
-) -> list[float]:
-    if threads <= 1 or len(graphs) < 2:
-        return [scorer.score(g).log_posterior for g in graphs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda g: scorer.score(g).log_posterior, graphs))
+def _best_candidate(
+    data: Dataset, hyper: Hyperparameters, config: CandidateConfig | None
+) -> tuple[UndirectedGraph, int]:
+    """Highest-scoring candidate (earliest on ties, the empty graph when
+    every candidate is outside the support) and the number of candidates."""
+    scored = candidate_graphs(data, config, GraphScorer(data, hyper))
+    best, lp = max(scored, key=lambda c: c[1])
+    if lp == -math.inf:
+        best = UndirectedGraph.empty(data.p)
+    return best, len(scored)
 
 
 def threshold_init(
     data: Dataset,
     hyper: Hyperparameters,
     config: CandidateConfig | None = None,
-    threads: int = 1,
 ) -> UndirectedGraph:
-    """Highest-scoring thresholded candidate; ties go to the earliest."""
-    cands = candidate_graphs(data, config)
-    scorer = GraphScorer(data, hyper)
-    scores = _score_many(scorer, cands, threads)
-    return cands[int(np.argmax(scores))]
+    """Highest-scoring thresholded candidate; ties go to the earliest.
+
+    Returns the empty graph when every candidate lies outside the support.
+    """
+    return _best_candidate(data, hyper, config)[0]
 
 
 def shotgun_search(
@@ -164,11 +177,14 @@ def shotgun_search(
 ) -> ModeSearchResult:
     """Greedy best-neighbour ascent with random restarts.
 
-    Each step scores every decomposable single-edge neighbour and moves to
-    the best when it improves the current score; at a local optimum the
-    search restarts from the incumbent best perturbed by ``restart_jitter``
-    random decomposability-preserving moves (skipped when no rng is given,
-    in which case the search stops there).  The score trace records the
+    Each step scores every decomposable single-edge neighbour by its move
+    delta and moves to the best when it improves the current score; at a
+    local optimum the search restarts from the incumbent best perturbed by
+    ``restart_jitter`` random decomposability-preserving moves (skipped when
+    no rng is given, in which case the search stops there).  Neighbours
+    with a clique larger than n are skipped, and a restart whose jitter
+    creates one starts from the unperturbed incumbent.  Only the states the
+    search moves to get a full score.  The score trace records the
     incumbent after each step and never decreases.
     """
     scorer = GraphScorer(data, hyper)
@@ -179,16 +195,22 @@ def shotgun_search(
     trace: list[float] = []
     for _ in range(max_iters):
         moved = False
-        nbr_best: UndirectedGraph | None = None
+        nbr_best: tuple[tuple[int, int], str] | None = None
         nbr_lp = -math.inf
         for e, kind in decomposable_neighbors(current):
-            g2 = current.with_edge(*e) if kind == "add" else current.without_edge(*e)
-            lp = scorer.score(g2).log_posterior
+            if cur_lp > -math.inf:
+                # a neighbour outside the support scores -inf, never taken
+                lp = cur_lp + scorer.log_posterior_delta(current, e, kind)
+            else:
+                # above r_max (a jittered restart or the initial graph) there
+                # is no finite score to add a delta to
+                lp = scorer.score(_apply(current, e, kind)).log_posterior
             visited += 1
             if lp > nbr_lp:
-                nbr_best, nbr_lp = g2, lp
+                nbr_best, nbr_lp = (e, kind), lp
         if nbr_best is not None and nbr_lp > cur_lp:
-            current, cur_lp = nbr_best, nbr_lp
+            current = _apply(current, *nbr_best)
+            cur_lp = scorer.score(current).log_posterior
             moved = True
             if cur_lp > best_lp:
                 best_g, best_lp = current, cur_lp
@@ -203,7 +225,11 @@ def shotgun_search(
                     current = _jittered(current, kind, rng)
                 except NoValidMove:
                     pass
-            cur_lp = scorer.score(current).log_posterior
+            try:
+                cur_lp = scorer.score(current).log_posterior
+            except CliqueTooLarge:
+                # the jitter left the support; restart from the incumbent
+                current, cur_lp = best_g, best_lp
             visited += 1
     return ModeSearchResult(
         mode_graph=best_g,
@@ -213,11 +239,13 @@ def shotgun_search(
     )
 
 
+def _apply(g: UndirectedGraph, e: tuple[int, int], kind: str) -> UndirectedGraph:
+    return g.with_edge(*e) if kind == "add" else g.without_edge(*e)
+
+
 def _jittered(
     g: UndirectedGraph, kind: str, rng: np.random.Generator
 ) -> UndirectedGraph:
-    from .graph import random_decomposable_move
-
     if kind == "delete" and g.size == 0:
         kind = "add"
     if kind == "add" and g.size == g.max_edges:
@@ -231,18 +259,14 @@ def hybrid_mode(
     config: CandidateConfig | None = None,
     search_iters: int = 30,
     rng: np.random.Generator | None = None,
-    threads: int = 1,
 ) -> ModeSearchResult:
     """Score all candidates, then refine the best by shotgun search."""
-    cands = candidate_graphs(data, config)
-    scorer = GraphScorer(data, hyper)
-    scores = _score_many(scorer, cands, threads)
-    start = cands[int(np.argmax(scores))]
+    start, n_candidates = _best_candidate(data, hyper, config)
     refined = shotgun_search(start, data, hyper, max_iters=search_iters, rng=rng)
     return ModeSearchResult(
         mode_graph=refined.mode_graph,
         mode_score=refined.mode_score,
-        visited=refined.visited + len(cands),
+        visited=refined.visited + n_candidates,
         score_trace=refined.score_trace,
     )
 

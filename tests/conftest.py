@@ -1,4 +1,8 @@
-"""Shared test plumbing: the acceptance-criteria reporter.
+"""Shared test plumbing: the Hypothesis profile and the acceptance-criteria
+reporter.
+
+Property tests run derandomized, so every run draws the same examples, and
+without a deadline, since a single example can be slow on a busy host.
 
 Acceptance tests register one line per criterion through the ``criteria``
 fixture; the lines are echoed in a dedicated section of the terminal
@@ -7,6 +11,10 @@ capture.
 """
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("gwish", derandomize=True, deadline=None)
+settings.load_profile("gwish")
 
 
 class CriterionLog:

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from gwish.cli import main
-from gwish.graph import UndirectedGraph, read_edge_list, write_edge_list
+from gwish.graph import (
+    UndirectedGraph,
+    perfect_sequence,
+    read_edge_list,
+    write_edge_list,
+)
 
 
 def run(*argv):
@@ -98,6 +103,20 @@ class TestMcmc:
                    "--iterations", 10, "--burn-in", 0,
                    "--out", tmp_path / "no") == 2
 
+    @pytest.mark.parametrize("init", ["empty", "threshold"])
+    def test_cliques_above_n_are_rejected_not_raised(self, tmp_path, init):
+        # with n=3 every clique of four or more vertices is outside the
+        # support: such proposals and candidates are rejected
+        gen = tmp_path / "ar2"
+        assert run("gen-data", "--kind", "ar2", "--p", 12, "--n", 3, "--seed", 1,
+                   "--out", gen) == 0
+        out = tmp_path / init
+        assert run("mcmc", "--data", gen, "--kernel", "uniform", "--init", init,
+                   "--burn-in", 200, "--iterations", 200, "--seed", 1,
+                   "--out", out) == 0
+        best = read_edge_list(str(out / "best_graph.edges"))
+        assert max(len(c) for c in perfect_sequence(best).cliques) <= 3
+
     def test_missing_data_exit_2(self, tmp_path):
         assert run("mcmc", "--out", tmp_path / "o", "--iterations", 1,
                    "--burn-in", 0) == 2
@@ -117,6 +136,15 @@ class TestSearch:
         )
         g = read_edge_list(str(out / "mode_graph.edges"))
         assert g.size == mode["edges"]
+
+    def test_cliques_above_n_are_skipped(self, tmp_path):
+        gen = tmp_path / "ar2"
+        assert run("gen-data", "--kind", "ar2", "--p", 12, "--n", 3, "--seed", 1,
+                   "--out", gen) == 0
+        out = tmp_path / "mode"
+        assert run("search", "--data", gen, "--seed", 1, "--out", out) == 0
+        g = read_edge_list(str(out / "mode_graph.edges"))
+        assert max(len(c) for c in perfect_sequence(g).cliques) <= 3
 
 
 class TestBayesFactor:

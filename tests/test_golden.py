@@ -98,7 +98,7 @@ GOLDEN = {
         "est/omega_hat.csv":
             "8cf8bd38169adc24651fe106c483347e70740c5881fe4a9976c25eb069d8c54c",
         "mode/meta.json":
-            "0e6481e13e6987c7c299930b59c10f380dbbd4a859dffcf7f7dd78d8a72274fa",
+            "ead0cb001116430717ca74ad76b2b5d58497a5afec4b754ebac7de8bf97128ca",
         "mode/mode.json":
             "1b4c000e2edb86be13387490bab080571020163ba9369586bb5afff64f94027d",
         "mode/mode_graph.edges":

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gwish.graph import (
     read_edge_list,
     write_edge_list,
 )
+from gwish.model import Dataset, GraphScorer, Hyperparameters
 from gwish.numerics import make_rng
 
 from oracles import chordal_by_cycle_scan, reachable
@@ -276,6 +278,42 @@ class TestLocalMoveRules:
         except NoValidMove:
             pass
         assert recorder.seen == expected
+
+
+def moved(g, e, kind):
+    return g.with_edge(*e) if kind == "add" else g.without_edge(*e)
+
+
+class TestMoveDelta:
+    """Clique-local move scores against full clique/separator scores."""
+
+    X = np.random.default_rng(5).standard_normal((16, 12))
+
+    @settings(max_examples=150, deadline=None)
+    @given(chordal_graphs)
+    def test_delta_matches_full_marginal_difference(self, g):
+        scorer = GraphScorer(Dataset.from_matrix(self.X[:, : g.p]), Hyperparameters(g=0.3))
+        base = scorer.log_marginal_core(g)
+        for e, kind in decomposable_neighbors(g):
+            full = scorer.log_marginal_core(moved(g, e, kind)) - base
+            assert abs(scorer.move_delta(g, e, kind) - full) <= 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(chordal_graphs, st.integers(0, 2), st.integers(0, 2))
+    def test_posterior_delta_matches_scores_or_leaves_support(self, g, dr, dn):
+        # the cap and the sample size sit at or just above g's own, so some
+        # moves cross one of them
+        n = max(len(c) for c in perfect_sequence(g).cliques) + dn
+        hyper = Hyperparameters(g=0.3, r_max=g.size + dr)
+        scorer = GraphScorer(Dataset.from_matrix(self.X[:n, : g.p]), hyper)
+        base = scorer.score(g).log_posterior
+        for e, kind in decomposable_neighbors(g):
+            g2 = moved(g, e, kind)
+            got = scorer.log_posterior_delta(g, e, kind)
+            if g2.size > hyper.r_max or max(map(len, perfect_sequence(g2).cliques)) > n:
+                assert got == -math.inf
+            else:
+                assert abs(got - (scorer.score(g2).log_posterior - base)) <= 1e-9
 
 
 class TestEdgeListIO:

@@ -8,15 +8,17 @@ from gwish.graph import UndirectedGraph, decomposable_neighbors, is_decomposable
 from gwish.mcmc import (
     ChainConfig,
     ChainResult,
+    ChainState,
     exact_posterior,
     median_probability_graph,
+    mh_step,
     propose,
     run_chain,
     tv_distance,
     visit_frequencies,
     _propose_uniform,
 )
-from gwish.model import Hyperparameters
+from gwish.model import GraphScorer, Hyperparameters
 from gwish.numerics import make_rng
 from gwish.simulate import TrueModelSpec, build_truth, sample_dataset
 
@@ -221,6 +223,29 @@ class TestRunChain:
             ChainConfig(thin=0)
         with pytest.raises(ValueError):
             ChainConfig(init="warmstart")
+
+
+class TestScoreBookkeeping:
+    @pytest.mark.parametrize("kernel", ["uniform", "exact"])
+    @pytest.mark.parametrize("r_max", [None, 3])
+    def test_recorded_scores_are_full_scores(self, kernel, r_max):
+        # steps are scored by deltas; every kept state must still carry,
+        # and the trace record, its exact full score (no drift)
+        truth = build_truth(TrueModelSpec(kind="ar2", p=7))
+        data = sample_dataset(truth, n=40, rng=make_rng(21))
+        hyper = Hyperparameters(g=0.2, r_max=r_max)
+        config = ChainConfig(iterations=300, burn_in=100, seed=9, kernel=kernel)
+        res = run_chain(config, data, hyper)
+        scorer = GraphScorer(data, hyper)
+        rng = make_rng(config.seed, config.stream)
+        g0 = UndirectedGraph.empty(7)
+        state = ChainState(g0, scorer.score(g0))
+        for it in range(config.burn_in + config.iterations):
+            state, _ = mh_step(state, scorer, kernel, rng)
+            full = GraphScorer(data, hyper).score(state.graph).log_posterior
+            assert state.score.log_posterior == full
+            assert res.log_posterior_trace[it] == full
+        assert res.acceptance_rate > 0.0
 
 
 class TestPosteriorSummaries:

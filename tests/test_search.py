@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from gwish.graph import (
 )
 from gwish.model import (
     Dataset,
+    GraphScorer,
     Hyperparameters,
     posterior_mean_precision,
     score_graph,
@@ -31,6 +35,12 @@ from gwish.simulate import TrueModelSpec, build_truth, sample_dataset
 def ar1_data():
     truth = build_truth(TrueModelSpec(kind="ar1", p=4))
     return sample_dataset(truth, n=200, rng=make_rng(31))
+
+
+@pytest.fixture(scope="module")
+def ar2_data():
+    truth = build_truth(TrueModelSpec(kind="ar2", p=10))
+    return sample_dataset(truth, n=40, rng=make_rng(32))
 
 
 class TestRepair:
@@ -90,18 +100,32 @@ class TestCandidates:
         with pytest.raises(ValueError):
             CandidateConfig(max_candidates=0)
 
-    def test_threshold_init_is_argmax(self, ar1_data):
-        hyper = Hyperparameters(g=0.2)
-        best = threshold_init(ar1_data, hyper)
-        cands = candidate_graphs(ar1_data)
-        scores = [score_graph(ar1_data, g, hyper).log_posterior for g in cands]
-        assert best == cands[int(np.argmax(scores))]
+    def test_threshold_init_is_argmax(self, ar1_data, ar2_data):
+        for data, r_max in itertools.product((ar1_data, ar2_data), (None, 2)):
+            hyper = Hyperparameters(g=0.2, r_max=r_max)
+            best = threshold_init(data, hyper)
+            cands = candidate_graphs(data)
+            scores = [score_graph(data, g, hyper).log_posterior for g in cands]
+            assert best == cands[int(np.argmax(scores))]
 
-    def test_threading_matches_serial(self, ar1_data):
-        hyper = Hyperparameters(g=0.2)
-        assert threshold_init(ar1_data, hyper, threads=4) == threshold_init(
-            ar1_data, hyper, threads=1
-        )
+    @pytest.mark.parametrize("r_max", [None, 4])
+    def test_walk_scores_match_full_scores(self, ar2_data, r_max):
+        hyper = Hyperparameters(g=0.2, r_max=r_max)
+        scored = candidate_graphs(ar2_data, scorer=GraphScorer(ar2_data, hyper))
+        assert [g for g, _ in scored] == candidate_graphs(ar2_data)
+        for g, lp in scored:
+            full = score_graph(ar2_data, g, hyper).log_posterior
+            if full == -math.inf:
+                assert lp == -math.inf
+            else:
+                assert lp == pytest.approx(full, abs=1e-9)
+
+    def test_all_candidates_outside_support_gives_empty(self, ar1_data):
+        config = CandidateConfig(ridge_grid=(0.1,), threshold_grid=(0.0,))
+        (cand,) = candidate_graphs(ar1_data, config)
+        assert cand.size > 0
+        best = threshold_init(ar1_data, Hyperparameters(g=0.2, r_max=0), config)
+        assert best == UndirectedGraph.empty(4)
 
 
 class TestShotgun:
@@ -135,6 +159,19 @@ class TestShotgun:
             UndirectedGraph.empty(4), ar1_data, hyper, max_iters=40, rng=make_rng(8)
         )
         assert res.mode_graph == exact_mode
+
+    def test_start_above_cap_descends_into_support(self, ar1_data):
+        # no delta can be added to the -inf score of a graph above r_max;
+        # the first step must still reach the best neighbour inside the cap
+        hyper = Hyperparameters(g=0.2, r_max=2)
+        start = UndirectedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        res = shotgun_search(start, ar1_data, hyper, max_iters=1)
+        best = max(
+            (start.without_edge(*e) for e in start.edges),
+            key=lambda g: score_graph(ar1_data, g, hyper).log_posterior,
+        )
+        assert res.mode_graph == best
+        assert res.score_trace[0] == score_graph(ar1_data, best, hyper).log_posterior
 
     def test_visited_counts_work(self, ar1_data):
         res = shotgun_search(
