@@ -57,7 +57,6 @@ from .model import (
     score_graph,
 )
 from .numerics import (
-    RngState,
     cholesky_logdet,
     log_multigamma,
     make_rng,

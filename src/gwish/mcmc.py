@@ -31,13 +31,14 @@ from .graph import (
     enumerate_decomposable_graphs,
     is_decomposable,
     move_is_decomposable,
+    perfect_sequence,
 )
 from .model import (
     Dataset,
     GraphScore,
     GraphScorer,
     Hyperparameters,
-    sample_precision_given_graph,
+    _PrecisionSampler,
 )
 from .numerics import make_rng
 from .search import threshold_init
@@ -244,6 +245,7 @@ def run_chain(
     best_graph, best_score = state.graph, state.score
     prec_sum = np.zeros((p, p)) if config.sample_precision else None
     prec_draws = 0
+    sampler: _PrecisionSampler | None = None  # rebuilt when the graph changes
     counts: Counter = Counter()
 
     for it in range(total):
@@ -260,7 +262,9 @@ def run_chain(
         if config.track_graphs:
             counts[state.graph] += 1
         if prec_sum is not None and (it - config.burn_in) % config.thin == 0:
-            prec_sum += sample_precision_given_graph(data, state.graph, hyper, rng)
+            if sampler is None or sampler.graph != state.graph:
+                sampler = _PrecisionSampler(data, state.graph, hyper)
+            prec_sum += sampler.draw(rng)
             prec_draws += 1
 
     if config.iterations > 0:
@@ -313,12 +317,16 @@ def exact_posterior(
     """Exact graph posterior by enumeration (tiny p only).
 
     Scores every decomposable graph on data.p vertices and normalises with
-    a log-sum-exp; graphs outside the prior support are dropped.
+    a log-sum-exp.  Graphs outside the support are dropped: more than r_max
+    edges, or a clique with more vertices than the sample size.
     """
     scorer = GraphScorer(data, hyper)
     scored: list[tuple[UndirectedGraph, float]] = []
     for g in enumerate_decomposable_graphs(data.p):
-        lp = scorer.score(g).log_posterior
+        seq = perfect_sequence(g)
+        if max(len(c) for c in seq.cliques) > data.n:
+            continue
+        lp = scorer.score(g, seq).log_posterior
         if lp > -math.inf:
             scored.append((g, lp))
     top = max(lp for _, lp in scored)

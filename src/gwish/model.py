@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .errors import CliqueTooLarge, DimensionMismatch, NotDecomposable
 from .graph import (
@@ -41,11 +41,14 @@ from .graph import (
 from .numerics import (
     LOG_2,
     LOG_2PI,
+    cholesky_factor,
     cholesky_logdet,
+    cholesky_solve,
     log_multigamma,
-    sample_wishart_complete,
+    sample_wishart_root,
     submatrix,
     symmetrize,
+    wishart_root,
 )
 
 # Named hyperparameter presets: g as a power law in the dimension.  The
@@ -119,9 +122,17 @@ class Dataset:
 
     @classmethod
     def from_matrix(cls, x: np.ndarray, truth: GroundTruth | None = None) -> "Dataset":
+        """Wrap an n x p matrix; ValueError if any entry is NaN or infinite."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise DimensionMismatch(f"data must be 2-d, got shape {x.shape}")
+        bad = np.argwhere(~np.isfinite(x))
+        if len(bad):
+            row, col = bad[0]
+            raise ValueError(
+                f"data has {len(bad)} non-finite entries (NaN or inf); the "
+                f"first is at row {row}, column {col} (0-based)"
+            )
         return cls(x=x, gram=symmetrize(x.T @ x), truth=truth)
 
     @property
@@ -374,6 +385,129 @@ def _idx(subset: frozenset[int]) -> list[int]:
     return sorted(subset)
 
 
+# (np.ix_ block, identity of its size, +1 for a clique or -1 for a separator)
+_Block = tuple[tuple[np.ndarray, np.ndarray], np.ndarray, int]
+
+
+def _inverse_blocks(seq: PerfectSequence) -> list[_Block]:
+    blocks = [(np.ix_(_idx(c), _idx(c)), np.eye(len(c)), 1) for c in seq.cliques]
+    blocks += [(np.ix_(_idx(s), _idx(s)), np.eye(len(s)), -1)
+               for s in seq.separators if s]
+    return blocks
+
+
+def _clique_minus_separator(
+    p: int,
+    blocks: list[_Block],
+    source: np.ndarray,
+    weight: Callable[[int], float] | None = None,
+) -> np.ndarray:
+    """Sum of weight(|C|) * inv(source_C) over the clique blocks minus the
+    same over the separator blocks, each padded with zeros to p x p.
+
+    Cliques come first, then separators, each in perfect-sequence order.
+    No weight leaves the inverses unscaled.
+    """
+    out = np.zeros((p, p))
+    for ix, eye, sign in blocks:
+        inv = cholesky_solve(cholesky_factor(source[ix]), eye)
+        if weight is not None:
+            inv = weight(len(eye)) * inv
+        if sign > 0:
+            out[ix] += inv
+        else:
+            out[ix] -= inv
+    return symmetrize(out)
+
+
+class _PrecisionSampler:
+    """Draws of Omega from its posterior W_G(n+nu, (1+g) X'X) given G.
+
+    The covariance clique marginals are generated along a perfect sequence
+    (Carvalho, Massam & West 2007).  The first clique block, and any clique
+    with an empty separator, comes from inverting a complete-graph Wishart
+    draw.  Each later clique C with residual R = C - S is filled
+    conditional on its separator block S by the Wishart block
+    decomposition: the residual block is an independent smaller Wishart
+    with scale B_RR - B_RS inv(B_SS) B_SR, and the regression coefficients
+    are matrix normal about B_RS inv(B_SS).  Omega is then assembled as the
+    sum of completed clique inverses minus separator inverses, which has
+    support exactly on G.
+
+    Every scale block, Schur complement, Bartlett root, regression mean and
+    column factor depends on the data, G and the hyperparameters only, so
+    it is computed once here; ``draw`` does only the random work.
+    """
+
+    def __init__(
+        self,
+        data: Dataset,
+        g: UndirectedGraph,
+        hyper: Hyperparameters,
+        seq: PerfectSequence | None = None,
+    ):
+        if seq is None:
+            seq = perfect_sequence(g)
+        n, p = data.n, data.p
+        if g.p != p:
+            raise DimensionMismatch(f"graph p={g.p} does not match data p={p}")
+        for c in seq.cliques:
+            if len(c) > n:
+                raise CliqueTooLarge(len(c), n)
+        self.graph = g
+        self.p = p
+        nu_post = n + hyper.nu
+        b_full = (1.0 + hyper.g) * data.gram
+        # per clique: (df, Bartlett root, rr, eye_r, cond), where cond is
+        # None for an empty separator, else (ss, rs, sr, mean_u, col_factor')
+        self._steps: list[tuple] = []
+        for l, clique in enumerate(seq.cliques):
+            sep = seq.separators[l - 1] if l else frozenset()
+            r_idx, s_idx = _idx(clique - sep), _idx(sep)
+            rr = np.ix_(r_idx, r_idx)
+            eye_r = np.eye(len(r_idx))
+            if not s_idx:
+                self._steps.append(
+                    (nu_post, wishart_root(b_full[rr]), rr, eye_r, None)
+                )
+                continue
+            rs, ss = np.ix_(r_idx, s_idx), np.ix_(s_idx, s_idx)
+            b_rs = b_full[rs]
+            lo_ss, _ = cholesky_logdet(b_full[ss])
+            # B_RR - B_RS inv(B_SS) B_SR, the residual scale of the R block
+            half = solve_triangular(lo_ss, b_rs.T, lower=True)
+            b_res = symmetrize(b_full[rr] - half.T @ half)
+            mean_u = cholesky_solve(lo_ss, b_rs.T).T
+            col_factor = solve_triangular(
+                lo_ss, np.eye(len(s_idx)), lower=True, trans="T"
+            )
+            cond = (ss, rs, np.ix_(s_idx, r_idx), mean_u, col_factor.T)
+            self._steps.append(
+                (nu_post + len(s_idx), wishart_root(b_res), rr, eye_r, cond)
+            )
+        self._blocks = _inverse_blocks(seq)
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """One draw of Omega; consumes ``rng`` exactly as the per-draw
+        construction would: per clique a Bartlett draw, then, for a nonempty
+        separator, the matrix-normal block."""
+        sigma = np.zeros((self.p, self.p))
+        for df, root, rr, eye_r, cond in self._steps:
+            k = sample_wishart_root(df, root, rng)
+            gamma = cholesky_solve(cholesky_factor(k), eye_r)
+            if cond is None:
+                sigma[rr] = gamma
+                continue
+            ss, rs, sr, mean_u, col_t = cond
+            lo_g = cholesky_factor(gamma)
+            u = mean_u + lo_g @ rng.standard_normal(mean_u.shape) @ col_t
+            sig_rs = u @ sigma[ss]
+            sigma[rs] = sig_rs
+            sigma[sr] = sig_rs.T
+            sigma[rr] = symmetrize(gamma + sig_rs @ u.T)
+        return _clique_minus_separator(self.p, self._blocks, sigma)
+
+
 def sample_precision_given_graph(
     data: Dataset,
     g: UndirectedGraph,
@@ -383,74 +517,13 @@ def sample_precision_given_graph(
 ) -> np.ndarray:
     """One draw of Omega from its posterior W_G(n+nu, (1+g) X'X) given G.
 
-    The covariance clique marginals are generated sequentially: the first
-    clique block comes from inverting a complete-graph Wishart draw, and
-    each later clique is filled conditional on its separator block using
-    the standard Wishart block decomposition (the residual block is an
-    independent smaller Wishart and the regression coefficients are matrix
-    normal).  Omega is then assembled as the sum of completed clique
-    inverses minus separator inverses, which has support exactly on G.
+    Builds the fixed part of the clique-by-clique construction for G and
+    draws once.  Callers that draw repeatedly for one graph keep a
+    ``_PrecisionSampler`` and call its ``draw``, which takes the same
+    generator calls in the same order, so both give identical draws.
+    Raises CliqueTooLarge when a clique has more than n vertices.
     """
-    if seq is None:
-        seq = perfect_sequence(g)
-    n, p = data.n, data.p
-    if g.p != p:
-        raise DimensionMismatch(f"graph p={g.p} does not match data p={p}")
-    for c in seq.cliques:
-        if len(c) > n:
-            raise CliqueTooLarge(len(c), n)
-    nu_post = n + hyper.nu
-    b_full = (1.0 + hyper.g) * data.gram
-
-    sigma = np.zeros((p, p))
-    first = _idx(seq.cliques[0])
-    k = sample_wishart_complete(nu_post, b_full[np.ix_(first, first)], rng)
-    lo, _ = cholesky_logdet(k)
-    sigma[np.ix_(first, first)] = cho_solve((lo, True), np.eye(len(first)))
-
-    for l in range(1, len(seq.cliques)):
-        clique = seq.cliques[l]
-        sep = seq.separators[l - 1]
-        r_idx = _idx(clique - sep)
-        s_idx = _idx(sep)
-        nr, ns = len(r_idx), len(s_idx)
-        if ns == 0:
-            k = sample_wishart_complete(nu_post, b_full[np.ix_(r_idx, r_idx)], rng)
-            lo, _ = cholesky_logdet(k)
-            sigma[np.ix_(r_idx, r_idx)] = cho_solve((lo, True), np.eye(nr))
-            continue
-        b_rr = b_full[np.ix_(r_idx, r_idx)]
-        b_rs = b_full[np.ix_(r_idx, s_idx)]
-        b_ss = b_full[np.ix_(s_idx, s_idx)]
-        lo_ss, _ = cholesky_logdet(b_ss)
-        # B_RR - B_RS inv(B_SS) B_SR, the residual scale of the R block
-        half = solve_triangular(lo_ss, b_rs.T, lower=True)
-        b_res = symmetrize(b_rr - half.T @ half)
-        k_rr = sample_wishart_complete(nu_post + ns, b_res, rng)
-        lo_k, _ = cholesky_logdet(k_rr)
-        gamma = cho_solve((lo_k, True), np.eye(nr))
-        mean_u = cho_solve((lo_ss, True), b_rs.T).T
-        lo_g, _ = cholesky_logdet(gamma)
-        col_factor = solve_triangular(lo_ss, np.eye(ns), lower=True, trans="T")
-        u = mean_u + lo_g @ rng.standard_normal((nr, ns)) @ col_factor.T
-        sig_ss = sigma[np.ix_(s_idx, s_idx)]
-        sig_rs = u @ sig_ss
-        sigma[np.ix_(r_idx, s_idx)] = sig_rs
-        sigma[np.ix_(s_idx, r_idx)] = sig_rs.T
-        sigma[np.ix_(r_idx, r_idx)] = symmetrize(gamma + sig_rs @ u.T)
-
-    omega = np.zeros((p, p))
-    for c in seq.cliques:
-        idx = _idx(c)
-        lo, _ = cholesky_logdet(sigma[np.ix_(idx, idx)])
-        omega[np.ix_(idx, idx)] += cho_solve((lo, True), np.eye(len(idx)))
-    for s in seq.separators:
-        if not s:
-            continue
-        idx = _idx(s)
-        lo, _ = cholesky_logdet(sigma[np.ix_(idx, idx)])
-        omega[np.ix_(idx, idx)] -= cho_solve((lo, True), np.eye(len(idx)))
-    return symmetrize(omega)
+    return _PrecisionSampler(data, g, hyper, seq).draw(rng)
 
 
 def posterior_mean_precision(
@@ -466,23 +539,13 @@ def posterior_mean_precision(
     """
     if seq is None:
         seq = perfect_sequence(g)
-    n, p = data.n, data.p
+    n = data.n
     for c in seq.cliques:
         if len(c) > n:
             raise CliqueTooLarge(len(c), n)
     nu_post = n + hyper.nu
     shrink = 1.0 / (1.0 + hyper.g)
-    mean = np.zeros((p, p))
-    for c in seq.cliques:
-        idx = _idx(c)
-        lo, _ = cholesky_logdet(data.gram[np.ix_(idx, idx)])
-        inv = cho_solve((lo, True), np.eye(len(idx)))
-        mean[np.ix_(idx, idx)] += (nu_post + len(idx) - 1) * shrink * inv
-    for s in seq.separators:
-        if not s:
-            continue
-        idx = _idx(s)
-        lo, _ = cholesky_logdet(data.gram[np.ix_(idx, idx)])
-        inv = cho_solve((lo, True), np.eye(len(idx)))
-        mean[np.ix_(idx, idx)] -= (nu_post + len(idx) - 1) * shrink * inv
-    return symmetrize(mean)
+    return _clique_minus_separator(
+        data.p, _inverse_blocks(seq), data.gram,
+        weight=lambda q: (nu_post + q - 1) * shrink,
+    )

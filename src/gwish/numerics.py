@@ -13,11 +13,11 @@ convenient for graph-indexed models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 from scipy.special import gammaln
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotPositiveDefinite
@@ -27,24 +27,17 @@ LOG_PI = float(np.log(np.pi))
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-@dataclass(frozen=True)
-class RngState:
-    """Counter-based random stream identified by (seed, stream).
+# the LAPACK routine behind scipy's cho_solve, fetched once instead of per call
+(_POTRS,) = get_lapack_funcs(("potrs",), (np.empty((1, 1)),))
+
+
+def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """Philox generator keyed by (seed, stream).
 
     Distinct streams from the same seed are statistically independent, and a
     given (seed, stream) pair reproduces the identical draw sequence across
     runs, which is what makes parallel chains reproducible.
     """
-
-    seed: int
-    stream: int = 0
-
-    def generator(self) -> np.random.Generator:
-        return make_rng(self.seed, self.stream)
-
-
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Philox generator keyed by (seed, stream)."""
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
@@ -66,6 +59,31 @@ def cholesky_logdet(m: np.ndarray) -> tuple[np.ndarray, float]:
         raise NotPositiveDefinite(str(exc)) from exc
     logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
     return lower, logdet
+
+
+def cholesky_factor(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a square float positive definite matrix.
+
+    Raises NotPositiveDefinite when the factorisation fails.
+    """
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
+
+
+def cholesky_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b given the lower Cholesky factor of A; ``b`` is not
+    overwritten, so ``cholesky_solve(lower, eye)`` is inv(A).
+
+    The same LAPACK ``potrs`` call as ``scipy.linalg.cho_solve((lower, True),
+    b)``, bit for bit, without its per-call input checks: both arguments
+    must be finite float arrays of matching size.
+    """
+    x, info = _POTRS(lower, b, lower=True)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
 
 
 def submatrix(m: np.ndarray, subset: Sequence[int]) -> np.ndarray:
@@ -100,26 +118,45 @@ def sample_wishart_complete(
 ) -> np.ndarray:
     """One draw from W_q(df, scale) in the convention of this package.
 
-    Bartlett construction: with F any square root of inv(scale) and T lower
-    triangular with chi and normal entries, F T (F T)' has the target law.
-    Requires df > 2.
+    ``sample_wishart_root(df, wishart_root(scale), rng)``: the root depends
+    on the scale only, so a caller drawing repeatedly from one scale builds
+    it once and calls ``sample_wishart_root`` per draw.  Requires df > 2.
     """
     if df <= 2.0:
         raise ValueError(f"df must exceed 2, got {df}")
     scale = np.asarray(scale, dtype=float)
-    q = scale.shape[0]
-    if q == 0:
+    if scale.shape[0] == 0:
         return np.zeros((0, 0))
+    return sample_wishart_root(df, wishart_root(scale), rng)
+
+
+def wishart_root(scale: np.ndarray) -> np.ndarray:
+    """F = inv(L)' for the lower Cholesky factor L of ``scale``, so that
+    F F' = inv(scale): the fixed part of a Bartlett draw from W_q(df, scale).
+    """
     lower, _ = cholesky_logdet(scale)
-    # F = inv(lower).T satisfies F @ F.T = inv(scale)
-    f = solve_triangular(lower, np.eye(q), lower=True, trans="T")
+    return solve_triangular(lower, np.eye(lower.shape[0]), lower=True, trans="T")
+
+
+def sample_wishart_root(
+    df: float, root: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """One draw from W_q(df, scale) given ``root = wishart_root(scale)``.
+
+    Bartlett construction: with T lower triangular, T_ii the square root of
+    a chi-square with df + q - 1 - i degrees of freedom and T_ij (j < i)
+    standard normal, F T (F T)' has the target law.  Row i takes its chi
+    square, then its i normals in one call.  Requires q >= 1.
+    """
+    if df <= 2.0:
+        raise ValueError(f"df must exceed 2, got {df}")
+    q = root.shape[0]
     df_std = df + q - 1
     t = np.zeros((q, q))
     for i in range(q):
-        t[i, i] = np.sqrt(rng.chisquare(df_std - i))
-        for j in range(i):
-            t[i, j] = rng.standard_normal()
-    ft = f @ t
+        t[i, i] = math.sqrt(rng.chisquare(df_std - i))
+        t[i, :i] = rng.standard_normal(i)
+    ft = root @ t
     return symmetrize(ft @ ft.T)
 
 

@@ -7,13 +7,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .graph import (
     UndirectedGraph,
     decomposable_neighbors,
     move_is_decomposable,
-    perfect_sequence,
     random_decomposable_move,
 )
 from .model import (
@@ -21,10 +19,10 @@ from .model import (
     GraphScore,
     GraphScorer,
     Hyperparameters,
+    _PrecisionSampler,
     posterior_mean_precision,
-    sample_precision_given_graph,
 )
-from .numerics import cholesky_logdet, symmetrize
+from .numerics import cholesky_factor, cholesky_logdet, cholesky_solve, symmetrize
 from .errors import CliqueTooLarge, NoValidMove
 
 
@@ -86,7 +84,7 @@ def _ridge_edge_order(
 ) -> list[tuple[float, int, int]]:
     p = data.p
     lower, _ = cholesky_logdet(data.gram / data.n + lam * np.eye(p))
-    w = symmetrize(cho_solve((lower, True), np.eye(p)))
+    w = symmetrize(cholesky_solve(lower, np.eye(p)))
     entries = [
         (abs(float(w[i, j])), i, j) for i in range(p) for j in range(i + 1, p)
     ]
@@ -292,13 +290,10 @@ def bayes_estimator_l1_stein(
     """
     if mc_draws < 1:
         raise ValueError("mc_draws must be positive")
-    p = data.p
-    seq = perfect_sequence(graph)
-    acc = np.zeros((p, p))
+    sampler = _PrecisionSampler(data, graph, hyper)
+    eye = np.eye(data.p)
+    acc = np.zeros((data.p, data.p))
     for _ in range(mc_draws):
-        omega = sample_precision_given_graph(data, graph, hyper, rng, seq=seq)
-        lower, _ = cholesky_logdet(omega)
-        acc += cho_solve((lower, True), np.eye(p))
+        acc += cholesky_solve(cholesky_factor(sampler.draw(rng)), eye)
     sigma_bar = symmetrize(acc / mc_draws)
-    lower, _ = cholesky_logdet(sigma_bar)
-    return symmetrize(cho_solve((lower, True), np.eye(p)))
+    return symmetrize(cholesky_solve(cholesky_factor(sigma_bar), eye))

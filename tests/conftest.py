@@ -1,5 +1,5 @@
-"""Shared test plumbing: the Hypothesis profile and the acceptance-criteria
-reporter.
+"""Shared test plumbing: the Hypothesis profile, the random chordal graph
+strategy and the acceptance-criteria reporter.
 
 Property tests run derandomized, so every run draws the same examples, and
 without a deadline, since a single example can be slow on a busy host.
@@ -10,11 +10,37 @@ summary so every criterion shows a PASS/FAIL verdict even under output
 capture.
 """
 
+import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
+
+from gwish.errors import NoValidMove
+from gwish.graph import UndirectedGraph, random_decomposable_move
 
 settings.register_profile("gwish", derandomize=True, deadline=None)
 settings.load_profile("gwish")
+
+
+def random_chordal_graph(p, seed, steps):
+    """A decomposable graph reached by seeded random add/delete moves."""
+    rng = np.random.default_rng(seed)
+    g = UndirectedGraph.empty(p)
+    for _ in range(steps):
+        kind = "add" if g.size == 0 or rng.random() < 0.7 else "delete"
+        try:
+            g = random_decomposable_move(g, kind, rng)
+        except NoValidMove:
+            pass
+    return g
+
+
+chordal_graphs = st.builds(
+    random_chordal_graph,
+    p=st.integers(min_value=2, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    steps=st.integers(min_value=0, max_value=40),
+)
 
 
 class CriterionLog:

@@ -10,6 +10,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import cho_solve, solve_triangular
 
 
 def chordless_cycle_exists(p: int, edges: set[tuple[int, int]]) -> bool:
@@ -136,6 +137,91 @@ def gwishart_prior_batch(
             sigma[np.ix_(range(size), idx, idx)]
         )
     return omega
+
+
+def _sym(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.T)
+
+
+def _chol(m: np.ndarray) -> np.ndarray:
+    return np.linalg.cholesky(m)
+
+
+def _wishart_draw_reference(
+    df: float, scale: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    q = scale.shape[0]
+    lower = _chol(scale)
+    f = solve_triangular(lower, np.eye(q), lower=True, trans="T")
+    df_std = df + q - 1
+    t = np.zeros((q, q))
+    for i in range(q):
+        t[i, i] = np.sqrt(rng.chisquare(df_std - i))
+        for j in range(i):
+            t[i, j] = rng.standard_normal()
+    ft = f @ t
+    return _sym(ft @ ft.T)
+
+
+def sample_precision_reference(
+    gram: np.ndarray,
+    n: int,
+    nu: float,
+    g: float,
+    cliques: list[frozenset[int]],
+    separators: list[frozenset[int]],
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """One draw of Omega ~ W_G(n + nu, (1 + g) gram) along a perfect sequence,
+    recomputing every scale block, Schur complement and Bartlett root per
+    draw: the per-draw sampler that the built-once sampler must match bit
+    for bit, with the same generator calls in the same order."""
+    p = gram.shape[0]
+    nu_post = n + nu
+    b_full = (1.0 + g) * gram
+
+    sigma = np.zeros((p, p))
+    first = sorted(cliques[0])
+    k = _wishart_draw_reference(nu_post, b_full[np.ix_(first, first)], rng)
+    sigma[np.ix_(first, first)] = cho_solve((_chol(k), True), np.eye(len(first)))
+
+    for l in range(1, len(cliques)):
+        clique, sep = cliques[l], separators[l - 1]
+        r_idx, s_idx = sorted(clique - sep), sorted(sep)
+        nr, ns = len(r_idx), len(s_idx)
+        if ns == 0:
+            k = _wishart_draw_reference(nu_post, b_full[np.ix_(r_idx, r_idx)], rng)
+            sigma[np.ix_(r_idx, r_idx)] = cho_solve((_chol(k), True), np.eye(nr))
+            continue
+        b_rr = b_full[np.ix_(r_idx, r_idx)]
+        b_rs = b_full[np.ix_(r_idx, s_idx)]
+        b_ss = b_full[np.ix_(s_idx, s_idx)]
+        lo_ss = _chol(b_ss)
+        half = solve_triangular(lo_ss, b_rs.T, lower=True)
+        b_res = _sym(b_rr - half.T @ half)
+        k_rr = _wishart_draw_reference(nu_post + ns, b_res, rng)
+        gamma = cho_solve((_chol(k_rr), True), np.eye(nr))
+        mean_u = cho_solve((lo_ss, True), b_rs.T).T
+        lo_g = _chol(gamma)
+        col_factor = solve_triangular(lo_ss, np.eye(ns), lower=True, trans="T")
+        u = mean_u + lo_g @ rng.standard_normal((nr, ns)) @ col_factor.T
+        sig_rs = u @ sigma[np.ix_(s_idx, s_idx)]
+        sigma[np.ix_(r_idx, s_idx)] = sig_rs
+        sigma[np.ix_(s_idx, r_idx)] = sig_rs.T
+        sigma[np.ix_(r_idx, r_idx)] = _sym(gamma + sig_rs @ u.T)
+
+    omega = np.zeros((p, p))
+    for c in cliques:
+        idx = sorted(c)
+        lo = _chol(sigma[np.ix_(idx, idx)])
+        omega[np.ix_(idx, idx)] += cho_solve((lo, True), np.eye(len(idx)))
+    for s in separators:
+        if not s:
+            continue
+        idx = sorted(s)
+        lo = _chol(sigma[np.ix_(idx, idx)])
+        omega[np.ix_(idx, idx)] -= cho_solve((lo, True), np.eye(len(idx)))
+    return _sym(omega)
 
 
 def gaussian_loglik_batch(x: np.ndarray, omegas: np.ndarray) -> np.ndarray:

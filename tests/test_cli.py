@@ -95,6 +95,20 @@ class TestMcmc:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["p4_oracle_tv"] < 0.25
 
+    def test_p4_oracle_with_cliques_above_n(self, tmp_path, capsys):
+        # n=3: the enumerated posterior leaves out every graph with a
+        # four-vertex clique instead of failing to score it
+        gen = tmp_path / "n3"
+        assert run("gen-data", "--kind", "ar1", "--p", 4, "--n", 3, "--seed", 1,
+                   "--out", gen) == 0
+        out = tmp_path / "oracle"
+        assert run("mcmc", "--data", gen, "--g", 0.2, "--kernel", "exact",
+                   "--p4-oracle", "--iterations", 200, "--burn-in", 50,
+                   "--seed", 1, "--out", out) == 0
+        assert "total variation" in capsys.readouterr().out
+        meta = json.loads((out / "meta.json").read_text())
+        assert 0.0 <= meta["p4_oracle_tv"] <= 1.0
+
     def test_p4_oracle_needs_p4(self, tmp_path):
         gen = tmp_path / "p5"
         assert run("gen-data", "--kind", "ar1", "--p", 5, "--n", 20,
@@ -283,6 +297,34 @@ class TestMetrics:
         gpath = tmp_path / "g.edges"
         write_edge_list(UndirectedGraph.empty(3), str(gpath))
         assert run("metrics", "--graph", gpath, "--out", tmp_path / "m") == 2
+
+
+class TestNonFiniteData:
+    """NaN or inf in the data fails at load, with exit 2, before any work."""
+
+    COMMANDS = {
+        "mcmc": ("mcmc", "--kernel", "uniform", "--iterations", 50,
+                 "--burn-in", 10),
+        "search": ("search", "--search-iters", 2),
+        "estimate": ("estimate", "--estimator", "l2", "--graph", None),
+    }
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exits_2_before_writing(self, data_dir, tmp_path, capsys, command, value):
+        x = np.loadtxt(data_dir / "X.csv", delimiter=",", ndmin=2)
+        x[5, 2] = float(value)
+        x[9, 0] = float(value)
+        bad = tmp_path / "bad.csv"
+        np.savetxt(bad, x, delimiter=",")
+        args = [data_dir / "graph0.edges" if a is None else a
+                for a in self.COMMANDS[command]]
+        out = tmp_path / "out"
+        assert run(*args, "--x", bad, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "2 non-finite entries" in err
+        assert "row 5, column 2" in err
+        assert not (out / "meta.json").exists()
 
 
 class TestTopLevel:

@@ -53,6 +53,17 @@ def mode_estimate_pipeline(tmp):
         "--seed", 4, "--out", tmp / "est")
 
 
+def precision_pipeline(tmp):
+    run("gen-data", "--kind", "ar2", "--p", 10, "--n", 40, "--seed", 6,
+        "--out", tmp / "data")
+    run("estimate", "--data", tmp / "data", "--estimator", "l2",
+        "--graph", tmp / "data" / "graph0.edges", "--seed", 6, "--out", tmp / "l2")
+    # run_chain with sample_precision: a draw every third kept state
+    run("estimate", "--data", tmp / "data", "--estimator", "mcmc",
+        "--kernel", "uniform", "--burn-in", 100, "--iterations", 300,
+        "--thin", 3, "--seed", 6, "--out", tmp / "mcmc")
+
+
 GOLDEN = {
     "select": (select_pipeline, {
         "chain/best_graph.edges":
@@ -103,6 +114,24 @@ GOLDEN = {
             "1b4c000e2edb86be13387490bab080571020163ba9369586bb5afff64f94027d",
         "mode/mode_graph.edges":
             "a1eb4b3de130b510dbe82e5ce52e3713858edcb0d908c58fa9aef68ecba12ddb",
+    }),
+    "precision": (precision_pipeline, {
+        "data/X.csv":
+            "adf9bbc7ad2709720c299e2092b572c1a4ae662315f22ffc8681e8dffac63f47",
+        "data/graph0.edges":
+            "b1103719e56821ddee78cfd05c3d6ce823358eeb3fc9b00a1d8f9e8ff53bb7d6",
+        "data/meta.json":
+            "1040a84c292a979b648f253052b701764afee1520ededcc0d1e4ee17ecff5194",
+        "data/omega0.csv":
+            "16ae3cbc08488386404e5d227d8fd45f0f633e9371de7015283831963b604400",
+        "l2/meta.json":
+            "bcece7043b030d2c47f98a2e9f120e5b009b36caaf0db87f0aed3eccf14f0e1c",
+        "l2/omega_hat.csv":
+            "daa0c28c7c30da1f9e20b2d2bcc5091aa6b2746233e06558162304f99c3b36c9",
+        "mcmc/meta.json":
+            "4d797885a27a59ad19c58e81629e548ec06d8b183e8ea4274f46f300c25f424f",
+        "mcmc/omega_hat.csv":
+            "c9b671bd653fff23bfbc2c86408f9ae6cbca621736891a298d13a9788eb1f356",
     }),
 }
 

@@ -22,6 +22,7 @@ from gwish.graph import (
 from gwish.model import Dataset, GraphScorer, Hyperparameters
 from gwish.numerics import make_rng
 
+from conftest import chordal_graphs
 from oracles import chordal_by_cycle_scan, reachable
 
 
@@ -215,27 +216,6 @@ class TestMoves:
         assert is_decomposable(g)
         g2 = random_decomposable_move(g, "add", make_rng(0, 0))
         assert g2 == UndirectedGraph.complete(p)
-
-
-def random_chordal_graph(p, seed, steps):
-    """A decomposable graph reached by seeded random add/delete moves."""
-    rng = np.random.default_rng(seed)
-    g = UndirectedGraph.empty(p)
-    for _ in range(steps):
-        kind = "add" if g.size == 0 or rng.random() < 0.7 else "delete"
-        try:
-            g = random_decomposable_move(g, kind, rng)
-        except NoValidMove:
-            pass
-    return g
-
-
-chordal_graphs = st.builds(
-    random_chordal_graph,
-    p=st.integers(min_value=2, max_value=12),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    steps=st.integers(min_value=0, max_value=40),
-)
 
 
 class ShuffleRecorder:

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from gwish.errors import NotDecomposable, NoValidMove
-from gwish.graph import UndirectedGraph, decomposable_neighbors, is_decomposable
+from gwish.graph import (
+    UndirectedGraph,
+    decomposable_neighbors,
+    is_decomposable,
+    perfect_sequence,
+)
 from gwish.mcmc import (
     ChainConfig,
     ChainResult,
@@ -21,6 +26,8 @@ from gwish.mcmc import (
 from gwish.model import GraphScorer, Hyperparameters
 from gwish.numerics import make_rng
 from gwish.simulate import TrueModelSpec, build_truth, sample_dataset
+
+from oracles import sample_precision_reference
 
 
 class FakeRng:
@@ -214,6 +221,34 @@ class TestRunChain:
         assert res.precision_mean.shape == (4, 4)
         assert np.array_equal(res.precision_mean, res.precision_mean.T)
 
+    def test_precision_draws_follow_the_kept_graph(self):
+        # the chain keeps one sampler per graph; replaying it with a
+        # per-draw reference sampler must give the same mean bit for bit
+        truth = build_truth(TrueModelSpec(kind="ar2", p=6))
+        data = sample_dataset(truth, n=30, rng=make_rng(3))
+        hyper = Hyperparameters(g=0.3)
+        config = ChainConfig(
+            iterations=120, burn_in=20, seed=4, sample_precision=True, thin=3
+        )
+        res = run_chain(config, data, hyper)
+        scorer = GraphScorer(data, hyper)
+        rng = make_rng(config.seed, config.stream)
+        state = ChainState(UndirectedGraph.empty(6), scorer.score(UndirectedGraph.empty(6)))
+        total, draws, graphs = np.zeros((6, 6)), 0, set()
+        for it in range(config.burn_in + config.iterations):
+            state, _ = mh_step(state, scorer, config.kernel, rng)
+            if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
+                seq = perfect_sequence(state.graph)
+                total += sample_precision_reference(
+                    data.gram, data.n, hyper.nu, hyper.g,
+                    seq.cliques, seq.separators, rng,
+                )
+                draws += 1
+                graphs.add(state.graph)
+        assert len(graphs) > 3
+        assert res.precision_draws == draws
+        assert res.precision_mean.tobytes() == (total / draws).tobytes()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ChainConfig(iterations=-1)
@@ -275,6 +310,15 @@ class TestPosteriorSummaries:
         assert sum(post.values()) == pytest.approx(1.0, abs=1e-12)
         assert all(v > 0.0 for v in post.values())
         assert len(post) == 61  # decomposable graphs on 4 vertices
+
+    def test_exact_posterior_drops_cliques_above_n(self):
+        # n=3: the complete graph on 4 vertices is outside the support
+        truth = build_truth(TrueModelSpec(kind="ar1", p=4))
+        data = sample_dataset(truth, n=3, rng=make_rng(1))
+        post = exact_posterior(data, Hyperparameters(g=0.2))
+        assert len(post) == 60
+        assert UndirectedGraph.complete(4) not in post
+        assert sum(post.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_tv_distance_extremes(self):
         a = UndirectedGraph.empty(2)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gwish.errors import CliqueTooLarge, NotDecomposable
@@ -15,6 +17,7 @@ from gwish.model import (
     Dataset,
     GraphScorer,
     Hyperparameters,
+    _PrecisionSampler,
     log_graph_prior,
     log_marginal_likelihood,
     log_norm_const,
@@ -28,10 +31,34 @@ from gwish.model import (
 )
 from gwish.numerics import make_rng
 
+from conftest import chordal_graphs
+from oracles import sample_precision_reference
+
 
 def random_dataset(n, p, seed=0, truth=None):
     rng = np.random.default_rng(seed)
     return Dataset.from_matrix(rng.standard_normal((n, p)), truth)
+
+
+def same_rng_state(a, b):
+    def same(x, y):
+        if isinstance(x, dict):
+            return x.keys() == y.keys() and all(same(x[k], y[k]) for k in x)
+        if isinstance(x, np.ndarray):
+            return np.array_equal(x, y)
+        return x == y
+
+    return same(a.bit_generator.state, b.bit_generator.state)
+
+
+class TestDataset:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, value):
+        x = np.ones((5, 3))
+        x[2, 1] = value
+        x[4, 0] = value
+        with pytest.raises(ValueError, match=r"2 non-finite .* row 2, column 1"):
+            Dataset.from_matrix(x)
 
 
 class TestNormConstComplete:
@@ -351,3 +378,56 @@ class TestPosteriorSampling:
         off = ~g.adjacency & ~np.eye(5, dtype=bool)
         assert np.all(mean[off] == 0.0)
         assert np.all(np.diag(mean) > 0.0)
+
+
+class TestSamplerMatchesPerDrawReference:
+    """k draws from one built-once sampler equal k draws of the per-draw
+    construction (``oracles.sample_precision_reference``) bit for bit, and
+    leave the generator in the same state."""
+
+    DRAWS = 3
+
+    def check(self, g, n, data_seed, rng_seed, nu, scale):
+        data = random_dataset(n, g.p, seed=data_seed)
+        hyper = Hyperparameters(nu=nu, g=scale)
+        seq = perfect_sequence(g)
+        sampler = _PrecisionSampler(data, g, hyper)
+        mine, ref = make_rng(rng_seed, 1), make_rng(rng_seed, 1)
+        for _ in range(self.DRAWS):
+            got = sampler.draw(mine)
+            want = sample_precision_reference(
+                data.gram, n, nu, scale, seq.cliques, seq.separators, ref
+            )
+            assert got.tobytes() == want.tobytes()
+        assert same_rng_state(mine, ref)
+
+    @settings(max_examples=120)
+    @given(
+        chordal_graphs,
+        st.integers(0, 10),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2.5, 3.0, 7.25]),
+        st.sampled_from([0.01, 0.4, 3.0]),
+    )
+    def test_random_chordal_graphs(self, g, extra_n, data_seed, rng_seed, nu, scale):
+        n = max(len(c) for c in perfect_sequence(g).cliques) + 1 + extra_n
+        self.check(g, n, data_seed, rng_seed, nu, scale)
+
+    def test_disconnected_graph(self):
+        # two components and an isolated vertex: empty separators
+        g = UndirectedGraph.from_edges(
+            8, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5), (5, 6)]
+        )
+        assert sum(1 for s in perfect_sequence(g).separators if not s) == 2
+        self.check(g, 12, data_seed=3, rng_seed=4, nu=3.0, scale=0.4)
+
+    def test_large_cliques(self):
+        # a 5-clique and a 4-clique sharing a 2-vertex separator
+        k5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        k4 = [(i, j) for i in (3, 4, 5, 6) for j in (3, 4, 5, 6) if i < j]
+        g = UndirectedGraph.from_edges(8, k5 + k4 + [(6, 7)])
+        seq = perfect_sequence(g)
+        assert max(len(c) for c in seq.cliques) == 5
+        assert max(len(s) for s in seq.separators) == 2
+        self.check(g, 9, data_seed=5, rng_seed=6, nu=3.0, scale=0.4)

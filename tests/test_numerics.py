@@ -2,18 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 from scipy.special import multigammaln
 from scipy.stats import chi2
 
 from gwish.errors import DimensionMismatch, IndexOutOfRange, NotPositiveDefinite
 from gwish.numerics import (
+    cholesky_factor,
     cholesky_logdet,
+    cholesky_solve,
     log_multigamma,
     make_rng,
     sample_mvn,
     sample_wishart_complete,
+    sample_wishart_root,
     submatrix,
     symmetrize,
+    wishart_root,
 )
 
 
@@ -36,6 +41,24 @@ class TestCholesky:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             cholesky_logdet(np.ones((2, 3)))
+
+    def test_factor_and_solve_match_scipy_bitwise(self):
+        rng = np.random.default_rng(1)
+        for q in (1, 2, 5, 9):
+            a = rng.standard_normal((q, q))
+            m = a @ a.T + q * np.eye(q)
+            lower = cholesky_factor(m)
+            assert lower.tobytes() == cholesky_logdet(m)[0].tobytes()
+            eye = np.eye(q)
+            inv = cholesky_solve(lower, eye)
+            assert inv.tobytes() == cho_solve((lower, True), np.eye(q)).tobytes()
+            assert np.array_equal(eye, np.eye(q))  # right-hand side kept
+            b = rng.standard_normal((3, q)).T  # a non-contiguous view
+            assert cholesky_solve(lower, b).tobytes() == cho_solve((lower, True), b).tobytes()
+
+    def test_factor_rejects_indefinite(self):
+        with pytest.raises(NotPositiveDefinite):
+            cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestSubmatrix:
@@ -127,6 +150,31 @@ class TestWishartSampler:
     def test_rejects_small_df(self):
         with pytest.raises(ValueError):
             sample_wishart_complete(2.0, np.eye(2), make_rng(0))
+        with pytest.raises(ValueError):
+            sample_wishart_root(2.0, np.eye(2), make_rng(0))
+
+    def test_root_then_draw_is_the_one_shot_draw(self):
+        a = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
+        root = wishart_root(a)
+        assert np.allclose(root @ root.T, np.linalg.inv(a))
+        one, two = make_rng(4), make_rng(4)
+        for _ in range(5):
+            x = sample_wishart_complete(3.5, a, one)
+            y = sample_wishart_root(3.5, root, two)
+            assert x.tobytes() == y.tobytes()
+        assert one.random() == two.random()
+
+    def test_bartlett_stream_order(self):
+        # row i takes its chi square, then its i normals
+        df, q = 4.0, 3
+        rng = make_rng(6)
+        t = np.zeros((q, q))
+        for i in range(q):
+            t[i, i] = np.sqrt(rng.chisquare(df + q - 1 - i))
+            for j in range(i):
+                t[i, j] = rng.standard_normal()
+        draw = sample_wishart_root(df, np.eye(q), make_rng(6))
+        assert draw.tobytes() == symmetrize(t @ t.T).tobytes()
 
 
 class TestMvn:
