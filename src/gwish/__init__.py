@@ -28,7 +28,6 @@ from .mcmc import (
     ChainResult,
     median_probability_graph,
     mh_step,
-    propose,
     run_chain,
 )
 from .metrics import (
@@ -36,7 +35,6 @@ from .metrics import (
     SelectionReport,
     confusion,
     matrix_norm,
-    max_column_support,
     relative_errors,
     selection_report,
 )
@@ -46,22 +44,19 @@ from .model import (
     GraphScorer,
     GroundTruth,
     Hyperparameters,
+    PrecisionSampler,
     log_graph_prior,
-    log_marginal_likelihood,
     log_norm_const,
     log_norm_const_complete,
     log_pairwise_bayes_factor,
     log_posterior_ratio,
     posterior_mean_precision,
-    sample_precision_given_graph,
-    score_graph,
 )
 from .numerics import (
     cholesky_logdet,
     log_multigamma,
     make_rng,
     sample_mvn,
-    sample_wishart_complete,
     submatrix,
 )
 from .search import (
@@ -71,7 +66,6 @@ from .search import (
     bayes_estimator_l2,
     candidate_graphs,
     hybrid_mode,
-    repair_decomposable,
     shotgun_search,
 )
 from .simulate import (

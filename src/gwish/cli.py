@@ -98,7 +98,7 @@ def _add_hyper_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--r-theory",
         action="store_true",
-        help="set the edge cap to the theory scaling (n / log max(n, p))^(xi/2)",
+        help="set the edge cap to the theory scaling (n / log max(n, p))^(1/4)",
     )
 
 
@@ -150,8 +150,8 @@ def _cmd_gen_data(args) -> int:
     except (ValueError, NotPositiveDefinite) as exc:
         print(f"gen-data: invalid model spec: {exc}", file=sys.stderr)
         return 2
-    if args.n < 1:
-        print("gen-data: n must be positive", file=sys.stderr)
+    if args.n < 2:
+        print("gen-data: n must be at least 2", file=sys.stderr)
         return 2
     rng = make_rng(args.seed, args.stream)
     data = sample_dataset(truth, args.n, rng)

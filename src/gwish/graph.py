@@ -6,10 +6,12 @@ visited neighbourhood is complete (Tarjan & Yannakakis 1984).  Maximal
 cliques and a perfect sequence with the running intersection property are
 read off the same visit order following Blair & Peyton (1993).
 
-Single-edge moves on a decomposable graph are tested locally, without
-re-running MCS (Giudici & Green 1999): with S = N(u) & N(v), adding (u, v)
-keeps the graph decomposable iff S separates u from v, and deleting it does
-iff S is complete.
+A single-edge move is named by its edge alone: it deletes (u, v) when the
+graph has that edge and adds it otherwise (``UndirectedGraph.toggled``).
+Moves on a decomposable graph are tested locally, without re-running MCS
+(Giudici & Green 1999): with S = N(u) & N(v), adding (u, v) keeps the graph
+decomposable iff S separates u from v, and deleting it does iff S is
+complete.
 """
 
 from __future__ import annotations
@@ -109,6 +111,12 @@ class UndirectedGraph:
         if e not in self.edges:
             raise InvalidMove(f"edge {e} not present")
         return UndirectedGraph(self.p, self.edges - {e})
+
+    def toggled(self, i: int, j: int) -> "UndirectedGraph":
+        """The single-edge move on (i, j): delete the edge if present, else add it."""
+        if self.has_edge(i, j):
+            return self.without_edge(i, j)
+        return self.with_edge(i, j)
 
     def relabel(self, perm: Sequence[int]) -> "UndirectedGraph":
         """Return the graph with vertex i renamed to perm[i]."""
@@ -276,11 +284,11 @@ def check_perfect_sequence(g: UndirectedGraph, seq: PerfectSequence) -> None:
             raise AssertionError("running intersection property violated")
 
 
-def move_is_decomposable(g: UndirectedGraph, edge: Edge, kind: str) -> bool:
-    """Would adding/deleting ``edge`` leave the graph decomposable?
+def move_is_decomposable(g: UndirectedGraph, edge: Edge) -> bool:
+    """Would the move on ``edge`` leave the graph decomposable?
 
-    Requires ``g`` itself decomposable and the move applicable (the edge
-    absent for ``add``, present for ``delete``).  Both answers are local in
+    The move deletes ``edge`` if ``g`` has it and adds it otherwise; ``g``
+    itself must be decomposable.  Both answers are local in
     S = N(u) & N(v) (Giudici & Green 1999):
 
     - adding (u, v) is valid iff v is unreachable from u once S is removed,
@@ -292,38 +300,32 @@ def move_is_decomposable(g: UndirectedGraph, edge: Edge, kind: str) -> bool:
     """
     u, v = _normalize_edge(*edge)
     sep = g.neighbor_sets[u] & g.neighbor_sets[v]
-    if kind == "add":
-        if g.has_edge(u, v):
-            raise InvalidMove(f"cannot add existing edge {(u, v)}")
-        return not g.connected(u, v, blocked=sep)
-    if kind == "delete":
-        if not g.has_edge(u, v):
-            raise InvalidMove(f"cannot delete absent edge {(u, v)}")
+    if (u, v) in g.edges:
         return _all_complete(g, [tuple(sep)])
-    raise InvalidMove(f"unknown move kind {kind!r}")
+    return not g.connected(u, v, blocked=sep)
 
 
-def decomposable_neighbors(g: UndirectedGraph) -> list[tuple[Edge, str]]:
-    """All single-edge moves that keep the graph decomposable.
+def decomposable_neighbors(g: UndirectedGraph) -> list[Edge]:
+    """The edges whose single-edge move keeps the graph decomposable.
 
-    Returned in lexicographic edge order, each as ((i, j), kind) with kind
-    ``add`` or ``delete``.  Raises NotDecomposable if ``g`` is not.
+    Returned in lexicographic order; an edge of ``g`` names a deletion, any
+    other pair an addition.  Raises NotDecomposable if ``g`` is not.
     """
     if not is_decomposable(g):
         raise NotDecomposable("neighbourhood is defined for decomposable graphs only")
-    out: list[tuple[Edge, str]] = []
-    for i in range(g.p):
-        for j in range(i + 1, g.p):
-            kind = "delete" if (i, j) in g.edges else "add"
-            if move_is_decomposable(g, (i, j), kind):
-                out.append(((i, j), kind))
-    return out
+    return [
+        (i, j)
+        for i in range(g.p)
+        for j in range(i + 1, g.p)
+        if move_is_decomposable(g, (i, j))
+    ]
 
 
 def random_decomposable_move(
     g: UndirectedGraph, kind: str, rng: np.random.Generator
 ) -> UndirectedGraph:
-    """Apply one uniformly chosen decomposability-preserving add/delete.
+    """Apply one uniformly chosen decomposability-preserving ``kind`` move,
+    ``add`` or ``delete``.
 
     Candidates are shuffled and the first one that passes the local test of
     ``move_is_decomposable`` is applied.  An addition can only qualify for
@@ -355,14 +357,14 @@ def random_decomposable_move(
         cand = list(zip(rows.tolist(), cols.tolist()))
         rng.shuffle(cand)
         for e in cand:
-            if move_is_decomposable(g, e, "add"):
+            if move_is_decomposable(g, e):
                 return g.with_edge(*e)
         raise NoValidMove("no decomposability-preserving addition exists")
     if kind == "delete":
         cand = list(g.sorted_edges)
         rng.shuffle(cand)
         for e in cand:
-            if move_is_decomposable(g, e, "delete"):
+            if move_is_decomposable(g, e):
                 return g.without_edge(*e)
         raise NoValidMove("no decomposability-preserving deletion exists")
     raise InvalidMove(f"unknown move kind {kind!r}")

@@ -1,18 +1,20 @@
 """Metropolis-Hastings over decomposable graphs.
 
-Proposals flip one edge.  The ``uniform`` kernel deletes a uniformly chosen
-existing edge or adds a uniformly chosen absent one (coin between the two),
-redrawing until the result is decomposable; its Hastings ratio is computed
-from the uniform kernel as written, without a decomposability correction.
-The ``exact`` kernel draws uniformly from the decomposable single-edge
-neighbourhood and corrects by the neighbourhood sizes, giving an exactly
-invariant chain at the cost of enumerating neighbourhoods.
+A proposal is one edge: the move deletes it from the current graph if
+present and adds it otherwise.  The ``uniform`` kernel picks a uniformly
+chosen existing edge or a uniformly chosen absent one (coin between the
+two), redrawing until the move keeps the graph decomposable; its Hastings
+ratio is computed from the uniform kernel as written, without a
+decomposability correction.  The ``exact`` kernel draws uniformly from the
+decomposable single-edge neighbourhood and corrects by the neighbourhood
+sizes, giving an exactly invariant chain at the cost of enumerating
+neighbourhoods.
 
 A proposal is scored by the clique-local four-term delta of
-``GraphScorer.log_posterior_delta``; only an accepted state gets a full
-clique/separator score, so every recorded score is exact.  A proposal
-outside the support (more than r_max edges, or a clique larger than n) has
-a delta of -inf and is rejected.
+``GraphScorer.log_posterior_delta``; only an accepted move builds the new
+graph and gives it a full clique/separator score, so every recorded score
+is exact.  A proposal outside the support (more than r_max edges, or a
+clique larger than n) has a delta of -inf and is rejected.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 from .errors import NoValidMove, NotDecomposable
 from .graph import (
+    Edge,
     UndirectedGraph,
     decomposable_neighbors,
     enumerate_decomposable_graphs,
@@ -38,7 +40,7 @@ from .model import (
     GraphScore,
     GraphScorer,
     Hyperparameters,
-    _PrecisionSampler,
+    PrecisionSampler,
 )
 from .numerics import make_rng
 from .search import threshold_init
@@ -85,7 +87,7 @@ class ChainState:
 
     graph: UndirectedGraph
     score: GraphScore
-    neighbors: list | None = None
+    neighbors: list[Edge] | None = None
 
 
 @dataclass
@@ -128,21 +130,10 @@ def _uniform_absent_pair(
             return e
 
 
-def propose(
-    g: UndirectedGraph, kernel: str, rng: np.random.Generator
-) -> tuple[UndirectedGraph, float]:
-    """One proposal and its log Hastings ratio log q(G|G') - log q(G'|G)."""
-    if kernel == "uniform":
-        return _propose_uniform(g, rng)
-    if kernel == "exact":
-        g_new, lqr, _ = _propose_exact(g, rng, None)
-        return g_new, lqr
-    raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-
-
 def _propose_uniform(
     g: UndirectedGraph, rng: np.random.Generator
-) -> tuple[UndirectedGraph, float]:
+) -> tuple[Edge, float]:
+    """The proposed edge and its log Hastings ratio log q(G|G') - log q(G'|G)."""
     m = g.max_edges
     if m == 0:
         raise NoValidMove("a single-vertex graph has no edge moves")
@@ -156,28 +147,25 @@ def _propose_uniform(
             kind = "delete" if rng.random() < 0.5 else "add"
         if kind == "delete":
             e = g.sorted_edges[int(rng.integers(k))]
-            if move_is_decomposable(g, e, "delete"):
-                return g.without_edge(*e), math.log(k) - math.log(m - k + 1)
+            if move_is_decomposable(g, e):
+                return e, math.log(k) - math.log(m - k + 1)
         else:
             e = _uniform_absent_pair(g, rng)
-            if move_is_decomposable(g, e, "add"):
-                return g.with_edge(*e), math.log(m - k) - math.log(k + 1)
+            if move_is_decomposable(g, e):
+                return e, math.log(m - k) - math.log(k + 1)
 
 
 def _propose_exact(
-    g: UndirectedGraph,
-    rng: np.random.Generator,
-    neighbors: list | None,
-) -> tuple[UndirectedGraph, float, list]:
-    if neighbors is None:
-        neighbors = decomposable_neighbors(g)
+    g: UndirectedGraph, rng: np.random.Generator, neighbors: list[Edge]
+) -> tuple[Edge, float, list[Edge]]:
+    """The proposed edge, its log Hastings ratio and the neighbourhood of
+    the graph it leads to."""
     if not neighbors:
         raise NoValidMove("graph has no decomposable neighbours")
-    e, kind = neighbors[int(rng.integers(len(neighbors)))]
-    g_new = g.with_edge(*e) if kind == "add" else g.without_edge(*e)
-    neighbors_new = decomposable_neighbors(g_new)
+    e = neighbors[int(rng.integers(len(neighbors)))]
+    neighbors_new = decomposable_neighbors(g.toggled(*e))
     lqr = math.log(len(neighbors)) - math.log(len(neighbors_new))
-    return g_new, lqr, neighbors_new
+    return e, lqr, neighbors_new
 
 
 def mh_step(
@@ -188,23 +176,25 @@ def mh_step(
 ) -> tuple[ChainState, bool]:
     """Advance one Metropolis-Hastings step; returns (state, accepted).
 
-    The proposal is scored by one four-term delta against the current
-    state's cached score; a full score is computed only on acceptance, so
-    the carried score is always exact.
+    The proposed edge is scored by one four-term delta against the current
+    state's cached score; the new graph is built and fully scored only on
+    acceptance, so the carried score is always exact.  Raises ValueError
+    for a kernel not in KERNELS.
     """
     if kernel == "exact":
         if state.neighbors is None:
             # memoised so a rejected step does not recompute it next time
             state.neighbors = decomposable_neighbors(state.graph)
-        g_new, lqr, nbrs_new = _propose_exact(state.graph, rng, state.neighbors)
-    else:
-        g_new, lqr = _propose_uniform(state.graph, rng)
+        edge, lqr, nbrs_new = _propose_exact(state.graph, rng, state.neighbors)
+    elif kernel == "uniform":
+        edge, lqr = _propose_uniform(state.graph, rng)
         nbrs_new = None
-    (edge,) = state.graph.edges ^ g_new.edges
-    kind = "add" if g_new.size > state.graph.size else "delete"
-    log_alpha = scorer.log_posterior_delta(state.graph, edge, kind) + lqr
+    else:
+        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
+    log_alpha = scorer.log_posterior_delta(state.graph, edge) + lqr
     u = rng.random()
     if math.log(u) < log_alpha:
+        g_new = state.graph.toggled(*edge)
         return ChainState(g_new, scorer.score(g_new), nbrs_new), True
     return state, False
 
@@ -245,7 +235,7 @@ def run_chain(
     best_graph, best_score = state.graph, state.score
     prec_sum = np.zeros((p, p)) if config.sample_precision else None
     prec_draws = 0
-    sampler: _PrecisionSampler | None = None  # rebuilt when the graph changes
+    sampler: PrecisionSampler | None = None  # rebuilt when the graph changes
     counts: Counter = Counter()
 
     for it in range(total):
@@ -263,7 +253,7 @@ def run_chain(
             counts[state.graph] += 1
         if prec_sum is not None and (it - config.burn_in) % config.thin == 0:
             if sampler is None or sampler.graph != state.graph:
-                sampler = _PrecisionSampler(data, state.graph, hyper)
+                sampler = PrecisionSampler(data, state.graph, hyper)
             prec_sum += sampler.draw(rng)
             prec_draws += 1
 

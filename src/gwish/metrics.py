@@ -116,11 +116,3 @@ def relative_errors(estimate: np.ndarray, truth: np.ndarray) -> dict[str, float]
         raise ValueError("reference matrix is identically zero")
     diff = estimate - truth
     return {w: matrix_norm(diff, w) / matrix_norm(truth, w) for w in NORMS}
-
-
-def max_column_support(omega: np.ndarray, tol: float = 0.0) -> int:
-    """Largest count of entries per column with |entry| > tol (diagonal included)."""
-    omega = np.asarray(omega)
-    if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {omega.shape}")
-    return int((np.abs(omega) > tol).sum(axis=0).max())

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import CliqueTooLarge, DimensionMismatch, NotDecomposable
+from .errors import CliqueTooLarge, DimensionMismatch
 from .graph import (
     Edge,
     PerfectSequence,
@@ -93,11 +93,10 @@ class Hyperparameters:
         return replace(cls(g=g), **overrides)
 
 
-def theory_r_max(n: int, p: int, c_r: float = 1.0, xi: float = 0.5) -> int:
-    """Edge cap scaled as c_r * (n / log(max(n, p)))^(xi / 2), at least 1."""
-    if not 0.0 < xi < 1.0:
-        raise ValueError(f"xi must lie in (0, 1), got {xi}")
-    return max(1, math.floor(c_r * (n / math.log(max(n, p))) ** (xi / 2.0)))
+def theory_r_max(n: int, p: int) -> int:
+    """Edge cap (n / log(max(n, p)))^(1/4), at least 1: the theory scaling
+    c_r (n / log max(n, p))^(xi / 2) with c_r = 1 and xi = 1/2."""
+    return max(1, math.floor((n / math.log(max(n, p))) ** 0.25))
 
 
 @dataclass(frozen=True)
@@ -122,10 +121,13 @@ class Dataset:
 
     @classmethod
     def from_matrix(cls, x: np.ndarray, truth: GroundTruth | None = None) -> "Dataset":
-        """Wrap an n x p matrix; ValueError if any entry is NaN or infinite."""
+        """Wrap an n x p matrix; ValueError if it has fewer than 2 rows or
+        any entry is NaN or infinite."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise DimensionMismatch(f"data must be 2-d, got shape {x.shape}")
+        if x.shape[0] < 2:
+            raise ValueError(f"data needs at least 2 rows, got {x.shape[0]}")
         bad = np.argwhere(~np.isfinite(x))
         if len(bad):
             row, col = bad[0]
@@ -302,13 +304,13 @@ class GraphScorer:
             seq = perfect_sequence(g)
         return GraphScore(log_marginal=self.log_marginal(g, seq), log_prior=log_prior)
 
-    def move_delta(self, g: UndirectedGraph, edge: Edge, kind: str) -> float:
-        """log_marginal_core(g') - log_marginal_core(g) for one single-edge move.
+    def move_delta(self, g: UndirectedGraph, edge: Edge) -> float:
+        """log_marginal_core(g') - log_marginal_core(g) for the move on ``edge``.
 
-        ``g`` and g' (``g`` with ``edge`` added or deleted) must both be
-        decomposable.  With S = N(u) & N(v), the move merges or splits the
-        cliques S | {u} and S | {v} around the clique S | {u, v}, so only
-        four terms change (Giudici & Green 1999):
+        g' is ``g.toggled(*edge)``: ``edge`` deleted if ``g`` has it, added
+        otherwise; both must be decomposable.  With S = N(u) & N(v), the move
+        merges or splits the cliques S | {u} and S | {v} around the clique
+        S | {u, v}, so only four terms change (Giudici & Green 1999):
         ``term(S | uv) - term(S | u) - term(S | v) + term(S)`` for an
         addition, negated for a deletion.
         """
@@ -320,37 +322,26 @@ class GraphScorer:
             - self.clique_term(sep | {v})
             + self.clique_term(sep)
         )
-        return delta if kind == "add" else -delta
+        return -delta if g.has_edge(u, v) else delta
 
-    def log_posterior_delta(self, g: UndirectedGraph, edge: Edge, kind: str) -> float:
-        """Log posterior of g' minus that of ``g`` for one single-edge move.
+    def log_posterior_delta(self, g: UndirectedGraph, edge: Edge) -> float:
+        """Log posterior of g' minus that of ``g`` for the move on ``edge``.
 
         The size-prior change plus ``move_delta``.  -inf when g' lies outside
         the support: more than r_max edges (the marginal is then never
         evaluated), or an addition whose new clique S | {u, v} has more
         vertices than the sample size.
         """
-        k = g.size + 1 if kind == "add" else g.size - 1
+        u, v = edge
+        adding = not g.has_edge(u, v)
+        k = g.size + 1 if adding else g.size - 1
         log_prior = _log_size_prior(g.p, k, self.hyper)
         if log_prior == -math.inf:
             return -math.inf
-        if kind == "add":
-            u, v = edge
-            if len(g.neighbor_sets[u] & g.neighbor_sets[v]) + 2 > self.data.n:
-                return -math.inf
+        if adding and len(g.neighbor_sets[u] & g.neighbor_sets[v]) + 2 > self.data.n:
+            return -math.inf
         prior_delta = log_prior - _log_size_prior(g.p, g.size, self.hyper)
-        return self.move_delta(g, edge, kind) + prior_delta
-
-
-def log_marginal_likelihood(
-    data: Dataset, g: UndirectedGraph, hyper: Hyperparameters
-) -> float:
-    """Log of f(X | G), the Gaussian likelihood integrated over W_G(nu, gX'X).
-
-    Evaluated clique-wise; requires every clique of G to have at most n
-    vertices (CliqueTooLarge otherwise).
-    """
-    return GraphScorer(data, hyper).log_marginal(g)
+        return self.move_delta(g, edge) + prior_delta
 
 
 def log_pairwise_bayes_factor(
@@ -373,12 +364,6 @@ def log_posterior_ratio(
     """Log posterior odds of g1 over g0 (Bayes factor plus prior ratio)."""
     bf = log_pairwise_bayes_factor(data, g1, g0, hyper)
     return bf + log_graph_prior(g1, hyper) - log_graph_prior(g0, hyper)
-
-
-def score_graph(
-    data: Dataset, g: UndirectedGraph, hyper: Hyperparameters
-) -> GraphScore:
-    return GraphScorer(data, hyper).score(g)
 
 
 def _idx(subset: frozenset[int]) -> list[int]:
@@ -420,7 +405,7 @@ def _clique_minus_separator(
     return symmetrize(out)
 
 
-class _PrecisionSampler:
+class PrecisionSampler:
     """Draws of Omega from its posterior W_G(n+nu, (1+g) X'X) given G.
 
     The covariance clique marginals are generated along a perfect sequence
@@ -436,7 +421,8 @@ class _PrecisionSampler:
 
     Every scale block, Schur complement, Bartlett root, regression mean and
     column factor depends on the data, G and the hyperparameters only, so
-    it is computed once here; ``draw`` does only the random work.
+    it is computed once here; ``draw`` does only the random work.  Raises
+    CliqueTooLarge when a clique has more than n vertices.
     """
 
     def __init__(
@@ -506,24 +492,6 @@ class _PrecisionSampler:
             sigma[sr] = sig_rs.T
             sigma[rr] = symmetrize(gamma + sig_rs @ u.T)
         return _clique_minus_separator(self.p, self._blocks, sigma)
-
-
-def sample_precision_given_graph(
-    data: Dataset,
-    g: UndirectedGraph,
-    hyper: Hyperparameters,
-    rng: np.random.Generator,
-    seq: PerfectSequence | None = None,
-) -> np.ndarray:
-    """One draw of Omega from its posterior W_G(n+nu, (1+g) X'X) given G.
-
-    Builds the fixed part of the clique-by-clique construction for G and
-    draws once.  Callers that draw repeatedly for one graph keep a
-    ``_PrecisionSampler`` and call its ``draw``, which takes the same
-    generator calls in the same order, so both give identical draws.
-    Raises CliqueTooLarge when a clique has more than n vertices.
-    """
-    return _PrecisionSampler(data, g, hyper, seq).draw(rng)
 
 
 def posterior_mean_precision(

@@ -113,23 +113,6 @@ def log_multigamma(a: float, q: int) -> float:
     return q * (q - 1) / 4.0 * LOG_PI + float(np.sum(gammaln(a - i / 2.0)))
 
 
-def sample_wishart_complete(
-    df: float, scale: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """One draw from W_q(df, scale) in the convention of this package.
-
-    ``sample_wishart_root(df, wishart_root(scale), rng)``: the root depends
-    on the scale only, so a caller drawing repeatedly from one scale builds
-    it once and calls ``sample_wishart_root`` per draw.  Requires df > 2.
-    """
-    if df <= 2.0:
-        raise ValueError(f"df must exceed 2, got {df}")
-    scale = np.asarray(scale, dtype=float)
-    if scale.shape[0] == 0:
-        return np.zeros((0, 0))
-    return sample_wishart_root(df, wishart_root(scale), rng)
-
-
 def wishart_root(scale: np.ndarray) -> np.ndarray:
     """F = inv(L)' for the lower Cholesky factor L of ``scale``, so that
     F F' = inv(scale): the fixed part of a Bartlett draw from W_q(df, scale).

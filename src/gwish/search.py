@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .graph import (
+    Edge,
     UndirectedGraph,
     decomposable_neighbors,
     move_is_decomposable,
@@ -19,11 +19,14 @@ from .model import (
     GraphScore,
     GraphScorer,
     Hyperparameters,
-    _PrecisionSampler,
+    PrecisionSampler,
     posterior_mean_precision,
 )
 from .numerics import cholesky_factor, cholesky_logdet, cholesky_solve, symmetrize
 from .errors import CliqueTooLarge, NoValidMove
+
+# random moves that perturb the incumbent before a shotgun restart
+_RESTART_JITTER = 2
 
 
 @dataclass(frozen=True)
@@ -59,26 +62,6 @@ class ModeSearchResult:
     score_trace: tuple[float, ...]
 
 
-def repair_decomposable(
-    edges: Sequence[tuple[int, int]], p: int
-) -> UndirectedGraph:
-    """Greedy decomposable subgraph of an edge list taken in the given order.
-
-    Walks the edges once, keeping each one whose addition preserves
-    decomposability and skipping the rest.  Callers order edges by weight
-    (descending) with lexicographic tie-breaks.  Applying the function to
-    its own output (same order) changes nothing.
-    """
-    g = UndirectedGraph.empty(p)
-    for e in edges:
-        i, j = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
-        if (i, j) in g.edges:
-            continue
-        if move_is_decomposable(g, (i, j), "add"):
-            g = g.with_edge(i, j)
-    return g
-
-
 def _ridge_edge_order(
     data: Dataset, lam: float
 ) -> list[tuple[float, int, int]]:
@@ -93,28 +76,29 @@ def _ridge_edge_order(
 
 
 def candidate_graphs(
-    data: Dataset,
-    config: CandidateConfig | None = None,
-    scorer: GraphScorer | None = None,
-) -> list:
-    """Decomposable candidates from ridge-inverse thresholding plus repair.
+    scorer: GraphScorer, config: CandidateConfig | None = None
+) -> list[tuple[UndirectedGraph, float]]:
+    """Decomposable candidates from ridge-inverse thresholding plus repair,
+    each with its log posterior under ``scorer``.
 
     For each ridge value, each threshold keeps a prefix of the edges sorted
-    by weight, and the greedy repair of that prefix is a candidate.  Since a
-    longer prefix only appends edges, one greedy pass per ridge value yields
-    all prefixes.  Duplicates are dropped, order is deterministic, and at
-    most ``max_candidates`` graphs are returned.
+    by weight, and the greedy repair of that prefix is a candidate: the
+    prefix walked in order, keeping each edge whose addition preserves
+    decomposability.  Since a longer prefix only appends edges, one greedy
+    pass per ridge value yields all prefixes.  Duplicates are dropped, order
+    is deterministic, and at most ``max_candidates`` (graph, log posterior)
+    pairs are returned.
 
-    With a ``scorer``, each candidate comes as a (graph, log posterior)
-    pair: the empty graph's score plus the move deltas of the additions
+    A score is the empty graph's score plus the move deltas of the additions
     along the pass.  A candidate outside the support scores -inf, and so
     does every later one of its pass, since the pass only adds edges.
     """
     config = config or CandidateConfig()
-    out: list = []
+    data = scorer.data
+    out: list[tuple[UndirectedGraph, float]] = []
     seen: set[frozenset] = set()
     empty = UndirectedGraph.empty(data.p)
-    empty_lp = scorer.score(empty).log_posterior if scorer is not None else 0.0
+    empty_lp = scorer.score(empty).log_posterior
     for lam in config.ridge_grid:
         entries = _ridge_edge_order(data, lam)
         weights = np.array([t[0] for t in entries])
@@ -129,13 +113,13 @@ def candidate_graphs(
             while consumed < length:
                 _, i, j = entries[consumed]
                 consumed += 1
-                if move_is_decomposable(g, (i, j), "add"):
-                    if scorer is not None and lp > -math.inf:
-                        lp += scorer.log_posterior_delta(g, (i, j), "add")
+                if move_is_decomposable(g, (i, j)):
+                    if lp > -math.inf:
+                        lp += scorer.log_posterior_delta(g, (i, j))
                     g = g.with_edge(i, j)
             if g.edges not in seen:
                 seen.add(g.edges)
-                out.append(g if scorer is None else (g, lp))
+                out.append((g, lp))
                 if len(out) >= config.max_candidates:
                     return out
     return out
@@ -146,7 +130,7 @@ def _best_candidate(
 ) -> tuple[UndirectedGraph, int]:
     """Highest-scoring candidate (earliest on ties, the empty graph when
     every candidate is outside the support) and the number of candidates."""
-    scored = candidate_graphs(data, config, GraphScorer(data, hyper))
+    scored = candidate_graphs(GraphScorer(data, hyper), config)
     best, lp = max(scored, key=lambda c: c[1])
     if lp == -math.inf:
         best = UndirectedGraph.empty(data.p)
@@ -171,19 +155,18 @@ def shotgun_search(
     hyper: Hyperparameters,
     max_iters: int = 30,
     rng: np.random.Generator | None = None,
-    restart_jitter: int = 2,
 ) -> ModeSearchResult:
     """Greedy best-neighbour ascent with random restarts.
 
     Each step scores every decomposable single-edge neighbour by its move
     delta and moves to the best when it improves the current score; at a
     local optimum the search restarts from the incumbent best perturbed by
-    ``restart_jitter`` random decomposability-preserving moves (skipped when
-    no rng is given, in which case the search stops there).  Neighbours
-    with a clique larger than n are skipped, and a restart whose jitter
-    creates one starts from the unperturbed incumbent.  Only the states the
-    search moves to get a full score.  The score trace records the
-    incumbent after each step and never decreases.
+    two random decomposability-preserving moves (skipped when no rng is
+    given, in which case the search stops there).  Neighbours with a clique
+    larger than n are skipped, and a restart whose jitter creates one starts
+    from the unperturbed incumbent.  Only the states the search moves to get
+    a full score.  The score trace records the incumbent after each step and
+    never decreases.
     """
     scorer = GraphScorer(data, hyper)
     current = init
@@ -193,21 +176,21 @@ def shotgun_search(
     trace: list[float] = []
     for _ in range(max_iters):
         moved = False
-        nbr_best: tuple[tuple[int, int], str] | None = None
+        nbr_best: Edge | None = None
         nbr_lp = -math.inf
-        for e, kind in decomposable_neighbors(current):
+        for e in decomposable_neighbors(current):
             if cur_lp > -math.inf:
                 # a neighbour outside the support scores -inf, never taken
-                lp = cur_lp + scorer.log_posterior_delta(current, e, kind)
+                lp = cur_lp + scorer.log_posterior_delta(current, e)
             else:
                 # above r_max (a jittered restart or the initial graph) there
                 # is no finite score to add a delta to
-                lp = scorer.score(_apply(current, e, kind)).log_posterior
+                lp = scorer.score(current.toggled(*e)).log_posterior
             visited += 1
             if lp > nbr_lp:
-                nbr_best, nbr_lp = (e, kind), lp
+                nbr_best, nbr_lp = e, lp
         if nbr_best is not None and nbr_lp > cur_lp:
-            current = _apply(current, *nbr_best)
+            current = current.toggled(*nbr_best)
             cur_lp = scorer.score(current).log_posterior
             moved = True
             if cur_lp > best_lp:
@@ -217,7 +200,7 @@ def shotgun_search(
             if rng is None:
                 break
             current = best_g
-            for _ in range(restart_jitter):
+            for _ in range(_RESTART_JITTER):
                 kind = "add" if rng.random() < 0.5 else "delete"
                 try:
                     current = _jittered(current, kind, rng)
@@ -235,10 +218,6 @@ def shotgun_search(
         visited=visited,
         score_trace=tuple(trace),
     )
-
-
-def _apply(g: UndirectedGraph, e: tuple[int, int], kind: str) -> UndirectedGraph:
-    return g.with_edge(*e) if kind == "add" else g.without_edge(*e)
 
 
 def _jittered(
@@ -290,7 +269,7 @@ def bayes_estimator_l1_stein(
     """
     if mc_draws < 1:
         raise ValueError("mc_draws must be positive")
-    sampler = _PrecisionSampler(data, graph, hyper)
+    sampler = PrecisionSampler(data, graph, hyper)
     eye = np.eye(data.p)
     acc = np.zeros((data.p, data.p))
     for _ in range(mc_draws):

@@ -7,12 +7,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import NotPositiveDefinite
 from .graph import UndirectedGraph, random_decomposable_move
 from .model import Dataset, GroundTruth, Hyperparameters, log_posterior_ratio
-from .numerics import cholesky_logdet, make_rng, sample_mvn, submatrix, symmetrize
+from .numerics import (
+    cholesky_logdet, cholesky_solve, make_rng, sample_mvn, submatrix, symmetrize
+)
 
 KINDS = ("sim1-ar1-cov", "ar1", "ar2", "ar4", "star", "circle")
 
@@ -62,7 +63,7 @@ def _support_graph(omega: np.ndarray) -> UndirectedGraph:
 
 def _inverse(m: np.ndarray) -> np.ndarray:
     lower, _ = cholesky_logdet(m)
-    return symmetrize(cho_solve((lower, True), np.eye(m.shape[0])))
+    return symmetrize(cholesky_solve(lower, np.eye(m.shape[0])))
 
 
 def build_truth(spec: TrueModelSpec) -> GroundTruth:
@@ -126,8 +127,8 @@ def partial_correlation(
         block_ss = submatrix(sigma, s)
         block_ps = sigma[np.ix_(pair, s)]
         lower, _ = cholesky_logdet(block_ss)
-        cond = sigma[np.ix_(pair, pair)] - block_ps @ cho_solve(
-            (lower, True), block_ps.T
+        cond = sigma[np.ix_(pair, pair)] - block_ps @ cholesky_solve(
+            lower, block_ps.T
         )
     return float(cond[0, 1] / math.sqrt(cond[0, 0] * cond[1, 1]))
 

@@ -34,14 +34,14 @@ from gwish.mcmc import (
 from gwish.metrics import matrix_norm, relative_errors, selection_report
 from gwish.model import (
     Dataset,
+    GraphScorer,
     Hyperparameters,
-    log_marginal_likelihood,
+    PrecisionSampler,
     log_norm_const,
     log_norm_const_complete,
     log_pairwise_bayes_factor,
     log_posterior_ratio,
     posterior_mean_precision,
-    sample_precision_given_graph,
 )
 from gwish.numerics import make_rng
 from gwish.simulate import (
@@ -107,7 +107,7 @@ def test_criterion_2_marginal_likelihood_mc_oracle(criteria):
     for p, n, g in cases:
         x = rng0.standard_normal((n, p))
         data = Dataset.from_matrix(x)
-        lm = log_marginal_likelihood(data, g, hyper)
+        lm = GraphScorer(data, hyper).log_marginal(g)
         seq = perfect_sequence(g)
         cliques = [tuple(sorted(c)) for c in seq.cliques]
         seps = [tuple(sorted(s)) for s in seq.separators]
@@ -320,9 +320,8 @@ def test_criterion_7_posterior_mean_identity(criteria):
     g = truth.graph
     expected = posterior_mean_precision(data, g, hyper)
     rng = make_rng(21, 2)
-    draws = np.array(
-        [sample_precision_given_graph(data, g, hyper, rng) for _ in range(10_000)]
-    )
+    sampler = PrecisionSampler(data, g, hyper)
+    draws = np.array([sampler.draw(rng) for _ in range(10_000)])
     mc = draws.mean(axis=0)
     se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
     active = se > 0

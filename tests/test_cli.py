@@ -327,6 +327,21 @@ class TestNonFiniteData:
         assert not (out / "meta.json").exists()
 
 
+class TestTooFewRows:
+    """Data with fewer than 2 rows fails at load, with exit 2, before any work."""
+
+    @pytest.mark.parametrize("body", ["x1,x2,x3\n", "x1,x2,x3\n0.1,0.2,0.3\n"],
+                             ids=["header-only", "one-row"])
+    def test_exits_2_before_writing(self, tmp_path, capsys, body):
+        x = tmp_path / "x.csv"
+        x.write_text(body)
+        out = tmp_path / "out"
+        assert run("mcmc", "--x", x, "--iterations", 10, "--burn-in", 0,
+                   "--out", out) == 2
+        assert "at least 2 rows" in capsys.readouterr().err
+        assert not (out / "meta.json").exists()
+
+
 class TestTopLevel:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -64,6 +64,33 @@ def precision_pipeline(tmp):
         "--thin", 3, "--seed", 6, "--out", tmp / "mcmc")
 
 
+def exact_pipeline(tmp):
+    run("gen-data", "--kind", "ar2", "--p", 7, "--n", 40, "--seed", 8,
+        "--out", tmp / "data")
+    run("mcmc", "--data", tmp / "data", "--kernel", "exact", "--sample-precision",
+        "--thin", 5, "--burn-in", 100, "--iterations", 300, "--seed", 8,
+        "--out", tmp / "chain")
+
+
+def p4_oracle_pipeline(tmp):
+    run("gen-data", "--kind", "ar1", "--p", 4, "--n", 30, "--seed", 9,
+        "--out", tmp / "data")
+    for kernel in ("exact", "uniform"):
+        run("mcmc", "--data", tmp / "data", "--kernel", kernel, "--p4-oracle",
+            "--burn-in", 100, "--iterations", 500, "--seed", 9,
+            "--out", tmp / kernel)
+
+
+def small_n_pipeline(tmp):
+    # n = 3: every move or candidate that makes a clique of 4 leaves the support
+    run("gen-data", "--kind", "ar2", "--p", 12, "--n", 3, "--seed", 10,
+        "--out", tmp / "data")
+    run("search", "--data", tmp / "data", "--r-max", 4, "--search-iters", 5,
+        "--seed", 10, "--out", tmp / "mode")
+    run("mcmc", "--data", tmp / "data", "--init", "threshold",
+        "--burn-in", 100, "--iterations", 300, "--seed", 10, "--out", tmp / "chain")
+
+
 GOLDEN = {
     "select": (select_pipeline, {
         "chain/best_graph.edges":
@@ -132,6 +159,84 @@ GOLDEN = {
             "4d797885a27a59ad19c58e81629e548ec06d8b183e8ea4274f46f300c25f424f",
         "mcmc/omega_hat.csv":
             "c9b671bd653fff23bfbc2c86408f9ae6cbca621736891a298d13a9788eb1f356",
+    }),
+    "exact": (exact_pipeline, {
+        "chain/best_graph.edges":
+            "30f86b81a6db01a60a423996194b09e73a3eee239f3c623b4d6d6085f8ea7c1c",
+        "chain/inclusion.csv":
+            "71df22b5a9acbd75e293a8c8666953c48f4394d6f002581686e0d671a6d8a7a6",
+        "chain/median_graph.edges":
+            "30f86b81a6db01a60a423996194b09e73a3eee239f3c623b4d6d6085f8ea7c1c",
+        "chain/meta.json":
+            "2873cad33e32e6a7b543706e46b4d71fa8553474df31c53f1b603a06382f6fe1",
+        "chain/omega_mcmc.csv":
+            "505141b293e329ebe8a650137e43c6294c44fadb4e78d9d7f9abaf8745a9aaa8",
+        "chain/trace.csv":
+            "b0fdf4106d550c0426535df35d9e5705a7d96fdd945e4ef45607dbfc49391b83",
+        "data/X.csv":
+            "b433779bdeccbb88edb1371a29d30e2f0094dee1e31d52cc24265b451c219e51",
+        "data/graph0.edges":
+            "a011123934ddae831a5edc1502064284ba0c98004a009f015ef31e1b38ed8768",
+        "data/meta.json":
+            "ee4f00defc5ff75ccb707f8df68692447770c379b8d7888106bee528968f8b57",
+        "data/omega0.csv":
+            "26bdffaf13616a8913b8fe359ac07e2411c4391f30043cfdfa7807018431b712",
+    }),
+    "p4_oracle": (p4_oracle_pipeline, {
+        "data/X.csv":
+            "dd61f908eb5bc62f802c9761e8582653e3d6a28a5565235a3ac741bded5004d7",
+        "data/graph0.edges":
+            "75ab8c826645254685be1799dfe66a55763cd47ed8767912005d652d61e7c413",
+        "data/meta.json":
+            "27241a0cb3812bf8080ca828037675cf877bb8daa048855e58e1205db62cd8ae",
+        "data/omega0.csv":
+            "d1057adbf0259ffd73722d9dcca1015e3fa1677ea2d0c0ae9722a9c06c8e2708",
+        "exact/best_graph.edges":
+            "ebf0da8fdb740f4dc1033b404b9b6e46a2777bf45d37e9fa6fdb9d1af2f8dc2c",
+        "exact/inclusion.csv":
+            "b98ccff6d808e34c5b7ed6221435689d07ec9e55b39b616105efea10b37338c2",
+        "exact/median_graph.edges":
+            "ebf0da8fdb740f4dc1033b404b9b6e46a2777bf45d37e9fa6fdb9d1af2f8dc2c",
+        "exact/meta.json":
+            "0612ab10771b70a5fdf0c9872da36296a37c87c51e75cfe56c4ba39522d6a4f3",
+        "exact/trace.csv":
+            "a2bc7bee0e676a76bf54aca8252c7cb6502abc212d7902d8abe25e68de3f31ef",
+        "uniform/best_graph.edges":
+            "ebf0da8fdb740f4dc1033b404b9b6e46a2777bf45d37e9fa6fdb9d1af2f8dc2c",
+        "uniform/inclusion.csv":
+            "2ca5e152b265c55234fb458354a31dce0f4cefc1689d109d4c766793765a2713",
+        "uniform/median_graph.edges":
+            "ebf0da8fdb740f4dc1033b404b9b6e46a2777bf45d37e9fa6fdb9d1af2f8dc2c",
+        "uniform/meta.json":
+            "3e0bf4ffceb2d0db505229d0c347bcd58ace8edb936f66c957fce2f6bc208a1c",
+        "uniform/trace.csv":
+            "acd8cf56ba42ad0803da97e7f2e28fa7faddf04be0b7fe509ba46d137078f3b8",
+    }),
+    "small_n": (small_n_pipeline, {
+        "chain/best_graph.edges":
+            "69edabcd32c9c33726fcf6eece25443c2af1693768f53abdbce1e1256544af59",
+        "chain/inclusion.csv":
+            "20be8e4289f0a6738bc587c9e850986598ed8dce2837c2d66024b2b95ccdd3db",
+        "chain/median_graph.edges":
+            "3d4b279e14f183ba4b043e08939cadd7836f0df02b283b8787337846c6108823",
+        "chain/meta.json":
+            "dfe72ee107e105c3eea35ede558f172f0121056c190926c529a6be5aafb1a64e",
+        "chain/trace.csv":
+            "9ccd5a741c5225b06f1ad26d0a2ea68d835288e4cc26fdd897c72c3036b03353",
+        "data/X.csv":
+            "8f9f18b700b3ca5a529a0641ca4f1fc7ee9847bd552814fd0966a5a7dc7c5496",
+        "data/graph0.edges":
+            "99c6ce6d132e0435381d61a5cd21d8953118c110e05c3e43b0ba511cfd4d13e7",
+        "data/meta.json":
+            "71a53262ec42af1dfec67d1bb05fe740062f231442b458db70f585c828459cb9",
+        "data/omega0.csv":
+            "3cd432471b5fce9f82fda6121cc2f9c6006effaab80464082c4caff11ac5410f",
+        "mode/meta.json":
+            "4856ff3704cc1660b291e14f9cafd59e259ca47a7bbb0862ab30a0dfe0831bd4",
+        "mode/mode.json":
+            "239278bf79ed368387babd19cad35a5bcc07bde27d51511a0bb4bfb4c40288b9",
+        "mode/mode_graph.edges":
+            "69edabcd32c9c33726fcf6eece25443c2af1693768f53abdbce1e1256544af59",
     }),
 }
 

@@ -69,6 +69,8 @@ class TestBasics:
             g.with_edge(0, 2)
         with pytest.raises(InvalidMove):
             g.without_edge(0, 1)
+        assert g.toggled(0, 1) == g.with_edge(1, 0)
+        assert g.toggled(2, 0) == UndirectedGraph.empty(3)
 
 
 class TestChordalityOracle:
@@ -153,32 +155,23 @@ class TestMoves:
                 continue
             for i in range(p):
                 for j in range(i + 1, p):
-                    if (i, j) in g.edges:
-                        expected = is_decomposable(g.without_edge(i, j))
-                        assert move_is_decomposable(g, (i, j), "delete") == expected
-                    else:
-                        expected = is_decomposable(g.with_edge(i, j))
-                        assert move_is_decomposable(g, (i, j), "add") == expected
+                    expected = is_decomposable(g.toggled(i, j))
+                    assert move_is_decomposable(g, (i, j)) == expected
 
     def test_invalid_moves_raise(self):
         g = UndirectedGraph.from_edges(3, [(0, 1)])
         with pytest.raises(InvalidMove):
-            move_is_decomposable(g, (0, 1), "add")
+            move_is_decomposable(g, (1, 1))
         with pytest.raises(InvalidMove):
-            move_is_decomposable(g, (1, 2), "delete")
-        with pytest.raises(InvalidMove):
-            move_is_decomposable(g, (0, 1), "flip")
+            g.toggled(2, 2)
 
     def test_triangle_neighbors_are_three_deletions(self):
         k3 = UndirectedGraph.complete(3)
-        nbrs = decomposable_neighbors(k3)
-        assert len(nbrs) == 3
-        assert all(kind == "delete" for _, kind in nbrs)
+        assert decomposable_neighbors(k3) == list(k3.sorted_edges)
 
     def test_neighbors_of_empty_graph_are_all_additions(self):
         nbrs = decomposable_neighbors(UndirectedGraph.empty(4))
-        assert len(nbrs) == 6
-        assert all(kind == "add" for _, kind in nbrs)
+        assert nbrs == [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
     def test_neighbors_requires_decomposable_input(self):
         c4 = UndirectedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -193,9 +186,7 @@ class TestMoves:
         listed = set(nbrs)
         for i in range(4):
             for j in range(i + 1, 4):
-                kind = "delete" if (i, j) in g.edges else "add"
-                ok = move_is_decomposable(g, (i, j), kind)
-                assert (((i, j), kind) in listed) == ok
+                assert ((i, j) in listed) == move_is_decomposable(g, (i, j))
 
     def test_random_move_keeps_decomposability(self):
         rng = make_rng(0, 0)
@@ -234,12 +225,8 @@ class TestLocalMoveRules:
         assert is_decomposable(g)
         for i in range(g.p):
             for j in range(i + 1, g.p):
-                if (i, j) in g.edges:
-                    expected = is_decomposable(g.without_edge(i, j))
-                    assert move_is_decomposable(g, (i, j), "delete") == expected
-                else:
-                    expected = is_decomposable(g.with_edge(i, j))
-                    assert move_is_decomposable(g, (i, j), "add") == expected
+                expected = is_decomposable(g.toggled(i, j))
+                assert move_is_decomposable(g, (i, j)) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(chordal_graphs)
@@ -260,10 +247,6 @@ class TestLocalMoveRules:
         assert recorder.seen == expected
 
 
-def moved(g, e, kind):
-    return g.with_edge(*e) if kind == "add" else g.without_edge(*e)
-
-
 class TestMoveDelta:
     """Clique-local move scores against full clique/separator scores."""
 
@@ -274,22 +257,22 @@ class TestMoveDelta:
     def test_delta_matches_full_marginal_difference(self, g):
         scorer = GraphScorer(Dataset.from_matrix(self.X[:, : g.p]), Hyperparameters(g=0.3))
         base = scorer.log_marginal_core(g)
-        for e, kind in decomposable_neighbors(g):
-            full = scorer.log_marginal_core(moved(g, e, kind)) - base
-            assert abs(scorer.move_delta(g, e, kind) - full) <= 1e-9
+        for e in decomposable_neighbors(g):
+            full = scorer.log_marginal_core(g.toggled(*e)) - base
+            assert abs(scorer.move_delta(g, e) - full) <= 1e-9
 
     @settings(max_examples=150, deadline=None)
     @given(chordal_graphs, st.integers(0, 2), st.integers(0, 2))
     def test_posterior_delta_matches_scores_or_leaves_support(self, g, dr, dn):
         # the cap and the sample size sit at or just above g's own, so some
-        # moves cross one of them
-        n = max(len(c) for c in perfect_sequence(g).cliques) + dn
+        # moves cross one of them; data needs at least 2 rows
+        n = max(2, max(len(c) for c in perfect_sequence(g).cliques) + dn)
         hyper = Hyperparameters(g=0.3, r_max=g.size + dr)
         scorer = GraphScorer(Dataset.from_matrix(self.X[:n, : g.p]), hyper)
         base = scorer.score(g).log_posterior
-        for e, kind in decomposable_neighbors(g):
-            g2 = moved(g, e, kind)
-            got = scorer.log_posterior_delta(g, e, kind)
+        for e in decomposable_neighbors(g):
+            g2 = g.toggled(*e)
+            got = scorer.log_posterior_delta(g, e)
             if g2.size > hyper.r_max or max(map(len, perfect_sequence(g2).cliques)) > n:
                 assert got == -math.inf
             else:

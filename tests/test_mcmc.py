@@ -17,10 +17,10 @@ from gwish.mcmc import (
     exact_posterior,
     median_probability_graph,
     mh_step,
-    propose,
     run_chain,
     tv_distance,
     visit_frequencies,
+    _propose_exact,
     _propose_uniform,
 )
 from gwish.model import GraphScorer, Hyperparameters
@@ -55,8 +55,8 @@ class TestUniformProposal:
         # p=10, k=5: adding gives log((m-k)/(k+1)) = log(40/6)
         g = path_graph(10, 5)
         rng = FakeRng(randoms=[0.9], ints=[0, 8])  # coin -> add, pair -> (0, 9)
-        g_new, lqr = _propose_uniform(g, rng)
-        assert g_new.edges == g.edges | {(0, 9)}
+        edge, lqr = _propose_uniform(g, rng)
+        assert edge == (0, 9) and not g.has_edge(*edge)
         assert lqr == pytest.approx(math.log(40.0 / 6.0), abs=1e-12)
         assert lqr == pytest.approx(1.8971199848858813, abs=1e-12)
 
@@ -64,35 +64,35 @@ class TestUniformProposal:
         # p=10, k=5: deleting gives log(k/(m-k+1)) = log(5/41)
         g = path_graph(10, 5)
         rng = FakeRng(randoms=[0.1], ints=[0])  # coin -> delete, edge 0 = (0,1)
-        g_new, lqr = _propose_uniform(g, rng)
-        assert g_new.size == 4
+        edge, lqr = _propose_uniform(g, rng)
+        assert edge == (0, 1) and g.has_edge(*edge)
         assert lqr == pytest.approx(math.log(5.0 / 41.0), abs=1e-12)
 
     def test_forced_add_from_empty(self):
         g = UndirectedGraph.empty(4)
         rng = FakeRng(randoms=[], ints=[1, 1])  # no coin consumed; pair -> (1, 2)
-        g_new, lqr = _propose_uniform(g, rng)
-        assert g_new.size == 1
+        edge, lqr = _propose_uniform(g, rng)
+        assert edge == (1, 2)
         assert lqr == pytest.approx(math.log(6.0), abs=1e-12)
 
     def test_forced_delete_from_complete(self):
         g = UndirectedGraph.complete(3)
         rng = FakeRng(randoms=[], ints=[0])
-        g_new, lqr = _propose_uniform(g, rng)
-        assert g_new.size == 2
+        edge, lqr = _propose_uniform(g, rng)
+        assert edge == (0, 1) and g.has_edge(*edge)
         assert lqr == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_resamples_until_decomposable(self):
         # path 0-1-2-3: adding (0,3) closes a four-cycle and must be redrawn
         g = path_graph(4, 3)
         rng = FakeRng(randoms=[0.9, 0.9], ints=[0, 2, 0, 1])  # (0,3) then (0,2)
-        g_new, _ = _propose_uniform(g, rng)
-        assert g_new.has_edge(0, 2)
-        assert is_decomposable(g_new)
+        edge, _ = _propose_uniform(g, rng)
+        assert edge == (0, 2)
+        assert is_decomposable(g.toggled(*edge))
 
     def test_single_vertex_has_no_moves(self):
         with pytest.raises(NoValidMove):
-            propose(UndirectedGraph.empty(1), "uniform", FakeRng())
+            _propose_uniform(UndirectedGraph.empty(1), FakeRng())
 
 
 class TestExactProposal:
@@ -102,20 +102,24 @@ class TestExactProposal:
         g = path_graph(4, 3)
         nbrs = decomposable_neighbors(g)
         assert len(nbrs) == 5
-        target = ((0, 2), "add")
-        rng = FakeRng(ints=[nbrs.index(target)])
-        g_new, lqr = propose(g, "exact", rng)
-        assert g_new.has_edge(0, 2)
-        assert len(decomposable_neighbors(g_new)) == 6
+        rng = FakeRng(ints=[nbrs.index((0, 2))])
+        edge, lqr, nbrs_new = _propose_exact(g, rng, nbrs)
+        assert edge == (0, 2)
+        assert nbrs_new == decomposable_neighbors(g.with_edge(0, 2))
+        assert len(nbrs_new) == 6
         assert lqr == pytest.approx(math.log(5.0 / 6.0), abs=1e-12)
 
     def test_no_neighbours_raises(self):
         with pytest.raises(NoValidMove):
-            propose(UndirectedGraph.empty(1), "exact", FakeRng())
+            g = UndirectedGraph.empty(1)
+            _propose_exact(g, FakeRng(), decomposable_neighbors(g))
 
-    def test_unknown_kernel(self):
+    def test_unknown_kernel(self, small_data):
+        # raised before any draw: FakeRng has none to give
+        scorer = GraphScorer(small_data, Hyperparameters())
+        g = UndirectedGraph.empty(4)
         with pytest.raises(ValueError):
-            propose(UndirectedGraph.empty(3), "swap", FakeRng())
+            mh_step(ChainState(g, scorer.score(g)), scorer, "swap", FakeRng())
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,6 @@ from gwish.metrics import (
     ConfusionCounts,
     confusion,
     matrix_norm,
-    max_column_support,
     relative_errors,
     selection_report,
 )
@@ -172,16 +171,3 @@ class TestRelativeErrors:
             relative_errors(np.eye(2), np.eye(3))
         with pytest.raises(ValueError):
             relative_errors(np.eye(2), np.zeros((2, 2)))
-
-
-class TestSparsitySummary:
-    def test_max_column_support(self):
-        omega = np.array(
-            [[1.0, 0.5, 0.0], [0.5, 1.0, 1e-12], [0.0, 1e-12, 1.0]]
-        )
-        assert max_column_support(omega) == 3  # 1e-12 counts at tol 0
-        assert max_column_support(omega, tol=1e-9) == 2
-
-    def test_requires_square(self):
-        with pytest.raises(DimensionMismatch):
-            max_column_support(np.ones((2, 3)))

@@ -14,7 +14,6 @@ from gwish.numerics import (
     log_multigamma,
     make_rng,
     sample_mvn,
-    sample_wishart_complete,
     sample_wishart_root,
     submatrix,
     symmetrize,
@@ -112,9 +111,8 @@ class TestWishartSampler:
         # b ~ Gamma(df/2, s/2) = chi2(df) / s.  Check mean and a tail quantile.
         df, s = 5.0, 2.5
         rng = make_rng(123)
-        draws = np.array(
-            [sample_wishart_complete(df, np.array([[s]]), rng)[0, 0] for _ in range(20000)]
-        )
+        root = wishart_root(np.array([[s]]))
+        draws = np.array([sample_wishart_root(df, root, rng)[0, 0] for _ in range(20000)])
         assert draws.mean() == pytest.approx(df / s, rel=0.05)
         q90 = chi2(df).ppf(0.9) / s
         assert np.mean(draws < q90) == pytest.approx(0.9, abs=0.02)
@@ -126,8 +124,9 @@ class TestWishartSampler:
         a = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, -0.2], [0.0, -0.2, 1.0]])
         n_draws = 40000
         acc = np.zeros((q, q))
+        root = wishart_root(a)
         for _ in range(n_draws):
-            acc += sample_wishart_complete(df, a, rng)
+            acc += sample_wishart_root(df, root, rng)
         mean = acc / n_draws
         expected = (df + q - 1) * np.linalg.inv(a)
         # 3-sigma envelope per entry, estimated from the diagonal variance
@@ -142,14 +141,13 @@ class TestWishartSampler:
     def test_draws_are_positive_definite(self):
         rng = make_rng(5)
         a = np.array([[1.0, 0.4], [0.4, 2.0]])
+        root = wishart_root(a)
         for _ in range(50):
-            b = sample_wishart_complete(3.0, a, rng)
+            b = sample_wishart_root(3.0, root, rng)
             assert np.all(np.linalg.eigvalsh(b) > 0)
             assert np.allclose(b, b.T)
 
     def test_rejects_small_df(self):
-        with pytest.raises(ValueError):
-            sample_wishart_complete(2.0, np.eye(2), make_rng(0))
         with pytest.raises(ValueError):
             sample_wishart_root(2.0, np.eye(2), make_rng(0))
 
@@ -157,9 +155,10 @@ class TestWishartSampler:
         a = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
         root = wishart_root(a)
         assert np.allclose(root @ root.T, np.linalg.inv(a))
+        # a root built once draws exactly as one rebuilt for every draw
         one, two = make_rng(4), make_rng(4)
         for _ in range(5):
-            x = sample_wishart_complete(3.5, a, one)
+            x = sample_wishart_root(3.5, wishart_root(a), one)
             y = sample_wishart_root(3.5, root, two)
             assert x.tobytes() == y.tobytes()
         assert one.random() == two.random()
