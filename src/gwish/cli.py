@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -63,12 +64,14 @@ def _write_matrix(path: Path, m: np.ndarray, header: list[str] | None = None) ->
 
 
 def _read_matrix(path: str) -> np.ndarray:
-    # tolerate a single non-numeric header line
-    try:
-        m = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError:
-        m = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
-    return m
+    # tolerate a single non-numeric header line; Dataset.from_matrix reports
+    # a file without data rows, so numpy's own warning about it is dropped
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            return np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError:
+            return np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
 
 
 def _write_meta(outdir: Path, payload: dict) -> None:

@@ -218,6 +218,21 @@ def is_decomposable(g: UndirectedGraph) -> bool:
     return _all_complete(g, earlier)
 
 
+def perfect_numbering(
+    g: UndirectedGraph, priority: Sequence[int] | None = None
+) -> tuple[list[int], list[list[int]]]:
+    """MCS visit order with each vertex's earlier neighbours, which form a
+    clique: a perfect numbering of a decomposable graph.
+
+    Raises NotDecomposable when the graph is not chordal.  ``priority`` is
+    the MCS tie-break permutation, lowest vertex index by default.
+    """
+    order, earlier = _mcs_visit(g, priority)
+    if not _all_complete(g, earlier):
+        raise NotDecomposable("graph is not chordal")
+    return order, earlier
+
+
 def perfect_sequence(
     g: UndirectedGraph, priority: Sequence[int] | None = None
 ) -> PerfectSequence:
@@ -228,9 +243,7 @@ def perfect_sequence(
     is deterministic given the graph; ``priority`` substitutes a different
     tie-break permutation, yielding another valid perfect sequence.
     """
-    order, earlier = _mcs_visit(g, priority)
-    if not _all_complete(g, earlier):
-        raise NotDecomposable("graph is not chordal")
+    order, earlier = perfect_numbering(g, priority)
 
     # The i-th visited vertex closes a maximal clique iff the next vertex has
     # no more earlier neighbours than it has (Blair & Peyton 1993).

@@ -178,19 +178,22 @@ def mh_step(
 
     The proposed edge is scored by one four-term delta against the current
     state's cached score; the new graph is built and fully scored only on
-    acceptance, so the carried score is always exact.  Raises ValueError
-    for a kernel not in KERNELS.
+    acceptance, so the carried score is always exact.  A single vertex has
+    no edge to move, so there every step is a rejected proposal that draws
+    nothing.  Raises ValueError for a kernel not in KERNELS.
     """
+    if kernel not in KERNELS:
+        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
+    if state.graph.max_edges == 0:
+        return state, False
     if kernel == "exact":
         if state.neighbors is None:
             # memoised so a rejected step does not recompute it next time
             state.neighbors = decomposable_neighbors(state.graph)
         edge, lqr, nbrs_new = _propose_exact(state.graph, rng, state.neighbors)
-    elif kernel == "uniform":
+    else:
         edge, lqr = _propose_uniform(state.graph, rng)
         nbrs_new = None
-    else:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     log_alpha = scorer.log_posterior_delta(state.graph, edge) + lqr
     u = rng.random()
     if math.log(u) < log_alpha:

@@ -16,9 +16,9 @@ The prior scale is tied to the data as A = g * X'X, so the marginal
 likelihood of a graph reduces to clique and separator terms built from Gram
 submatrices scaled by g and 1 + g; the p x p matrix A is never formed.
 Graphs carry a size-penalised prior over decomposable graphs.  Conjugacy
-gives Omega | G, X ~ W_G(n + nu, X'X + A), which is sampled clique by
-clique along a perfect sequence and assembled with the clique-minus-
-separator completion.
+gives Omega | G, X ~ W_G(n + nu, X'X + A), which factorises over a perfect
+numbering of G into independent gamma and normal draws, one pair per
+vertex (Roverato 2000).
 """
 
 from __future__ import annotations
@@ -30,12 +30,13 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import CliqueTooLarge, DimensionMismatch
+from .errors import CliqueTooLarge, DimensionMismatch, NotPositiveDefinite
 from .graph import (
     Edge,
     PerfectSequence,
     UndirectedGraph,
     is_decomposable,
+    perfect_numbering,
     perfect_sequence,
 )
 from .numerics import (
@@ -45,10 +46,8 @@ from .numerics import (
     cholesky_logdet,
     cholesky_solve,
     log_multigamma,
-    sample_wishart_root,
     submatrix,
     symmetrize,
-    wishart_root,
 )
 
 # Named hyperparameter presets: g as a power law in the dimension.  The
@@ -366,154 +365,101 @@ def log_posterior_ratio(
     return bf + log_graph_prior(g1, hyper) - log_graph_prior(g0, hyper)
 
 
-def _idx(subset: frozenset[int]) -> list[int]:
-    return sorted(subset)
-
-
-# (np.ix_ block, identity of its size, +1 for a clique or -1 for a separator)
-_Block = tuple[tuple[np.ndarray, np.ndarray], np.ndarray, int]
-
-
-def _inverse_blocks(seq: PerfectSequence) -> list[_Block]:
-    blocks = [(np.ix_(_idx(c), _idx(c)), np.eye(len(c)), 1) for c in seq.cliques]
-    blocks += [(np.ix_(_idx(s), _idx(s)), np.eye(len(s)), -1)
-               for s in seq.separators if s]
-    return blocks
-
-
-def _clique_minus_separator(
-    p: int,
-    blocks: list[_Block],
-    source: np.ndarray,
-    weight: Callable[[int], float] | None = None,
-) -> np.ndarray:
-    """Sum of weight(|C|) * inv(source_C) over the clique blocks minus the
-    same over the separator blocks, each padded with zeros to p x p.
-
-    Cliques come first, then separators, each in perfect-sequence order.
-    No weight leaves the inverses unscaled.
-    """
-    out = np.zeros((p, p))
-    for ix, eye, sign in blocks:
-        inv = cholesky_solve(cholesky_factor(source[ix]), eye)
-        if weight is not None:
-            inv = weight(len(eye)) * inv
-        if sign > 0:
-            out[ix] += inv
-        else:
-            out[ix] -= inv
-    return symmetrize(out)
-
-
 class PrecisionSampler:
-    """Draws of Omega from its posterior W_G(n+nu, (1+g) X'X) given G.
+    """Draws of Omega from its posterior W_G(n+nu, D) given G, D = (1+g) X'X.
 
-    The covariance clique marginals are generated along a perfect sequence
-    (Carvalho, Massam & West 2007).  The first clique block, and any clique
-    with an empty separator, comes from inverting a complete-graph Wishart
-    draw.  Each later clique C with residual R = C - S is filled
-    conditional on its separator block S by the Wishart block
-    decomposition: the residual block is an independent smaller Wishart
-    with scale B_RR - B_RS inv(B_SS) B_SR, and the regression coefficients
-    are matrix normal about B_RS inv(B_SS).  Omega is then assembled as the
-    sum of completed clique inverses minus separator inverses, which has
-    support exactly on G.
+    Along a perfect numbering of G (MCS order, in which the earlier
+    neighbours pa(v) of each vertex v form a clique), Omega = (I - B)'
+    Lambda (I - B): row v of B holds the coefficients beta_v of v on pa(v),
+    and Lambda = diag(lambda_v).  The pairs (lambda_v, beta_v) are
+    independent (Roverato 2000, Biometrika 87):
 
-    Every scale block, Schur complement, Bartlett root, regression mean and
-    column factor depends on the data, G and the hyperparameters only, so
-    it is computed once here; ``draw`` does only the random work.  Raises
-    CliqueTooLarge when a clique has more than n vertices.
+        lambda_v ~ Gamma((n + nu + |pa(v)|) / 2, rate D_{v|pa} / 2),
+        beta_v | lambda_v ~ N(inv(D_pa) D_{pa,v}, inv(lambda_v D_pa)),
+
+    with D_{v|pa} = D_vv - D_{v,pa} inv(D_pa) D_{pa,v}.  Each pa(v) is a
+    clique, so Omega has support exactly on G.
+
+    Shapes, rates, means and the triangular factors of inv(D_pa) depend on
+    the data, G and the hyperparameters only, so they are computed once
+    here; ``draw`` is p gamma variates and |E| normals.  Raises
+    NotDecomposable for a non-chordal graph, CliqueTooLarge when a clique
+    has more than n vertices and NotPositiveDefinite when a clique's Gram
+    block is singular.
     """
 
-    def __init__(
-        self,
-        data: Dataset,
-        g: UndirectedGraph,
-        hyper: Hyperparameters,
-        seq: PerfectSequence | None = None,
-    ):
-        if seq is None:
-            seq = perfect_sequence(g)
+    def __init__(self, data: Dataset, g: UndirectedGraph, hyper: Hyperparameters):
         n, p = data.n, data.p
         if g.p != p:
             raise DimensionMismatch(f"graph p={g.p} does not match data p={p}")
-        for c in seq.cliques:
-            if len(c) > n:
-                raise CliqueTooLarge(len(c), n)
+        order, earlier = perfect_numbering(g)
+        largest = 1 + max(len(pa) for pa in earlier)
+        if largest > n:
+            raise CliqueTooLarge(largest, n)
         self.graph = g
         self.p = p
-        nu_post = n + hyper.nu
-        b_full = (1.0 + hyper.g) * data.gram
-        # per clique: (df, Bartlett root, rr, eye_r, cond), where cond is
-        # None for an empty separator, else (ss, rs, sr, mean_u, col_factor')
-        self._steps: list[tuple] = []
-        for l, clique in enumerate(seq.cliques):
-            sep = seq.separators[l - 1] if l else frozenset()
-            r_idx, s_idx = _idx(clique - sep), _idx(sep)
-            rr = np.ix_(r_idx, r_idx)
-            eye_r = np.eye(len(r_idx))
-            if not s_idx:
-                self._steps.append(
-                    (nu_post, wishart_root(b_full[rr]), rr, eye_r, None)
+        d = (1.0 + hyper.g) * data.gram
+        self._shape = np.empty(p)
+        self._scale = np.empty(p)
+        # per vertex with parents: (v, pa, mean, factor, slice of the normals)
+        self._rows: list[tuple] = []
+        start = 0
+        for v, pa in zip(order, earlier):
+            self._shape[v] = (n + hyper.nu + len(pa)) / 2.0
+            cond = d[v, v]
+            if pa:
+                # factor F with F F' = inv(D_pa), so F' D_{pa,v} = inv(L) D_{pa,v}
+                factor = solve_triangular(
+                    cholesky_factor(d[np.ix_(pa, pa)]), np.eye(len(pa)),
+                    lower=True, trans="T",
                 )
-                continue
-            rs, ss = np.ix_(r_idx, s_idx), np.ix_(s_idx, s_idx)
-            b_rs = b_full[rs]
-            lo_ss, _ = cholesky_logdet(b_full[ss])
-            # B_RR - B_RS inv(B_SS) B_SR, the residual scale of the R block
-            half = solve_triangular(lo_ss, b_rs.T, lower=True)
-            b_res = symmetrize(b_full[rr] - half.T @ half)
-            mean_u = cholesky_solve(lo_ss, b_rs.T).T
-            col_factor = solve_triangular(
-                lo_ss, np.eye(len(s_idx)), lower=True, trans="T"
-            )
-            cond = (ss, rs, np.ix_(s_idx, r_idx), mean_u, col_factor.T)
-            self._steps.append(
-                (nu_post + len(s_idx), wishart_root(b_res), rr, eye_r, cond)
-            )
-        self._blocks = _inverse_blocks(seq)
+                half = factor.T @ d[pa, v]
+                cond -= half @ half
+                self._rows.append(
+                    (v, pa, factor @ half, factor, slice(start, start + len(pa)))
+                )
+                start += len(pa)
+            if not cond > 0.0:
+                raise NotPositiveDefinite(
+                    f"Gram block of vertex {v} and its earlier neighbours "
+                    f"{pa} is singular"
+                )
+            self._scale[v] = 2.0 / cond
+        self._normals = start
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """One draw of Omega; consumes ``rng`` exactly as the per-draw
-        construction would: per clique a Bartlett draw, then, for a nonempty
-        separator, the matrix-normal block."""
-        sigma = np.zeros((self.p, self.p))
-        for df, root, rr, eye_r, cond in self._steps:
-            k = sample_wishart_root(df, root, rng)
-            gamma = cholesky_solve(cholesky_factor(k), eye_r)
-            if cond is None:
-                sigma[rr] = gamma
-                continue
-            ss, rs, sr, mean_u, col_t = cond
-            lo_g = cholesky_factor(gamma)
-            u = mean_u + lo_g @ rng.standard_normal(mean_u.shape) @ col_t
-            sig_rs = u @ sigma[ss]
-            sigma[rs] = sig_rs
-            sigma[sr] = sig_rs.T
-            sigma[rr] = symmetrize(gamma + sig_rs @ u.T)
-        return _clique_minus_separator(self.p, self._blocks, sigma)
+        """One draw of Omega; consumes ``rng`` as p gamma variates in vertex
+        order, then |E| normals, pa(v) by pa(v) in MCS order."""
+        lam = rng.gamma(self._shape, self._scale)
+        z = rng.standard_normal(self._normals)
+        a = np.eye(self.p)
+        for v, pa, mean, factor, block in self._rows:
+            a[v, pa] = -(mean + factor @ z[block] / math.sqrt(lam[v]))
+        root = np.sqrt(lam)[:, None] * a
+        return symmetrize(root.T @ root)
 
 
 def posterior_mean_precision(
-    data: Dataset,
-    g: UndirectedGraph,
-    hyper: Hyperparameters,
-    seq: PerfectSequence | None = None,
+    data: Dataset, g: UndirectedGraph, hyper: Hyperparameters
 ) -> np.ndarray:
     """Closed-form posterior mean of Omega given the graph.
 
     Sum over cliques of (n + nu + |C| - 1) / (1 + g) * inv(Gram_C), padded
     with zeros, minus the matching separator terms.
     """
-    if seq is None:
-        seq = perfect_sequence(g)
+    seq = perfect_sequence(g)
     n = data.n
     for c in seq.cliques:
         if len(c) > n:
             raise CliqueTooLarge(len(c), n)
     nu_post = n + hyper.nu
     shrink = 1.0 / (1.0 + hyper.g)
-    return _clique_minus_separator(
-        data.p, _inverse_blocks(seq), data.gram,
-        weight=lambda q: (nu_post + q - 1) * shrink,
-    )
+    out = np.zeros((data.p, data.p))
+    for subsets, sign in ((seq.cliques, 1.0), (seq.separators, -1.0)):
+        for s in subsets:
+            if not s:
+                continue
+            ix = np.ix_(sorted(s), sorted(s))
+            inv = cholesky_solve(cholesky_factor(data.gram[ix]), np.eye(len(s)))
+            out[ix] += sign * ((nu_post + len(s) - 1) * shrink) * inv
+    return symmetrize(out)

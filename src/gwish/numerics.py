@@ -13,11 +13,10 @@ convenient for graph-indexed models.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
+from scipy.linalg import get_lapack_funcs
 from scipy.special import gammaln
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotPositiveDefinite
@@ -111,36 +110,6 @@ def log_multigamma(a: float, q: int) -> float:
         raise ValueError(f"log_multigamma needs a > (q-1)/2, got a={a}, q={q}")
     i = np.arange(q, dtype=float)
     return q * (q - 1) / 4.0 * LOG_PI + float(np.sum(gammaln(a - i / 2.0)))
-
-
-def wishart_root(scale: np.ndarray) -> np.ndarray:
-    """F = inv(L)' for the lower Cholesky factor L of ``scale``, so that
-    F F' = inv(scale): the fixed part of a Bartlett draw from W_q(df, scale).
-    """
-    lower, _ = cholesky_logdet(scale)
-    return solve_triangular(lower, np.eye(lower.shape[0]), lower=True, trans="T")
-
-
-def sample_wishart_root(
-    df: float, root: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """One draw from W_q(df, scale) given ``root = wishart_root(scale)``.
-
-    Bartlett construction: with T lower triangular, T_ii the square root of
-    a chi-square with df + q - 1 - i degrees of freedom and T_ij (j < i)
-    standard normal, F T (F T)' has the target law.  Row i takes its chi
-    square, then its i normals in one call.  Requires q >= 1.
-    """
-    if df <= 2.0:
-        raise ValueError(f"df must exceed 2, got {df}")
-    q = root.shape[0]
-    df_std = df + q - 1
-    t = np.zeros((q, q))
-    for i in range(q):
-        t[i, i] = math.sqrt(rng.chisquare(df_std - i))
-        t[i, :i] = rng.standard_normal(i)
-    ft = root @ t
-    return symmetrize(ft @ ft.T)
 
 
 def sample_mvn(

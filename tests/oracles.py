@@ -172,10 +172,11 @@ def sample_precision_reference(
     separators: list[frozenset[int]],
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One draw of Omega ~ W_G(n + nu, (1 + g) gram) along a perfect sequence,
-    recomputing every scale block, Schur complement and Bartlett root per
-    draw: the per-draw sampler that the built-once sampler must match bit
-    for bit, with the same generator calls in the same order."""
+    """One draw of Omega ~ W_G(n + nu, (1 + g) gram) clique by clique along
+    a perfect sequence (Carvalho, Massam & West 2007), recomputing every
+    scale block, Schur complement and Bartlett root per draw, and assembled
+    by the clique-minus-separator completion: the distributional reference
+    for the per-vertex sampler."""
     p = gram.shape[0]
     nu_post = n + nu
     b_full = (1.0 + g) * gram

@@ -338,8 +338,28 @@ class TestTooFewRows:
         out = tmp_path / "out"
         assert run("mcmc", "--x", x, "--iterations", 10, "--burn-in", 0,
                    "--out", out) == 2
-        assert "at least 2 rows" in capsys.readouterr().err
+        rows = body.count("\n") - 1
+        # the gwish message alone: no numpy warning about the empty file
+        assert capsys.readouterr().err.splitlines() == [
+            f"mcmc: data needs at least 2 rows, got {rows}"
+        ]
         assert not (out / "meta.json").exists()
+
+
+class TestOneColumn:
+    """With p = 1 the only graph is the empty one: the chain stays there,
+    every step a rejected proposal."""
+
+    @pytest.mark.parametrize("kernel", ["uniform", "exact"])
+    def test_mcmc_stays_on_the_empty_graph(self, tmp_path, kernel):
+        x = tmp_path / "x.csv"
+        x.write_text("x1\n1.0\n2.0\n-0.5\n0.3\n")
+        out = tmp_path / "out"
+        assert run("mcmc", "--x", x, "--kernel", kernel, "--iterations", 20,
+                   "--burn-in", 5, "--sample-precision", "--out", out) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["p"] == 1 and meta["acceptance_rate"] == 0.0
+        assert meta["median_graph_edges"] == 0 and meta["precision_draws"] == 20
 
 
 class TestTopLevel:

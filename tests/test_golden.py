@@ -134,7 +134,7 @@ GOLDEN = {
         "est/meta.json":
             "9a551f5e994e44b12ae228cd43357cc8b735d4c6224fd7fbf5a7c323d087d570",
         "est/omega_hat.csv":
-            "8cf8bd38169adc24651fe106c483347e70740c5881fe4a9976c25eb069d8c54c",
+            "add9ac5358054fe126a71ee048f7b43245ddd82f53687aafa2dde7b0378cc8eb",
         "mode/meta.json":
             "ead0cb001116430717ca74ad76b2b5d58497a5afec4b754ebac7de8bf97128ca",
         "mode/mode.json":
@@ -156,23 +156,23 @@ GOLDEN = {
         "l2/omega_hat.csv":
             "daa0c28c7c30da1f9e20b2d2bcc5091aa6b2746233e06558162304f99c3b36c9",
         "mcmc/meta.json":
-            "4d797885a27a59ad19c58e81629e548ec06d8b183e8ea4274f46f300c25f424f",
+            "803622856120db8714b4e4ee31eab80252f5e2d7f446db2bc1ce566a1db4878f",
         "mcmc/omega_hat.csv":
-            "c9b671bd653fff23bfbc2c86408f9ae6cbca621736891a298d13a9788eb1f356",
+            "0f6b288458a1fe5e46738071087b1c2c850a73caf844eb2b75f3ea929849afe9",
     }),
     "exact": (exact_pipeline, {
         "chain/best_graph.edges":
             "30f86b81a6db01a60a423996194b09e73a3eee239f3c623b4d6d6085f8ea7c1c",
         "chain/inclusion.csv":
-            "71df22b5a9acbd75e293a8c8666953c48f4394d6f002581686e0d671a6d8a7a6",
+            "1bc97364f1de2f7a22177f940509b5273db0c4792ccdd0fd118d188b6c96ac61",
         "chain/median_graph.edges":
             "30f86b81a6db01a60a423996194b09e73a3eee239f3c623b4d6d6085f8ea7c1c",
         "chain/meta.json":
-            "2873cad33e32e6a7b543706e46b4d71fa8553474df31c53f1b603a06382f6fe1",
+            "d6f1b95a35a111fe6df03cf1aacd5695c7fcce11051d5fc564f50aec188804e0",
         "chain/omega_mcmc.csv":
-            "505141b293e329ebe8a650137e43c6294c44fadb4e78d9d7f9abaf8745a9aaa8",
+            "48177d64b6cf56462bdfb737142b0d509fcc4a564c1334adf534e429885e7af1",
         "chain/trace.csv":
-            "b0fdf4106d550c0426535df35d9e5705a7d96fdd945e4ef45607dbfc49391b83",
+            "f91e172d5887b38679c243191ec370acf74e25697201146a52c9f5609ee88a71",
         "data/X.csv":
             "b433779bdeccbb88edb1371a29d30e2f0094dee1e31d52cc24265b451c219e51",
         "data/graph0.edges":

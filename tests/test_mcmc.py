@@ -8,7 +8,6 @@ from gwish.graph import (
     UndirectedGraph,
     decomposable_neighbors,
     is_decomposable,
-    perfect_sequence,
 )
 from gwish.mcmc import (
     ChainConfig,
@@ -23,11 +22,9 @@ from gwish.mcmc import (
     _propose_exact,
     _propose_uniform,
 )
-from gwish.model import GraphScorer, Hyperparameters
+from gwish.model import GraphScorer, Hyperparameters, PrecisionSampler
 from gwish.numerics import make_rng
 from gwish.simulate import TrueModelSpec, build_truth, sample_dataset
-
-from oracles import sample_precision_reference
 
 
 class FakeRng:
@@ -226,8 +223,8 @@ class TestRunChain:
         assert np.array_equal(res.precision_mean, res.precision_mean.T)
 
     def test_precision_draws_follow_the_kept_graph(self):
-        # the chain keeps one sampler per graph; replaying it with a
-        # per-draw reference sampler must give the same mean bit for bit
+        # the chain keeps one sampler per graph; replaying it with a sampler
+        # built afresh for every draw must give the same mean bit for bit
         truth = build_truth(TrueModelSpec(kind="ar2", p=6))
         data = sample_dataset(truth, n=30, rng=make_rng(3))
         hyper = Hyperparameters(g=0.3)
@@ -242,11 +239,7 @@ class TestRunChain:
         for it in range(config.burn_in + config.iterations):
             state, _ = mh_step(state, scorer, config.kernel, rng)
             if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
-                seq = perfect_sequence(state.graph)
-                total += sample_precision_reference(
-                    data.gram, data.n, hyper.nu, hyper.g,
-                    seq.cliques, seq.separators, rng,
-                )
+                total += PrecisionSampler(data, state.graph, hyper).draw(rng)
                 draws += 1
                 graphs.add(state.graph)
         assert len(graphs) > 3

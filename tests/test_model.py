@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import ks_2samp
 
-from gwish.errors import CliqueTooLarge, NotDecomposable
+from gwish.errors import CliqueTooLarge, NotDecomposable, NotPositiveDefinite
 from gwish.graph import (
     UndirectedGraph,
     enumerate_decomposable_graphs,
@@ -28,24 +27,13 @@ from gwish.model import (
 )
 from gwish.numerics import make_rng
 
-from conftest import chordal_graphs
+from conftest import random_chordal_graph
 from oracles import sample_precision_reference
 
 
 def random_dataset(n, p, seed=0, truth=None):
     rng = np.random.default_rng(seed)
     return Dataset.from_matrix(rng.standard_normal((n, p)), truth)
-
-
-def same_rng_state(a, b):
-    def same(x, y):
-        if isinstance(x, dict):
-            return x.keys() == y.keys() and all(same(x[k], y[k]) for k in x)
-        if isinstance(x, np.ndarray):
-            return np.array_equal(x, y)
-        return x == y
-
-    return same(a.bit_generator.state, b.bit_generator.state)
 
 
 class TestDataset:
@@ -328,6 +316,20 @@ class TestPosteriorSampling:
         with pytest.raises(CliqueTooLarge):
             PrecisionSampler(data, UndirectedGraph.complete(4), Hyperparameters())
 
+    def test_singular_gram_block(self):
+        x = np.random.default_rng(15).standard_normal((10, 3))
+        x[:, 2] = 0.0
+        with pytest.raises(NotPositiveDefinite):
+            PrecisionSampler(
+                Dataset.from_matrix(x), UndirectedGraph.complete(3), Hyperparameters()
+            )
+
+    def test_not_decomposable(self):
+        data = random_dataset(20, 4, seed=15)
+        cycle = UndirectedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        with pytest.raises(NotDecomposable):
+            PrecisionSampler(data, cycle, Hyperparameters())
+
     def test_mc_mean_matches_closed_form_complete(self):
         # complete graph: the mean must be (n + nu + p - 1)/(1 + g) inv(Gram)
         data = random_dataset(30, 2, seed=16)
@@ -373,38 +375,50 @@ class TestPosteriorSampling:
 
 
 class TestSamplerMatchesPerDrawReference:
-    """k draws from one built-once sampler equal k draws of the per-draw
-    construction (``oracles.sample_precision_reference``) bit for bit, and
-    leave the generator in the same state."""
+    """The per-vertex sampler and the clique-by-clique per-draw construction
+    (``oracles.sample_precision_reference``) draw the same law.  On the
+    support, entrywise means agree within a two-sample z bound and variance
+    ratios lie near 1; log det passes a two-sample KS test; off the support
+    every draw is exactly 0.  The reference is slow, so it gets fewer draws;
+    all seeds are fixed."""
 
-    DRAWS = 3
+    DRAWS, REFERENCE_DRAWS = 4000, 1000
 
     def check(self, g, n, data_seed, rng_seed, nu, scale):
         data = random_dataset(n, g.p, seed=data_seed)
         hyper = Hyperparameters(nu=nu, g=scale)
         seq = perfect_sequence(g)
         sampler = PrecisionSampler(data, g, hyper)
-        mine, ref = make_rng(rng_seed, 1), make_rng(rng_seed, 1)
-        for _ in range(self.DRAWS):
-            got = sampler.draw(mine)
-            want = sample_precision_reference(
+        mine, ref = make_rng(rng_seed, 1), make_rng(rng_seed, 2)
+        a = np.array([sampler.draw(mine) for _ in range(self.DRAWS)])
+        b = np.array([
+            sample_precision_reference(
                 data.gram, n, nu, scale, seq.cliques, seq.separators, ref
             )
-            assert got.tobytes() == want.tobytes()
-        assert same_rng_state(mine, ref)
+            for _ in range(self.REFERENCE_DRAWS)
+        ])
+        support = g.adjacency | np.eye(g.p, dtype=bool)
+        assert np.all(a[:, ~support] == 0.0)
+        var_a = a.var(axis=0, ddof=1)[support]
+        var_b = b.var(axis=0, ddof=1)[support]
+        diff = (a.mean(axis=0) - b.mean(axis=0))[support]
+        z = diff / np.sqrt(var_a / len(a) + var_b / len(b))
+        assert np.abs(z).max() < 4.5
+        ratio = var_a / var_b
+        assert 0.7 < ratio.min() and ratio.max() < 1.4
+        logdet_a, logdet_b = np.linalg.slogdet(a)[1], np.linalg.slogdet(b)[1]
+        assert ks_2samp(logdet_a, logdet_b).pvalue > 1e-3
 
-    @settings(max_examples=120)
-    @given(
-        chordal_graphs,
-        st.integers(0, 10),
-        st.integers(0, 2**32 - 1),
-        st.integers(0, 2**32 - 1),
-        st.sampled_from([2.5, 3.0, 7.25]),
-        st.sampled_from([0.01, 0.4, 3.0]),
-    )
-    def test_random_chordal_graphs(self, g, extra_n, data_seed, rng_seed, nu, scale):
-        n = max(len(c) for c in perfect_sequence(g).cliques) + 1 + extra_n
-        self.check(g, n, data_seed, rng_seed, nu, scale)
+    def test_random_chordal_graphs(self):
+        for p, graph_seed, steps, nu, scale in [
+            (5, 0, 10, 2.5, 0.01),
+            (10, 3, 30, 3.0, 0.4),
+            (12, 5, 40, 7.25, 3.0),
+        ]:
+            g = random_chordal_graph(p, graph_seed, steps)
+            n = max(len(c) for c in perfect_sequence(g).cliques) + 3
+            self.check(g, n, data_seed=graph_seed, rng_seed=graph_seed + 1,
+                       nu=nu, scale=scale)
 
     def test_disconnected_graph(self):
         # two components and an isolated vertex: empty separators

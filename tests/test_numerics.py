@@ -7,6 +7,8 @@ from scipy.special import multigammaln
 from scipy.stats import chi2
 
 from gwish.errors import DimensionMismatch, IndexOutOfRange, NotPositiveDefinite
+from gwish.graph import UndirectedGraph
+from gwish.model import Dataset, Hyperparameters, PrecisionSampler
 from gwish.numerics import (
     cholesky_factor,
     cholesky_logdet,
@@ -14,10 +16,8 @@ from gwish.numerics import (
     log_multigamma,
     make_rng,
     sample_mvn,
-    sample_wishart_root,
     submatrix,
     symmetrize,
-    wishart_root,
 )
 
 
@@ -105,28 +105,45 @@ class TestLogMultigamma:
             log_multigamma(0.5, 2)
 
 
+def complete_graph_sampler(df, scale, g=1.0):
+    """A PrecisionSampler whose target is W_q(df, scale), the complete-graph
+    case: n = max(q, 2) rows whose (1 + g)-scaled Gram matrix is ``scale``,
+    and nu = df - n."""
+    q = scale.shape[0]
+    n = max(q, 2)
+    x = np.zeros((n, q))
+    x[:q] = np.linalg.cholesky(scale / (1.0 + g)).T
+    data = Dataset.from_matrix(x)
+    hyper = Hyperparameters(nu=df - n, g=g)
+    return PrecisionSampler(data, UndirectedGraph.complete(q), hyper), data
+
+
 class TestWishartSampler:
+    """The package's Wishart convention, checked on the posterior precision
+    sampler with a complete graph, where W_G is the plain W_q."""
+
     def test_scalar_case_matches_scaled_chi_square(self):
         # q=1, scale s: density prop. to b^{(df-2)/2} exp(-b s / 2), i.e.
         # b ~ Gamma(df/2, s/2) = chi2(df) / s.  Check mean and a tail quantile.
         df, s = 5.0, 2.5
+        sampler, _ = complete_graph_sampler(df, np.array([[s]]))
         rng = make_rng(123)
-        root = wishart_root(np.array([[s]]))
-        draws = np.array([sample_wishart_root(df, root, rng)[0, 0] for _ in range(20000)])
+        draws = np.array([sampler.draw(rng)[0, 0] for _ in range(20000)])
         assert draws.mean() == pytest.approx(df / s, rel=0.05)
         q90 = chi2(df).ppf(0.9) / s
         assert np.mean(draws < q90) == pytest.approx(0.9, abs=0.02)
 
     def test_mean_matches_convention(self):
         # E[B] = (df + q - 1) * inv(scale) under the density used here.
-        df, q = 4.0, 3
-        rng = make_rng(7)
+        df, q = 6.0, 3
         a = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, -0.2], [0.0, -0.2, 1.0]])
+        sampler, data = complete_graph_sampler(df, a)
+        a = 2.0 * data.gram  # the scale as the sampler sees it, g = 1
+        rng = make_rng(7)
         n_draws = 40000
         acc = np.zeros((q, q))
-        root = wishart_root(a)
         for _ in range(n_draws):
-            acc += sample_wishart_root(df, root, rng)
+            acc += sampler.draw(rng)
         mean = acc / n_draws
         expected = (df + q - 1) * np.linalg.inv(a)
         # 3-sigma envelope per entry, estimated from the diagonal variance
@@ -139,41 +156,12 @@ class TestWishartSampler:
         assert np.all(np.abs(mean - expected) < 3.5 * sd)
 
     def test_draws_are_positive_definite(self):
+        sampler, _ = complete_graph_sampler(5.0, np.array([[1.0, 0.4], [0.4, 2.0]]))
         rng = make_rng(5)
-        a = np.array([[1.0, 0.4], [0.4, 2.0]])
-        root = wishart_root(a)
         for _ in range(50):
-            b = sample_wishart_root(3.0, root, rng)
+            b = sampler.draw(rng)
             assert np.all(np.linalg.eigvalsh(b) > 0)
             assert np.allclose(b, b.T)
-
-    def test_rejects_small_df(self):
-        with pytest.raises(ValueError):
-            sample_wishart_root(2.0, np.eye(2), make_rng(0))
-
-    def test_root_then_draw_is_the_one_shot_draw(self):
-        a = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
-        root = wishart_root(a)
-        assert np.allclose(root @ root.T, np.linalg.inv(a))
-        # a root built once draws exactly as one rebuilt for every draw
-        one, two = make_rng(4), make_rng(4)
-        for _ in range(5):
-            x = sample_wishart_root(3.5, wishart_root(a), one)
-            y = sample_wishart_root(3.5, root, two)
-            assert x.tobytes() == y.tobytes()
-        assert one.random() == two.random()
-
-    def test_bartlett_stream_order(self):
-        # row i takes its chi square, then its i normals
-        df, q = 4.0, 3
-        rng = make_rng(6)
-        t = np.zeros((q, q))
-        for i in range(q):
-            t[i, i] = np.sqrt(rng.chisquare(df + q - 1 - i))
-            for j in range(i):
-                t[i, j] = rng.standard_normal()
-        draw = sample_wishart_root(df, np.eye(q), make_rng(6))
-        assert draw.tobytes() == symmetrize(t @ t.T).tobytes()
 
 
 class TestMvn:
