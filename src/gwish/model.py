@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import CliqueTooLarge, DimensionMismatch, NotPositiveDefinite
 from .graph import (
@@ -44,8 +43,8 @@ from .numerics import (
     LOG_2PI,
     cholesky_factor,
     cholesky_logdet,
-    cholesky_solve,
     log_multigamma,
+    spd_inverse,
     submatrix,
     symmetrize,
 )
@@ -409,10 +408,7 @@ class PrecisionSampler:
             cond = d[v, v]
             if pa:
                 # factor F with F F' = inv(D_pa), so F' D_{pa,v} = inv(L) D_{pa,v}
-                factor = solve_triangular(
-                    cholesky_factor(d[np.ix_(pa, pa)]), np.eye(len(pa)),
-                    lower=True, trans="T",
-                )
+                factor = np.linalg.inv(cholesky_factor(d[np.ix_(pa, pa)])).T
                 half = factor.T @ d[pa, v]
                 cond -= half @ half
                 self._rows.append(
@@ -460,6 +456,6 @@ def posterior_mean_precision(
             if not s:
                 continue
             ix = np.ix_(sorted(s), sorted(s))
-            inv = cholesky_solve(cholesky_factor(data.gram[ix]), np.eye(len(s)))
+            inv = spd_inverse(data.gram[ix])
             out[ix] += sign * ((nu_post + len(s) - 1) * shrink) * inv
-    return symmetrize(out)
+    return out

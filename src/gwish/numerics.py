@@ -13,21 +13,16 @@ convenient for graph-indexed models.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-from scipy.special import gammaln
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotPositiveDefinite
 
 LOG_2 = float(np.log(2.0))
 LOG_PI = float(np.log(np.pi))
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-# the LAPACK routine behind scipy's cho_solve, fetched once instead of per call
-(_POTRS,) = get_lapack_funcs(("potrs",), (np.empty((1, 1)),))
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -71,18 +66,14 @@ def cholesky_factor(m: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite(str(exc)) from exc
 
 
-def cholesky_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b given the lower Cholesky factor of A; ``b`` is not
-    overwritten, so ``cholesky_solve(lower, eye)`` is inv(A).
+def spd_inverse(m: np.ndarray) -> np.ndarray:
+    """Inverse of a positive definite matrix as inv(L)' inv(L), L = chol(m).
 
-    The same LAPACK ``potrs`` call as ``scipy.linalg.cho_solve((lower, True),
-    b)``, bit for bit, without its per-call input checks: both arguments
-    must be finite float arrays of matching size.
+    The product is exactly symmetric and ``m`` is not overwritten.  Raises
+    NotPositiveDefinite when the factorisation fails.
     """
-    x, info = _POTRS(lower, b, lower=True)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of potrs")
-    return x
+    li = np.linalg.inv(cholesky_factor(m))
+    return li.T @ li
 
 
 def submatrix(m: np.ndarray, subset: Sequence[int]) -> np.ndarray:
@@ -108,8 +99,9 @@ def log_multigamma(a: float, q: int) -> float:
         return 0.0
     if a <= (q - 1) / 2.0:
         raise ValueError(f"log_multigamma needs a > (q-1)/2, got a={a}, q={q}")
-    i = np.arange(q, dtype=float)
-    return q * (q - 1) / 4.0 * LOG_PI + float(np.sum(gammaln(a - i / 2.0)))
+    return q * (q - 1) / 4.0 * LOG_PI + sum(
+        math.lgamma(a - i / 2.0) for i in range(q)
+    )
 
 
 def sample_mvn(

@@ -22,7 +22,7 @@ from .model import (
     PrecisionSampler,
     posterior_mean_precision,
 )
-from .numerics import cholesky_factor, cholesky_logdet, cholesky_solve, symmetrize
+from .numerics import spd_inverse
 from .errors import CliqueTooLarge, NoValidMove
 
 # random moves that perturb the incumbent before a shotgun restart
@@ -66,8 +66,7 @@ def _ridge_edge_order(
     data: Dataset, lam: float
 ) -> list[tuple[float, int, int]]:
     p = data.p
-    lower, _ = cholesky_logdet(data.gram / data.n + lam * np.eye(p))
-    w = symmetrize(cholesky_solve(lower, np.eye(p)))
+    w = spd_inverse(data.gram / data.n + lam * np.eye(p))
     entries = [
         (abs(float(w[i, j])), i, j) for i in range(p) for j in range(i + 1, p)
     ]
@@ -270,9 +269,7 @@ def bayes_estimator_l1_stein(
     if mc_draws < 1:
         raise ValueError("mc_draws must be positive")
     sampler = PrecisionSampler(data, graph, hyper)
-    eye = np.eye(data.p)
     acc = np.zeros((data.p, data.p))
     for _ in range(mc_draws):
-        acc += cholesky_solve(cholesky_factor(sampler.draw(rng)), eye)
-    sigma_bar = symmetrize(acc / mc_draws)
-    return symmetrize(cholesky_solve(cholesky_factor(sigma_bar), eye))
+        acc += spd_inverse(sampler.draw(rng))
+    return spd_inverse(acc / mc_draws)

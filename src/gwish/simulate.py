@@ -11,9 +11,7 @@ import numpy as np
 from .errors import NotPositiveDefinite
 from .graph import UndirectedGraph, random_decomposable_move
 from .model import Dataset, GroundTruth, Hyperparameters, log_posterior_ratio
-from .numerics import (
-    cholesky_logdet, cholesky_solve, make_rng, sample_mvn, submatrix, symmetrize
-)
+from .numerics import make_rng, sample_mvn, spd_inverse, submatrix
 
 KINDS = ("sim1-ar1-cov", "ar1", "ar2", "ar4", "star", "circle")
 
@@ -61,11 +59,6 @@ def _support_graph(omega: np.ndarray) -> UndirectedGraph:
     return UndirectedGraph.from_edges(p, edges)
 
 
-def _inverse(m: np.ndarray) -> np.ndarray:
-    lower, _ = cholesky_logdet(m)
-    return symmetrize(cholesky_solve(lower, np.eye(m.shape[0])))
-
-
 def build_truth(spec: TrueModelSpec) -> GroundTruth:
     """Materialise the precision, covariance and support graph of a spec.
 
@@ -77,7 +70,7 @@ def build_truth(spec: TrueModelSpec) -> GroundTruth:
     if spec.kind == "sim1-ar1-cov":
         idx = np.arange(p)
         sigma = 0.5 ** np.abs(idx[:, None] - idx[None, :])
-        omega = _inverse(sigma)
+        omega = spd_inverse(sigma)
         return GroundTruth(omega=omega, sigma=sigma, graph=_support_graph(omega))
     if spec.kind == "ar1":
         omega = _banded(p, [0.5])
@@ -94,7 +87,7 @@ def build_truth(spec: TrueModelSpec) -> GroundTruth:
     else:  # pragma: no cover - guarded by TrueModelSpec
         raise AssertionError(spec.kind)
     try:
-        sigma = _inverse(omega)
+        sigma = spd_inverse(omega)
     except NotPositiveDefinite:
         raise NotPositiveDefinite(
             f"{spec.kind} precision at p={p} is not positive definite"
@@ -124,12 +117,9 @@ def partial_correlation(
         cond = sigma[np.ix_(pair, pair)]
     else:
         s = sorted(given)
-        block_ss = submatrix(sigma, s)
         block_ps = sigma[np.ix_(pair, s)]
-        lower, _ = cholesky_logdet(block_ss)
-        cond = sigma[np.ix_(pair, pair)] - block_ps @ cholesky_solve(
-            lower, block_ps.T
-        )
+        inv_ss = spd_inverse(submatrix(sigma, s))
+        cond = sigma[np.ix_(pair, pair)] - block_ps @ inv_ss @ block_ps.T
     return float(cond[0, 1] / math.sqrt(cond[0, 0] * cond[1, 1]))
 
 

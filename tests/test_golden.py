@@ -5,9 +5,10 @@ SHA-256 of every file it writes is compared with a pinned value.  A
 refactor that claims to leave behaviour unchanged must keep these hashes;
 a change that alters outputs on purpose re-records them and says why.
 
-The floating-point outputs depend on numpy/BLAS rounding, so the hashes
-are tied to the platform they were recorded on (CPython 3, numpy 2.4,
-OpenBLAS, x86-64).  On a mismatch the assertion prints the observed
+The floating-point outputs depend only on the rounding of numpy's LAPACK
+and BLAS (gwish calls no scipy routine, and ``math.lgamma`` is CPython's
+own), so the hashes are tied to the platform they were recorded on
+(CPython 3, numpy 2.4 with its bundled OpenBLAS, x86-64).  On a mismatch the assertion prints the observed
 hashes, which is how they are re-recorded.
 """
 
@@ -102,9 +103,9 @@ GOLDEN = {
         "chain/meta.json":
             "bf1d6a6d07057490f1dfcffb319a86418907148214112aa7c339045a653c6fcf",
         "chain/trace.csv":
-            "32580fdd680ac74005c09a9205c87304b81af386cbe952249bf90c30f04e9e1f",
+            "42d25c19ee0488cba700edf9816ee963e3bff6cff991f62a795e88e98dea0f39",
         "data/X.csv":
-            "47e2fbda32c556f669dc80a6827ee599d561d0cff0627e3e326e7fdb25ec2ffe",
+            "cb54de56bd608bd0b7c8c5451c0d20d16a41359c25802743cbe56cb634f18aa0",
         "data/graph0.edges":
             "99c6ce6d132e0435381d61a5cd21d8953118c110e05c3e43b0ba511cfd4d13e7",
         "data/meta.json":
@@ -116,15 +117,15 @@ GOLDEN = {
         "case2/meta.json":
             "13d5d81b5a75bafb233a155a9fdcbe5900147b06f46166bfd84d6c572d509347",
         "case2/ratio.csv":
-            "5106d68a96a69c5fe978a41b9dde2992dd2fbf21c39d2cb889494132133e4a69",
+            "2bf92085468c1dbfc770ef5c336e30285992aa9095c2b19c5dc48e6a61a42ebe",
         "case3/meta.json":
             "a11ccb6beff38a21162c1d43622366343d4678dd0726b0484bbc4643b9e6ca0f",
         "case3/ratio.csv":
-            "9f9ac9897fc42c189ba7b17f533fa19509e1e44a3eee5204a0941fb6df51a661",
+            "458fcd2d5ca749b7c2ccb0933847e5e574690ac14053c86727e2c19e4c50cddd",
     }),
     "mode_estimate": (mode_estimate_pipeline, {
         "data/X.csv":
-            "292636ad3cdf65ee5f9f79e6b891a21c4cbabcf56104d5ae88edbefbcd4b12df",
+            "743d6897bc43b3fab88607bf8e7771e68db14fbbdab62de0580e1c005f9a4811",
         "data/graph0.edges":
             "401d108514baebeaaf4f3fffedb2bc9cb694b32487645900eea1ea92a0a53f85",
         "data/meta.json":
@@ -134,17 +135,17 @@ GOLDEN = {
         "est/meta.json":
             "9a551f5e994e44b12ae228cd43357cc8b735d4c6224fd7fbf5a7c323d087d570",
         "est/omega_hat.csv":
-            "add9ac5358054fe126a71ee048f7b43245ddd82f53687aafa2dde7b0378cc8eb",
+            "a97a38a55d72d1a5007a1e73b7229861a46c559137a6ec691d76fa300deb9ffb",
         "mode/meta.json":
-            "ead0cb001116430717ca74ad76b2b5d58497a5afec4b754ebac7de8bf97128ca",
+            "5029ef83b9a233eed93ed0e8f33500b9d3556273b365efdddc9490fdf63a4497",
         "mode/mode.json":
-            "1b4c000e2edb86be13387490bab080571020163ba9369586bb5afff64f94027d",
+            "01262ae4f9adc5ff902b5d494c493ca1354f73ef096b6fc27e2c970c426a813e",
         "mode/mode_graph.edges":
             "a1eb4b3de130b510dbe82e5ce52e3713858edcb0d908c58fa9aef68ecba12ddb",
     }),
     "precision": (precision_pipeline, {
         "data/X.csv":
-            "adf9bbc7ad2709720c299e2092b572c1a4ae662315f22ffc8681e8dffac63f47",
+            "fa3212ed9898c758f90e7c09fffadcbd9855ffb30b2c6a7633959744e6d25e49",
         "data/graph0.edges":
             "b1103719e56821ddee78cfd05c3d6ce823358eeb3fc9b00a1d8f9e8ff53bb7d6",
         "data/meta.json":
@@ -154,11 +155,11 @@ GOLDEN = {
         "l2/meta.json":
             "bcece7043b030d2c47f98a2e9f120e5b009b36caaf0db87f0aed3eccf14f0e1c",
         "l2/omega_hat.csv":
-            "daa0c28c7c30da1f9e20b2d2bcc5091aa6b2746233e06558162304f99c3b36c9",
+            "35db384cf5078b2a328be65e3690f03f6add298205c2b76e1e5bc99b8ede351b",
         "mcmc/meta.json":
             "803622856120db8714b4e4ee31eab80252f5e2d7f446db2bc1ce566a1db4878f",
         "mcmc/omega_hat.csv":
-            "0f6b288458a1fe5e46738071087b1c2c850a73caf844eb2b75f3ea929849afe9",
+            "5f8a0674beb4eccae59e20b894c402004a7021bd5f714703bdeba522ca2eba03",
     }),
     "exact": (exact_pipeline, {
         "chain/best_graph.edges":
@@ -170,11 +171,11 @@ GOLDEN = {
         "chain/meta.json":
             "d6f1b95a35a111fe6df03cf1aacd5695c7fcce11051d5fc564f50aec188804e0",
         "chain/omega_mcmc.csv":
-            "48177d64b6cf56462bdfb737142b0d509fcc4a564c1334adf534e429885e7af1",
+            "24e82db2e6a62e0cb201c37597a359192494e64e9bf88b5a7b62b4062a2f8706",
         "chain/trace.csv":
-            "f91e172d5887b38679c243191ec370acf74e25697201146a52c9f5609ee88a71",
+            "f11c6975175c86d36248c5337fa5efec2e4d50a171eb7151c6a3789fff8edc48",
         "data/X.csv":
-            "b433779bdeccbb88edb1371a29d30e2f0094dee1e31d52cc24265b451c219e51",
+            "75133bf81984db690a9bb7c35bd8e1310e212c9fe152b9e815d728c96539ecee",
         "data/graph0.edges":
             "a011123934ddae831a5edc1502064284ba0c98004a009f015ef31e1b38ed8768",
         "data/meta.json":
@@ -198,9 +199,9 @@ GOLDEN = {
         "exact/median_graph.edges":
             "ebf0da8fdb740f4dc1033b404b9b6e46a2777bf45d37e9fa6fdb9d1af2f8dc2c",
         "exact/meta.json":
-            "0612ab10771b70a5fdf0c9872da36296a37c87c51e75cfe56c4ba39522d6a4f3",
+            "3f2410278d2f48f7b68eb0ab45add63c033be65e489188f71eb548c4c5ee86a3",
         "exact/trace.csv":
-            "a2bc7bee0e676a76bf54aca8252c7cb6502abc212d7902d8abe25e68de3f31ef",
+            "c923ec035f62cc9b7b93d9f2ee4d0128a972cd27415a2c183011985dd59c4b85",
         "uniform/best_graph.edges":
             "ebf0da8fdb740f4dc1033b404b9b6e46a2777bf45d37e9fa6fdb9d1af2f8dc2c",
         "uniform/inclusion.csv":
@@ -208,9 +209,9 @@ GOLDEN = {
         "uniform/median_graph.edges":
             "ebf0da8fdb740f4dc1033b404b9b6e46a2777bf45d37e9fa6fdb9d1af2f8dc2c",
         "uniform/meta.json":
-            "3e0bf4ffceb2d0db505229d0c347bcd58ace8edb936f66c957fce2f6bc208a1c",
+            "5a2f3c0d35595b4d50c42036dd603294da0ec95599a64aa9d4b1155381e3b24b",
         "uniform/trace.csv":
-            "acd8cf56ba42ad0803da97e7f2e28fa7faddf04be0b7fe509ba46d137078f3b8",
+            "4ee8a1f6e5ce73efe05157cd1bc62bb804620d8e33289ff13467b3b32431fa5a",
     }),
     "small_n": (small_n_pipeline, {
         "chain/best_graph.edges":
@@ -220,11 +221,11 @@ GOLDEN = {
         "chain/median_graph.edges":
             "3d4b279e14f183ba4b043e08939cadd7836f0df02b283b8787337846c6108823",
         "chain/meta.json":
-            "dfe72ee107e105c3eea35ede558f172f0121056c190926c529a6be5aafb1a64e",
+            "077e0a875f61357d4efb20d72f132c14c5184c199d953c9910f27630f2093fed",
         "chain/trace.csv":
-            "9ccd5a741c5225b06f1ad26d0a2ea68d835288e4cc26fdd897c72c3036b03353",
+            "76d174ef7cf404cefa8db3ddf11f875721782d88dfde4cf749a2ccf1575e2db4",
         "data/X.csv":
-            "8f9f18b700b3ca5a529a0641ca4f1fc7ee9847bd552814fd0966a5a7dc7c5496",
+            "e579906094dab8c41d25b5a6b1c010977c9bf471a753ef69a1810f5ed4c876f5",
         "data/graph0.edges":
             "99c6ce6d132e0435381d61a5cd21d8953118c110e05c3e43b0ba511cfd4d13e7",
         "data/meta.json":
@@ -232,9 +233,9 @@ GOLDEN = {
         "data/omega0.csv":
             "3cd432471b5fce9f82fda6121cc2f9c6006effaab80464082c4caff11ac5410f",
         "mode/meta.json":
-            "4856ff3704cc1660b291e14f9cafd59e259ca47a7bbb0862ab30a0dfe0831bd4",
+            "1b0ba06519c31914174a3d6de01d285c18ad93ca36e71ada7c52ae0c8f70cab4",
         "mode/mode.json":
-            "239278bf79ed368387babd19cad35a5bcc07bde27d51511a0bb4bfb4c40288b9",
+            "91bee7308b107e258527071c87507d5619ddef5de774fbea7963bd7f3196d1a8",
         "mode/mode_graph.edges":
             "69edabcd32c9c33726fcf6eece25443c2af1693768f53abdbce1e1256544af59",
     }),

@@ -12,10 +12,10 @@ from gwish.model import Dataset, Hyperparameters, PrecisionSampler
 from gwish.numerics import (
     cholesky_factor,
     cholesky_logdet,
-    cholesky_solve,
     log_multigamma,
     make_rng,
     sample_mvn,
+    spd_inverse,
     submatrix,
     symmetrize,
 )
@@ -41,19 +41,48 @@ class TestCholesky:
         with pytest.raises(DimensionMismatch):
             cholesky_logdet(np.ones((2, 3)))
 
-    def test_factor_and_solve_match_scipy_bitwise(self):
+    def test_factor_and_inverse_match_scipy(self):
         rng = np.random.default_rng(1)
-        for q in (1, 2, 5, 9):
+        for q in (1, 2, 5, 9, 40):
             a = rng.standard_normal((q, q))
             m = a @ a.T + q * np.eye(q)
             lower = cholesky_factor(m)
             assert lower.tobytes() == cholesky_logdet(m)[0].tobytes()
-            eye = np.eye(q)
-            inv = cholesky_solve(lower, eye)
-            assert inv.tobytes() == cho_solve((lower, True), np.eye(q)).tobytes()
-            assert np.array_equal(eye, np.eye(q))  # right-hand side kept
-            b = rng.standard_normal((3, q)).T  # a non-contiguous view
-            assert cholesky_solve(lower, b).tobytes() == cho_solve((lower, True), b).tobytes()
+            expected = cho_solve((lower, True), np.eye(q))
+            inv = spd_inverse(m)
+            assert np.abs(inv - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_inverse_is_symmetric_keeps_input_and_takes_views(self):
+        rng = np.random.default_rng(2)
+        for q in (1, 2, 5, 9, 40):
+            a = rng.standard_normal((q, q))
+            m = a @ a.T + q * np.eye(q)
+            kept = m.copy()
+            inv = spd_inverse(m)
+            assert np.array_equal(inv, inv.T)
+            assert np.array_equal(m, kept)
+            strided = np.zeros((2 * q, 2 * q))
+            strided[::2, ::2] = m
+            assert np.array_equal(spd_inverse(strided[::2, ::2]), inv)
+
+    def test_inverse_rejects_indefinite(self):
+        with pytest.raises(NotPositiveDefinite):
+            spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_sampler_factors_invert_parent_blocks(self):
+        # F F' = inv(D_pa) for every vertex with earlier neighbours pa(v)
+        rng = np.random.default_rng(3)
+        g = UndirectedGraph.from_edges(
+            7, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)]
+        )
+        data = Dataset.from_matrix(rng.standard_normal((30, 7)))
+        hyper = Hyperparameters(g=0.3)
+        sampler = PrecisionSampler(data, g, hyper)
+        d = (1.0 + hyper.g) * data.gram
+        assert sampler._rows and max(len(row[1]) for row in sampler._rows) == 2
+        for _, pa, _, factor, _ in sampler._rows:
+            prod = factor @ factor.T @ d[np.ix_(pa, pa)]
+            assert np.allclose(prod, np.eye(len(pa)), rtol=0, atol=1e-12)
 
     def test_factor_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
@@ -82,11 +111,12 @@ class TestLogMultigamma:
         assert log_multigamma(2.5, 0) == 0.0
 
     def test_q1_is_plain_gammaln(self):
-        assert log_multigamma(1.5, 1) == pytest.approx(math.lgamma(1.5))
+        for a in (0.7, 1.5, 3.0, 12.5):
+            assert log_multigamma(a, 1) == math.lgamma(a)
 
     @pytest.mark.parametrize("q", [1, 2, 5, 17, 50])
     def test_matches_scipy(self, q):
-        for a in (q / 2 + 0.25, q * 1.0, q * 3.7):
+        for a in (q / 2 + 0.25, q / 2 + 0.5, q + 0.5, q * 1.0, q * 3.7, 3 * q + 0.5):
             assert log_multigamma(a, q) == pytest.approx(
                 multigammaln(a, q), rel=1e-12
             )

@@ -176,6 +176,16 @@ class TestEstimators:
             posterior_mean_precision(ar1_data, g, hyper),
         )
 
+    def test_estimates_are_exactly_symmetric(self, ar1_data):
+        # symmetric inverses and sums of them need no symmetrising pass
+        hyper = Hyperparameters(g=0.2)
+        g = ar1_data.truth.graph
+        for est in (
+            bayes_estimator_l2(ar1_data, g, hyper),
+            bayes_estimator_l1_stein(ar1_data, g, hyper, make_rng(3), mc_draws=20),
+        ):
+            assert np.array_equal(est, est.T)
+
     def test_stein_limit_complete_bivariate(self):
         # complete graph: E[Sigma | X] = (1+g) Gram / (n + nu - 2), so the
         # estimator converges to (n + nu - 2) inv((1+g) Gram)

@@ -72,6 +72,8 @@ class TestBuildTruth:
     def test_omega_sigma_are_inverses(self, kind, p):
         truth = build_truth(TrueModelSpec(kind, p))
         assert np.allclose(truth.omega @ truth.sigma, np.eye(p), atol=1e-10)
+        assert np.array_equal(truth.omega, truth.omega.T)
+        assert np.array_equal(truth.sigma, truth.sigma.T)
         assert np.all(np.linalg.eigvalsh(truth.omega) > 0)
 
     def test_star_positive_definiteness_boundary(self):
