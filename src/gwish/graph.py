@@ -11,7 +11,9 @@ graph has that edge and adds it otherwise (``UndirectedGraph.toggled``).
 Moves on a decomposable graph are tested locally, without re-running MCS
 (Giudici & Green 1999): with S = N(u) & N(v), adding (u, v) keeps the graph
 decomposable iff S separates u from v, and deleting it does iff S is
-complete.
+complete.  One add-candidate filter decides most additions without that
+separator search, from component labels (or the union-find roots of a
+``GrowingGraph``) and the common-neighbour test.
 """
 
 from __future__ import annotations
@@ -132,7 +134,9 @@ class UndirectedGraph:
         The ``blocked`` vertices are treated as removed from the graph; u and
         v must not be among them.  Blocking S = N(u) & N(v) turns this into
         the separator test for adding the edge (u, v) to a decomposable graph
-        (Giudici & Green 1999); see ``move_is_decomposable``.
+        (Giudici & Green 1999); see ``_addition_is_decomposable``.  Only
+        ``neighbor_sets`` is read, so the rule also runs it on a
+        ``GrowingGraph``.
         """
         if u == v:
             return True
@@ -297,6 +301,120 @@ def check_perfect_sequence(g: UndirectedGraph, seq: PerfectSequence) -> None:
             raise AssertionError("running intersection property violated")
 
 
+def _addition_is_decomposable(
+    g: "UndirectedGraph | GrowingGraph",
+    u: int,
+    v: int,
+    joined: bool | None = None,
+    acyclic: bool = False,
+) -> bool:
+    """Would adding the absent edge (u, v) keep the decomposable ``g``
+    decomposable?  It does iff S = N(u) & N(v) separates u from v.
+
+    This is the add-candidate filter plus the separator BFS.  Callers that
+    know the components decide most pairs without a search: ``joined`` is
+    False for u and v in different components (no path, so valid), and
+    ``acyclic`` marks a shared component that is a tree (its one u-v path
+    runs through the common neighbour, so valid when S is non-empty).  A
+    joined pair without a common neighbour is invalid: a shortest path plus
+    the edge is a chordless cycle.  Every other pair, and every pair when
+    ``joined`` is None (unknown), runs one BFS avoiding S.
+    """
+    if joined is False:
+        return True
+    nbrs = g.neighbor_sets
+    sep = nbrs[u] & nbrs[v]
+    if sep:
+        if acyclic:
+            return True
+    elif joined:
+        return False
+    return not UndirectedGraph.connected(g, u, v, blocked=sep)
+
+
+class GrowingGraph:
+    """A decomposable graph grown by single-edge additions, for greedy
+    passes that test many additions in a row.
+
+    It keeps mutable neighbour sets, the edge set and union-find component
+    roots that record whether their component has a cycle, so the
+    add-candidate filter of ``_addition_is_decomposable`` runs no search
+    for pairs in different components or in one tree, and rejects joined
+    pairs without a common neighbour outright.  It offers the reads that
+    the rule, ``UndirectedGraph.connected`` and
+    ``GraphScorer.log_posterior_delta`` make: ``p``, ``size``,
+    ``neighbor_sets`` and ``has_edge``.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.neighbor_sets: list[set[int]] = [set() for _ in range(p)]
+        self.edges: set[Edge] = set()
+        self._root = list(range(p))
+        self._cyclic = [False] * p  # read at roots only
+
+    @property
+    def size(self) -> int:
+        return len(self.edges)
+
+    def has_edge(self, i: int, j: int) -> bool:
+        return ((i, j) if i < j else (j, i)) in self.edges
+
+    def _find(self, x: int) -> int:
+        root = self._root
+        while root[x] != x:
+            root[x] = root[root[x]]  # path halving
+            x = root[x]
+        return x
+
+    def can_add(self, u: int, v: int) -> bool:
+        """Would adding the absent pair (u, v) keep the graph decomposable?"""
+        ru, rv = self._find(u), self._find(v)
+        return _addition_is_decomposable(self, u, v, ru == rv, not self._cyclic[ru])
+
+    def add(self, u: int, v: int) -> None:
+        """Add the edge (u, v) with u < v, which ``can_add`` has accepted."""
+        self.neighbor_sets[u].add(v)
+        self.neighbor_sets[v].add(u)
+        self.edges.add((u, v))
+        ru, rv = self._find(u), self._find(v)
+        if ru == rv:
+            self._cyclic[ru] = True
+        else:
+            self._root[ru] = rv
+            self._cyclic[rv] = self._cyclic[rv] or self._cyclic[ru]
+
+
+def _add_candidates(g: UndirectedGraph) -> tuple[list[int], list[Edge]]:
+    """The add-candidate filter on a whole graph.
+
+    Returns each vertex's component label and the absent pairs an addition
+    can qualify for, in row-major order: pairs in different components or
+    with a common neighbour.  The labels come from one depth-first
+    labelling and the common neighbours from one two-step adjacency
+    product.
+    """
+    nbrs = g.neighbor_sets
+    comp = [-1] * g.p
+    for root in range(g.p):
+        if comp[root] < 0:
+            comp[root] = root
+            stack = [root]
+            while stack:
+                for x in nbrs[stack.pop()]:
+                    if comp[x] < 0:
+                        comp[x] = root
+                        stack.append(x)
+    labels = np.asarray(comp)
+    adj = g.adjacency
+    # Common-neighbour counts in float32 go through BLAS and stay exact
+    # below 2**24 vertices; a narrow integer type would wrap.
+    a = adj.astype(np.float32)
+    mask = ~adj & (((a @ a) > 0) | (labels[:, None] != labels[None, :]))
+    rows, cols = np.nonzero(np.triu(mask, 1))
+    return comp, list(zip(rows.tolist(), cols.tolist()))
+
+
 def move_is_decomposable(g: UndirectedGraph, edge: Edge) -> bool:
     """Would the move on ``edge`` leave the graph decomposable?
 
@@ -310,28 +428,45 @@ def move_is_decomposable(g: UndirectedGraph, edge: Edge) -> bool:
       path plus the new edge is a chordless cycle);
     - deleting (u, v) is valid iff S is complete, i.e. the edge lies in
       exactly one maximal clique.
+
+    One pair knows nothing of the components, so an addition always runs
+    the separator BFS of ``_addition_is_decomposable``.
     """
     u, v = _normalize_edge(*edge)
-    sep = g.neighbor_sets[u] & g.neighbor_sets[v]
     if (u, v) in g.edges:
+        sep = g.neighbor_sets[u] & g.neighbor_sets[v]
         return _all_complete(g, [tuple(sep)])
-    return not g.connected(u, v, blocked=sep)
+    return _addition_is_decomposable(g, u, v)
 
 
 def decomposable_neighbors(g: UndirectedGraph) -> list[Edge]:
     """The edges whose single-edge move keeps the graph decomposable.
 
     Returned in lexicographic order; an edge of ``g`` names a deletion, any
-    other pair an addition.  Raises NotDecomposable if ``g`` is not.
+    other pair an addition.  Additions go through the add-candidate filter
+    of ``_add_candidates``: pairs in different components, and pairs with a
+    common neighbour in a tree, are added with no search, joined pairs
+    without a common neighbour are skipped, and only the rest run the
+    separator BFS.  Raises NotDecomposable if ``g`` is not decomposable.
     """
     if not is_decomposable(g):
         raise NotDecomposable("neighbourhood is defined for decomposable graphs only")
-    return [
-        (i, j)
-        for i in range(g.p)
-        for j in range(i + 1, g.p)
-        if move_is_decomposable(g, (i, j))
+    comp, cand = _add_candidates(g)
+    # a component is a tree iff it has one edge fewer than vertices
+    spare = [-1] * g.p
+    for x in comp:
+        spare[x] += 1
+    for i, _ in g.edges:
+        spare[comp[i]] -= 1
+    acyclic = [spare[x] == 0 for x in comp]
+    moves = [e for e in g.sorted_edges if move_is_decomposable(g, e)]
+    moves += [
+        (u, v)
+        for u, v in cand
+        if _addition_is_decomposable(g, u, v, comp[u] == comp[v], acyclic[u])
     ]
+    moves.sort()
+    return moves
 
 
 def random_decomposable_move(
@@ -340,34 +475,14 @@ def random_decomposable_move(
     """Apply one uniformly chosen decomposability-preserving ``kind`` move,
     ``add`` or ``delete``.
 
-    Candidates are shuffled and the first one that passes the local test of
-    ``move_is_decomposable`` is applied.  An addition can only qualify for
-    vertex pairs with a common neighbour or in different components
-    (connected pairs without one close a chordless cycle), so the add
-    candidates are that set, read in row-major pair order from one component
-    labelling and one two-step adjacency product.  Raises NoValidMove when no
-    move of the requested kind exists.
+    Candidates are shuffled and the first one that passes
+    ``move_is_decomposable`` is applied.  The add candidates are the pairs
+    that pass the add-candidate filter of ``_add_candidates`` (different
+    components or a common neighbour), in row-major order before the
+    shuffle.  Raises NoValidMove when no move of the requested kind exists.
     """
     if kind == "add":
-        nbrs = g.neighbor_sets
-        comp = [-1] * g.p
-        for root in range(g.p):
-            if comp[root] < 0:
-                comp[root] = root
-                stack = [root]
-                while stack:
-                    for x in nbrs[stack.pop()]:
-                        if comp[x] < 0:
-                            comp[x] = root
-                            stack.append(x)
-        labels = np.asarray(comp)
-        adj = g.adjacency
-        # Common-neighbour counts in float32 go through BLAS and stay exact
-        # below 2**24 vertices; a narrow integer type would wrap.
-        a = adj.astype(np.float32)
-        mask = ~adj & (((a @ a) > 0) | (labels[:, None] != labels[None, :]))
-        rows, cols = np.nonzero(np.triu(mask, 1))
-        cand = list(zip(rows.tolist(), cols.tolist()))
+        cand = _add_candidates(g)[1]
         rng.shuffle(cand)
         for e in cand:
             if move_is_decomposable(g, e):

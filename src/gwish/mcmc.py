@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoValidMove, NotDecomposable
+from .errors import NotDecomposable
 from .graph import (
     Edge,
     UndirectedGraph,
@@ -135,8 +135,6 @@ def _propose_uniform(
 ) -> tuple[Edge, float]:
     """The proposed edge and its log Hastings ratio log q(G|G') - log q(G'|G)."""
     m = g.max_edges
-    if m == 0:
-        raise NoValidMove("a single-vertex graph has no edge moves")
     k = g.size
     while True:
         if k == 0:
@@ -160,8 +158,6 @@ def _propose_exact(
 ) -> tuple[Edge, float, list[Edge]]:
     """The proposed edge, its log Hastings ratio and the neighbourhood of
     the graph it leads to."""
-    if not neighbors:
-        raise NoValidMove("graph has no decomposable neighbours")
     e = neighbors[int(rng.integers(len(neighbors)))]
     neighbors_new = decomposable_neighbors(g.toggled(*e))
     lqr = math.log(len(neighbors)) - math.log(len(neighbors_new))

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import CliqueTooLarge, DimensionMismatch, NotPositiveDefinite
 from .graph import (
     Edge,
+    GrowingGraph,
     PerfectSequence,
     UndirectedGraph,
     is_decomposable,
@@ -302,7 +303,7 @@ class GraphScorer:
             seq = perfect_sequence(g)
         return GraphScore(log_marginal=self.log_marginal(g, seq), log_prior=log_prior)
 
-    def move_delta(self, g: UndirectedGraph, edge: Edge) -> float:
+    def move_delta(self, g: UndirectedGraph | GrowingGraph, edge: Edge) -> float:
         """log_marginal_core(g') - log_marginal_core(g) for the move on ``edge``.
 
         g' is ``g.toggled(*edge)``: ``edge`` deleted if ``g`` has it, added
@@ -322,13 +323,16 @@ class GraphScorer:
         )
         return -delta if g.has_edge(u, v) else delta
 
-    def log_posterior_delta(self, g: UndirectedGraph, edge: Edge) -> float:
+    def log_posterior_delta(
+        self, g: UndirectedGraph | GrowingGraph, edge: Edge
+    ) -> float:
         """Log posterior of g' minus that of ``g`` for the move on ``edge``.
 
         The size-prior change plus ``move_delta``.  -inf when g' lies outside
         the support: more than r_max edges (the marginal is then never
         evaluated), or an addition whose new clique S | {u, v} has more
-        vertices than the sample size.
+        vertices than the sample size.  ``g`` may also be a ``GrowingGraph``,
+        which the thresholded-candidate walk scores as it grows.
         """
         u, v = edge
         adding = not g.has_edge(u, v)

@@ -9,9 +9,9 @@ import numpy as np
 
 from .graph import (
     Edge,
+    GrowingGraph,
     UndirectedGraph,
     decomposable_neighbors,
-    move_is_decomposable,
     random_decomposable_move,
 )
 from .model import (
@@ -63,15 +63,19 @@ class ModeSearchResult:
 
 
 def _ridge_edge_order(
-    data: Dataset, lam: float
-) -> list[tuple[float, int, int]]:
+    data: Dataset, lam: float, thresholds: tuple[float, ...]
+) -> tuple[list[Edge], list[int]]:
+    """Vertex pairs by decreasing |entry| of inv(Gram/n + lam I), ties by
+    (i, j), and the sorted distinct prefix lengths the thresholds keep (the
+    pairs whose weight exceeds each threshold)."""
     p = data.p
     w = spd_inverse(data.gram / data.n + lam * np.eye(p))
-    entries = [
-        (abs(float(w[i, j])), i, j) for i in range(p) for j in range(i + 1, p)
-    ]
-    entries.sort(key=lambda t: (-t[0], t[1], t[2]))
-    return entries
+    rows, cols = np.triu_indices(p, 1)
+    weights = np.abs(w[rows, cols])
+    order = np.lexsort((cols, rows, -weights))
+    lengths = np.searchsorted(-weights[order], -np.asarray(thresholds), side="left")
+    pairs = list(zip(rows[order].tolist(), cols[order].tolist()))
+    return pairs, np.unique(lengths).tolist()
 
 
 def candidate_graphs(
@@ -80,45 +84,42 @@ def candidate_graphs(
     """Decomposable candidates from ridge-inverse thresholding plus repair,
     each with its log posterior under ``scorer``.
 
-    For each ridge value, each threshold keeps a prefix of the edges sorted
+    For each ridge value, each threshold keeps a prefix of the pairs sorted
     by weight, and the greedy repair of that prefix is a candidate: the
     prefix walked in order, keeping each edge whose addition preserves
-    decomposability.  Since a longer prefix only appends edges, one greedy
-    pass per ridge value yields all prefixes.  Duplicates are dropped, order
-    is deterministic, and at most ``max_candidates`` (graph, log posterior)
-    pairs are returned.
+    decomposability.  Since a longer prefix only appends pairs, one
+    incremental walk per ridge value yields all prefixes.  The walk grows a
+    ``GrowingGraph``, whose add-candidate filter decides most pairs from
+    union-find components and common neighbours without a search, and it
+    builds an ``UndirectedGraph`` only for each new candidate.  Duplicates
+    are dropped, order is deterministic, and at most ``max_candidates``
+    (graph, log posterior) pairs are returned.
 
     A score is the empty graph's score plus the move deltas of the additions
-    along the pass.  A candidate outside the support scores -inf, and so
-    does every later one of its pass, since the pass only adds edges.
+    along the walk.  A candidate outside the support scores -inf, and so
+    does every later one of its walk, since the walk only adds edges.
     """
     config = config or CandidateConfig()
     data = scorer.data
     out: list[tuple[UndirectedGraph, float]] = []
     seen: set[frozenset] = set()
-    empty = UndirectedGraph.empty(data.p)
-    empty_lp = scorer.score(empty).log_posterior
+    empty_lp = scorer.score(UndirectedGraph.empty(data.p)).log_posterior
     for lam in config.ridge_grid:
-        entries = _ridge_edge_order(data, lam)
-        weights = np.array([t[0] for t in entries])
-        # prefix length for each threshold: edges with weight > tau
-        lengths = sorted(
-            {int(np.searchsorted(-weights, -tau, side="left"))
-             for tau in config.threshold_grid}
-        )
-        g, lp = empty, empty_lp
+        pairs, lengths = _ridge_edge_order(data, lam, config.threshold_grid)
+        walk = GrowingGraph(data.p)
+        lp = empty_lp
         consumed = 0
         for length in lengths:
-            while consumed < length:
-                _, i, j = entries[consumed]
-                consumed += 1
-                if move_is_decomposable(g, (i, j)):
+            for i, j in pairs[consumed:length]:
+                if walk.can_add(i, j):
                     if lp > -math.inf:
-                        lp += scorer.log_posterior_delta(g, (i, j))
-                    g = g.with_edge(i, j)
-            if g.edges not in seen:
-                seen.add(g.edges)
-                out.append((g, lp))
+                        lp += scorer.log_posterior_delta(walk, (i, j))
+                    walk.add(i, j)
+            consumed = length
+            edges = frozenset(walk.edges)
+            if edges not in seen:
+                seen.add(edges)
+                out.append((UndirectedGraph(data.p, edges), lp))
                 if len(out) >= config.max_candidates:
                     return out
     return out

@@ -1,5 +1,6 @@
 """Shared test plumbing: the Hypothesis profile, the random chordal graph
-strategy and the acceptance-criteria reporter.
+strategy, a counter of separator searches and the acceptance-criteria
+reporter.
 
 Property tests run derandomized, so every run draws the same examples, and
 without a deadline, since a single example can be slow on a busy host.
@@ -41,6 +42,21 @@ chordal_graphs = st.builds(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     steps=st.integers(min_value=0, max_value=40),
 )
+
+
+@pytest.fixture
+def separator_searches(monkeypatch):
+    """The argument tuples of every ``UndirectedGraph.connected`` call, the
+    one separator BFS behind every single-edge addition test."""
+    calls = []
+    search = UndirectedGraph.connected
+
+    def counted(g, *args, **kwargs):
+        calls.append(args)
+        return search(g, *args, **kwargs)
+
+    monkeypatch.setattr(UndirectedGraph, "connected", counted)
+    return calls
 
 
 class CriterionLog:

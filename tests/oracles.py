@@ -1,7 +1,10 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately written from first principles (brute force
-where feasible) rather than by calling the code under test.
+where feasible) rather than by calling the code under test.  The exceptions
+are the former per-pair implementations at the end, kept as references for
+their faster replacements: they call the library's single-move test and
+move delta, which have oracle tests of their own.
 """
 
 from __future__ import annotations
@@ -11,6 +14,10 @@ import math
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
+
+from gwish.errors import NotDecomposable
+from gwish.graph import UndirectedGraph, is_decomposable, move_is_decomposable
+from gwish.numerics import spd_inverse
 
 
 def chordless_cycle_exists(p: int, edges: set[tuple[int, int]]) -> bool:
@@ -251,3 +258,56 @@ def log_mc_mean_and_rel_se(log_values: np.ndarray) -> tuple[float, float]:
     mean = w.mean()
     rel_se = float(w.std(ddof=1) / math.sqrt(len(w)) / mean)
     return float(np.log(mean) + shift), rel_se
+
+
+def decomposable_neighbors_reference(g: UndirectedGraph) -> list[tuple[int, int]]:
+    """The decomposable single-edge neighbourhood, one local move test (and
+    for an absent pair one BFS) per vertex pair, in lexicographic order."""
+    if not is_decomposable(g):
+        raise NotDecomposable("neighbourhood is defined for decomposable graphs only")
+    return [
+        (i, j)
+        for i in range(g.p)
+        for j in range(i + 1, g.p)
+        if move_is_decomposable(g, (i, j))
+    ]
+
+
+def candidate_graphs_reference(scorer, config) -> list[tuple[UndirectedGraph, float]]:
+    """Thresholded candidates by the frozen-graph walk: pairs sorted as
+    Python tuples by (-weight, i, j), one ``move_is_decomposable`` test per
+    pair and a new graph per added edge, scored by the running sum of
+    ``log_posterior_delta``."""
+    data = scorer.data
+    p = data.p
+    out: list[tuple[UndirectedGraph, float]] = []
+    seen: set[frozenset] = set()
+    empty = UndirectedGraph.empty(p)
+    empty_lp = scorer.score(empty).log_posterior
+    for lam in config.ridge_grid:
+        w = spd_inverse(data.gram / data.n + lam * np.eye(p))
+        entries = [
+            (abs(float(w[i, j])), i, j) for i in range(p) for j in range(i + 1, p)
+        ]
+        entries.sort(key=lambda t: (-t[0], t[1], t[2]))
+        weights = np.array([t[0] for t in entries])
+        lengths = sorted(
+            {int(np.searchsorted(-weights, -tau, side="left"))
+             for tau in config.threshold_grid}
+        )
+        g, lp = empty, empty_lp
+        consumed = 0
+        for length in lengths:
+            while consumed < length:
+                _, i, j = entries[consumed]
+                consumed += 1
+                if move_is_decomposable(g, (i, j)):
+                    if lp > -math.inf:
+                        lp += scorer.log_posterior_delta(g, (i, j))
+                    g = g.with_edge(i, j)
+            if g.edges not in seen:
+                seen.add(g.edges)
+                out.append((g, lp))
+                if len(out) >= config.max_candidates:
+                    return out
+    return out

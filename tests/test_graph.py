@@ -23,7 +23,7 @@ from gwish.model import Dataset, GraphScorer, Hyperparameters
 from gwish.numerics import make_rng
 
 from conftest import chordal_graphs
-from oracles import chordal_by_cycle_scan, reachable
+from oracles import chordal_by_cycle_scan, decomposable_neighbors_reference, reachable
 
 
 def all_graphs(p):
@@ -245,6 +245,36 @@ class TestLocalMoveRules:
         except NoValidMove:
             pass
         assert recorder.seen == expected
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(chordal_graphs)
+    def test_neighbors_match_per_pair_reference(self, g):
+        assert decomposable_neighbors(g) == decomposable_neighbors_reference(g)
+
+
+class TestNoPerPairSearch:
+    """Pairs that the add-candidate filter decides run no separator BFS."""
+
+    def test_empty_graph_and_path_neighbourhoods(self, separator_searches):
+        p = 8
+        empty = UndirectedGraph.empty(p)
+        path = UndirectedGraph.from_edges(p, [(i, i + 1) for i in range(p - 1)])
+        # every pair of the empty graph lies in different components; a path
+        # is a tree, so each pair two steps apart is separated by its middle
+        # vertex, and pairs further apart have no common neighbour
+        assert decomposable_neighbors(empty) == list(itertools.combinations(range(p), 2))
+        assert decomposable_neighbors(path) == sorted(
+            [(i, i + 1) for i in range(p - 1)] + [(i, i + 2) for i in range(p - 2)]
+        )
+        assert separator_searches == []
+
+    def test_cycle_in_component_needs_the_search(self, separator_searches):
+        # a triangle with a tail: (0, 3) has common neighbour 2 in a component
+        # with a cycle, so only the BFS avoiding {2} can accept it
+        g = UndirectedGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        assert (0, 3) in decomposable_neighbors(g)
+        assert separator_searches
 
 
 class TestMoveDelta:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gwish.errors import NotDecomposable, NoValidMove
+from gwish.errors import NotDecomposable
 from gwish.graph import (
     UndirectedGraph,
     decomposable_neighbors,
@@ -87,10 +87,6 @@ class TestUniformProposal:
         assert edge == (0, 2)
         assert is_decomposable(g.toggled(*edge))
 
-    def test_single_vertex_has_no_moves(self):
-        with pytest.raises(NoValidMove):
-            _propose_uniform(UndirectedGraph.empty(1), FakeRng())
-
 
 class TestExactProposal:
     def test_neighbourhood_ratio(self):
@@ -105,11 +101,6 @@ class TestExactProposal:
         assert nbrs_new == decomposable_neighbors(g.with_edge(0, 2))
         assert len(nbrs_new) == 6
         assert lqr == pytest.approx(math.log(5.0 / 6.0), abs=1e-12)
-
-    def test_no_neighbours_raises(self):
-        with pytest.raises(NoValidMove):
-            g = UndirectedGraph.empty(1)
-            _propose_exact(g, FakeRng(), decomposable_neighbors(g))
 
     def test_unknown_kernel(self, small_data):
         # raised before any draw: FakeRng has none to give

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwish.graph import (
     UndirectedGraph,
@@ -27,6 +29,8 @@ from gwish.search import (
     threshold_init,
 )
 from gwish.simulate import TrueModelSpec, build_truth, sample_dataset
+
+from oracles import candidate_graphs_reference
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +109,46 @@ class TestCandidates:
         assert cand.size > 0
         best = threshold_init(ar1_data, Hyperparameters(g=0.2, r_max=0), config)
         assert best == UndirectedGraph.empty(4)
+
+
+class TestCandidateWalk:
+    """The incremental walk against the frozen-graph walk it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p=st.integers(2, 14),
+        n=st.integers(3, 40),
+        seed=st.integers(0, 2**32 - 1),
+        r_max=st.sampled_from([None, 0, 2, 5]),
+        ridge=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=3),
+        thresholds=st.lists(st.floats(0.0, 0.6), min_size=1, max_size=6),
+        max_candidates=st.integers(1, 40),
+    )
+    def test_same_graphs_and_scores_as_reference(
+        self, p, n, seed, r_max, ridge, thresholds, max_candidates
+    ):
+        # mixed columns give the ridge inverses some structure; with n as low
+        # as 3 the walk reaches cliques larger than n, which score -inf
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p)) @ (np.eye(p) + 0.5 * rng.standard_normal((p, p)))
+        data = Dataset.from_matrix(x)
+        hyper = Hyperparameters(g=0.2, r_max=r_max)
+        config = CandidateConfig(tuple(ridge), tuple(thresholds), max_candidates)
+        got = candidate_graphs(GraphScorer(data, hyper), config)
+        want = candidate_graphs_reference(GraphScorer(data, hyper), config)
+        assert got == want
+
+    def test_forest_walk_runs_no_separator_search(self, separator_searches):
+        # The strongest pairs of this ar1 sample are the seven path edges,
+        # then (3, 6) at 0.055, three steps apart on the path.  The walk joins
+        # components, then skips (3, 6): connected with no common neighbour.
+        truth = build_truth(TrueModelSpec(kind="ar1", p=8))
+        data = sample_dataset(truth, n=400, rng=make_rng(31))
+        config = CandidateConfig(ridge_grid=(0.1,), threshold_grid=(0.45, 0.3, 0.05))
+        cands = graphs(data, config)
+        assert [g.size for g in cands] == [3, 7]
+        assert cands[-1] == truth.graph
+        assert separator_searches == []
 
 
 class TestShotgun:
