@@ -192,10 +192,12 @@ def _chain_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--thin", type=int, default=1)
 
 
-def _chain_config(args, sample_precision: bool = False, track: bool = False) -> ChainConfig:
+def _chain_config(
+    args, p: int, sample_precision: bool = False, track: bool = False
+) -> ChainConfig:
     init: UndirectedGraph | str = args.init
     if args.init_graph:
-        init = read_edge_list(args.init_graph)
+        init = read_edge_list(args.init_graph, p=p)
     return ChainConfig(
         iterations=args.iterations,
         burn_in=args.burn_in,
@@ -212,12 +214,12 @@ def _chain_config(args, sample_precision: bool = False, track: bool = False) -> 
 def _cmd_mcmc(args) -> int:
     data = _load_dataset(args)
     hyper = _resolve_hyper(args, data.n, data.p)
-    out = _outdir(args)
     config = _chain_config(
-        args, sample_precision=args.sample_precision, track=args.p4_oracle
+        args, data.p, sample_precision=args.sample_precision, track=args.p4_oracle
     )
     if args.p4_oracle and data.p != 4:
         raise UsageError("--p4-oracle requires 4-column data")
+    out = _outdir(args)
     result = run_chain(config, data, hyper)
     median = median_probability_graph(result)
     _write_matrix(out / "inclusion.csv", result.inclusion)
@@ -373,7 +375,6 @@ def _cmd_ratio_experiment(args) -> int:
 def _cmd_estimate(args) -> int:
     data = _load_dataset(args)
     hyper = _resolve_hyper(args, data.n, data.p)
-    out = _outdir(args)
     meta = {
         "command": "estimate",
         "estimator": args.estimator,
@@ -396,7 +397,7 @@ def _cmd_estimate(args) -> int:
             meta["mc_draws"] = args.mc_draws
         meta["graph_edges"] = graph.size
     else:  # mcmc
-        config = _chain_config(args, sample_precision=True)
+        config = _chain_config(args, data.p, sample_precision=True)
         result = run_chain(config, data, hyper)
         if result.precision_mean is None:
             raise UsageError("mcmc estimator needs iterations > 0")
@@ -409,20 +410,34 @@ def _cmd_estimate(args) -> int:
             precision_draws=result.precision_draws,
             acceptance_rate=result.acceptance_rate,
         )
+    out = _outdir(args)
     _write_matrix(out / "omega_hat.csv", omega)
     _write_meta(out, meta)
     return 0
 
 
 def _cmd_metrics(args) -> int:
-    out = _outdir(args)
-    did_something = False
-    summary: dict = {"command": "metrics"}
-    if args.graph or args.truth:
-        if not (args.graph and args.truth):
-            raise UsageError("--graph and --truth go together")
+    if bool(args.graph) != bool(args.truth):
+        raise UsageError("--graph and --truth go together")
+    if bool(args.omega) != bool(args.omega0):
+        raise UsageError("--omega and --omega0 go together")
+    if not (args.graph or args.omega):
+        raise UsageError("nothing to do: pass --graph/--truth and/or --omega/--omega0")
+    if args.graph:
         est = read_edge_list(args.graph, p=args.p)
         tru = read_edge_list(args.truth, p=args.p)
+        if est.p != tru.p:
+            raise UsageError(f"--graph has p={est.p} but --truth has p={tru.p}")
+    if args.omega:
+        est_m = _read_matrix(args.omega)
+        tru_m = _read_matrix(args.omega0)
+        if est_m.shape != tru_m.shape:
+            raise UsageError(
+                f"--omega has shape {est_m.shape} but --omega0 has shape {tru_m.shape}"
+            )
+    out = _outdir(args)
+    summary: dict = {"command": "metrics"}
+    if args.graph:
         rep = selection_report(est, tru)
         row = {
             "tp": rep.counts.tp,
@@ -439,20 +454,12 @@ def _cmd_metrics(args) -> int:
             fh.write(",".join(row.keys()) + "\n")
             fh.write(",".join(repr(v) for v in row.values()) + "\n")
         summary["selection"] = row
-        did_something = True
-    if args.omega or args.omega0:
-        if not (args.omega and args.omega0):
-            raise UsageError("--omega and --omega0 go together")
-        est_m = _read_matrix(args.omega)
-        tru_m = _read_matrix(args.omega0)
+    if args.omega:
         errs = relative_errors(est_m, tru_m)
         with open(out / "errors.csv", "w") as fh:
             fh.write(",".join(errs.keys()) + "\n")
             fh.write(",".join(repr(v) for v in errs.values()) + "\n")
         summary["relative_errors"] = errs
-        did_something = True
-    if not did_something:
-        raise UsageError("nothing to do: pass --graph/--truth and/or --omega/--omega0")
     print(json.dumps(summary, indent=2, sort_keys=True))
     _write_meta(out, summary)
     return 0

@@ -526,10 +526,11 @@ def read_edge_list(path: str, p: int | None = None) -> UndirectedGraph:
     """Read a 1-based edge list; vertex count from a ``p=`` header or ``p``.
 
     Blank lines and ``#`` comments are ignored.  A header and an explicit
-    ``p`` must agree when both are given.
+    ``p`` must agree when both are given.  Raises ValueError, naming the
+    line as written, for a line that is not two distinct vertices in 1..p.
     """
     header_p: int | None = None
-    edges: list[Edge] = []
+    pairs: list[tuple[str, int, int]] = []
     with open(path) as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
@@ -538,14 +539,19 @@ def read_edge_list(path: str, p: int | None = None) -> UndirectedGraph:
             if line.startswith("p="):
                 header_p = int(line[2:])
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"malformed edge line {line!r}")
-            i, j = int(parts[0]) - 1, int(parts[1]) - 1
-            edges.append((i, j))
+            try:
+                i, j = (int(v) for v in line.split())
+            except ValueError:
+                raise ValueError(f"malformed edge line {line!r}") from None
+            pairs.append((line, i, j))
     if header_p is not None and p is not None and header_p != p:
         raise ValueError(f"header p={header_p} conflicts with supplied p={p}")
     final_p = header_p if header_p is not None else p
     if final_p is None:
         raise ValueError("vertex count missing: no p= header and no p argument")
-    return UndirectedGraph.from_edges(final_p, edges)
+    for line, i, j in pairs:
+        if i == j or not (1 <= i <= final_p and 1 <= j <= final_p):
+            raise ValueError(
+                f"edge line {line!r} is not two distinct vertices in 1..{final_p}"
+            )
+    return UndirectedGraph.from_edges(final_p, [(i - 1, j - 1) for _, i, j in pairs])

@@ -1,20 +1,17 @@
 """Metropolis-Hastings over decomposable graphs.
 
 A proposal is one edge: the move deletes it from the current graph if
-present and adds it otherwise.  The ``uniform`` kernel picks a uniformly
-chosen existing edge or a uniformly chosen absent one (coin between the
-two), redrawing until the move keeps the graph decomposable; its Hastings
-ratio is computed from the uniform kernel as written, without a
-decomposability correction.  The ``exact`` kernel draws uniformly from the
-decomposable single-edge neighbourhood and corrects by the neighbourhood
-sizes, giving an exactly invariant chain at the cost of enumerating
-neighbourhoods.
+present and adds it otherwise.  The ``uniform`` kernel flips a fair coin
+and draws one existing edge (delete) or one absent pair (add), uniformly.
+The ``exact`` kernel draws uniformly from the decomposable single-edge
+neighbourhood and corrects by the neighbourhood sizes.  Both leave the
+graph posterior invariant.
 
-A proposal is scored by the clique-local four-term delta of
-``GraphScorer.log_posterior_delta``; only an accepted move builds the new
-graph and gives it a full clique/separator score, so every recorded score
-is exact.  A proposal outside the support (more than r_max edges, or a
-clique larger than n) has a delta of -inf and is rejected.
+The support is the decomposable graphs with at most r_max edges and no
+clique larger than n; a proposal outside it is a rejected step, never an
+error (Giudici & Green 1999).  Other proposals are scored by the four-term
+delta of ``GraphScorer.log_posterior_delta``; only an accepted move builds
+the new graph and gives it a full score, so every recorded score is exact.
 """
 
 from __future__ import annotations
@@ -132,25 +129,23 @@ def _uniform_absent_pair(
 
 def _propose_uniform(
     g: UndirectedGraph, rng: np.random.Generator
-) -> tuple[Edge, float]:
-    """The proposed edge and its log Hastings ratio log q(G|G') - log q(G'|G)."""
+) -> tuple[Edge, float] | None:
+    """One fair coin, then one uniform edge (delete) or absent pair (add),
+    with its log Hastings ratio log q(G|G') - log q(G'|G); None when the
+    coin finds no edge of its kind or the move breaks decomposability."""
     m = g.max_edges
     k = g.size
-    while True:
+    if rng.random() < 0.5:
         if k == 0:
-            kind = "add"  # the delete coin would be redrawn forever
-        elif k == m:
-            kind = "delete"
-        else:
-            kind = "delete" if rng.random() < 0.5 else "add"
-        if kind == "delete":
-            e = g.sorted_edges[int(rng.integers(k))]
-            if move_is_decomposable(g, e):
-                return e, math.log(k) - math.log(m - k + 1)
-        else:
-            e = _uniform_absent_pair(g, rng)
-            if move_is_decomposable(g, e):
-                return e, math.log(m - k) - math.log(k + 1)
+            return None
+        e = g.sorted_edges[int(rng.integers(k))]
+        lqr = math.log(k) - math.log(m - k + 1)
+    else:
+        if k == m:
+            return None
+        e = _uniform_absent_pair(g, rng)
+        lqr = math.log(m - k) - math.log(k + 1)
+    return (e, lqr) if move_is_decomposable(g, e) else None
 
 
 def _propose_exact(
@@ -172,11 +167,12 @@ def mh_step(
 ) -> tuple[ChainState, bool]:
     """Advance one Metropolis-Hastings step; returns (state, accepted).
 
-    The proposed edge is scored by one four-term delta against the current
-    state's cached score; the new graph is built and fully scored only on
-    acceptance, so the carried score is always exact.  A single vertex has
-    no edge to move, so there every step is a rejected proposal that draws
-    nothing.  Raises ValueError for a kernel not in KERNELS.
+    A uniform draw with no posterior mass is rejected before it is scored
+    or an acceptance variate is drawn; a move past r_max or to a clique
+    larger than n is scored, with a delta of -inf.  Only an accepted move
+    builds and fully scores the new graph.  At p = 1 every step is a
+    rejected proposal that draws nothing.  Raises ValueError for a kernel
+    not in KERNELS.
     """
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
@@ -188,8 +184,10 @@ def mh_step(
             state.neighbors = decomposable_neighbors(state.graph)
         edge, lqr, nbrs_new = _propose_exact(state.graph, rng, state.neighbors)
     else:
-        edge, lqr = _propose_uniform(state.graph, rng)
-        nbrs_new = None
+        proposal = _propose_uniform(state.graph, rng)
+        if proposal is None:
+            return state, False
+        (edge, lqr), nbrs_new = proposal, None
     log_alpha = scorer.log_posterior_delta(state.graph, edge) + lqr
     u = rng.random()
     if math.log(u) < log_alpha:

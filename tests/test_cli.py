@@ -131,6 +131,20 @@ class TestMcmc:
         best = read_edge_list(str(out / "best_graph.edges"))
         assert max(len(c) for c in perfect_sequence(best).cliques) <= 3
 
+    def test_init_graph_must_match_data_p(self, data_dir, tmp_path, capsys):
+        wrong = tmp_path / "p5.edges"
+        write_edge_list(UndirectedGraph.from_edges(5, [(0, 1)]), str(wrong))
+        out = tmp_path / "chain"
+        assert run("mcmc", "--data", data_dir, "--init-graph", wrong,
+                   "--iterations", 10, "--burn-in", 0, "--out", out) == 2
+        assert "p=5" in capsys.readouterr().err
+        assert not (out / "meta.json").exists()
+        # a header-less edge list takes p from the data
+        bare = tmp_path / "bare.edges"
+        bare.write_text("1 2\n3 4\n")
+        assert run("mcmc", "--data", data_dir, "--init-graph", bare,
+                   "--iterations", 10, "--burn-in", 0, "--out", out) == 0
+
     def test_missing_data_exit_2(self, tmp_path):
         assert run("mcmc", "--out", tmp_path / "o", "--iterations", 1,
                    "--burn-in", 0) == 2
@@ -297,6 +311,34 @@ class TestMetrics:
         gpath = tmp_path / "g.edges"
         write_edge_list(UndirectedGraph.empty(3), str(gpath))
         assert run("metrics", "--graph", gpath, "--out", tmp_path / "m") == 2
+
+
+    @pytest.mark.parametrize("line", ["1 9", "0 1", "2 2", "1 2 3", "1 b"])
+    def test_malformed_edge_line_exits_2(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.edges"
+        bad.write_text(f"p=4\n1 2\n{line}\n")
+        good = tmp_path / "good.edges"
+        write_edge_list(UndirectedGraph.empty(4), str(good))
+        out = tmp_path / "m"
+        assert run("metrics", "--graph", bad, "--truth", good, "--out", out) == 2
+        assert repr(line) in capsys.readouterr().err
+        assert not (out / "meta.json").exists()
+
+    @pytest.mark.parametrize("pair", ["graphs", "matrices"])
+    def test_mismatched_pair_exits_2(self, tmp_path, capsys, pair):
+        a, b = tmp_path / "a", tmp_path / "b"
+        if pair == "graphs":
+            write_edge_list(UndirectedGraph.empty(4), str(a))
+            write_edge_list(UndirectedGraph.empty(5), str(b))
+            flags = ("--graph", a, "--truth", b)
+        else:
+            np.savetxt(a, np.eye(3), delimiter=",")
+            np.savetxt(b, np.eye(4), delimiter=",")
+            flags = ("--omega", a, "--omega0", b)
+        out = tmp_path / "m"
+        assert run("metrics", *flags, "--out", out) == 2
+        assert "metrics: " in capsys.readouterr().err
+        assert not (out / "meta.json").exists()
 
 
 class TestNonFiniteData:

@@ -97,13 +97,13 @@ GOLDEN = {
         "chain/best_graph.edges":
             "7679dc41a7fcd4a5856151014e0bbbef81170042597cb979752bf38ec83c9b83",
         "chain/inclusion.csv":
-            "35b2d210892ae60ebdf33ad104aa1c82a8ad5e7b86570eae566193c50f279f4f",
+            "d08ddfb031b613b280b30323b1e88c32f7ac9dc50458f755e587aaa1822134ad",
         "chain/median_graph.edges":
             "7679dc41a7fcd4a5856151014e0bbbef81170042597cb979752bf38ec83c9b83",
         "chain/meta.json":
-            "bf1d6a6d07057490f1dfcffb319a86418907148214112aa7c339045a653c6fcf",
+            "0c189eadc6915cd15cb71e316ec95b5aeeb7fed22e447abb87e36c00f679e68b",
         "chain/trace.csv":
-            "42d25c19ee0488cba700edf9816ee963e3bff6cff991f62a795e88e98dea0f39",
+            "54b5c689dda836403a2914dd819192bdcc47d481157ce0b828556a86262676bb",
         "data/X.csv":
             "cb54de56bd608bd0b7c8c5451c0d20d16a41359c25802743cbe56cb634f18aa0",
         "data/graph0.edges":
@@ -157,9 +157,9 @@ GOLDEN = {
         "l2/omega_hat.csv":
             "35db384cf5078b2a328be65e3690f03f6add298205c2b76e1e5bc99b8ede351b",
         "mcmc/meta.json":
-            "803622856120db8714b4e4ee31eab80252f5e2d7f446db2bc1ce566a1db4878f",
+            "757be386ba30e8228ebd5685f260dc751d837239927454fc4c902587a9db93cc",
         "mcmc/omega_hat.csv":
-            "5f8a0674beb4eccae59e20b894c402004a7021bd5f714703bdeba522ca2eba03",
+            "c9350a993bd2167cc9e98eef30fe77d5d133dfaf6a7c6984237e6230d47082be",
     }),
     "exact": (exact_pipeline, {
         "chain/best_graph.edges":
@@ -205,25 +205,25 @@ GOLDEN = {
         "uniform/best_graph.edges":
             "ebf0da8fdb740f4dc1033b404b9b6e46a2777bf45d37e9fa6fdb9d1af2f8dc2c",
         "uniform/inclusion.csv":
-            "2ca5e152b265c55234fb458354a31dce0f4cefc1689d109d4c766793765a2713",
+            "353bfa4f19f2c52106e3d4a0b2954505e6524505c7cde1ed0352d33f94c2d8e4",
         "uniform/median_graph.edges":
             "ebf0da8fdb740f4dc1033b404b9b6e46a2777bf45d37e9fa6fdb9d1af2f8dc2c",
         "uniform/meta.json":
-            "5a2f3c0d35595b4d50c42036dd603294da0ec95599a64aa9d4b1155381e3b24b",
+            "aa1a1f0440862f03adc64cc44a76ad23c2437c96fcebcbb649ee1fe96a670413",
         "uniform/trace.csv":
-            "4ee8a1f6e5ce73efe05157cd1bc62bb804620d8e33289ff13467b3b32431fa5a",
+            "9cdc49f52c4ddcee77c51c3ef1be4b163b51b0a00df38a9cb85714a8c8d95309",
     }),
     "small_n": (small_n_pipeline, {
         "chain/best_graph.edges":
             "69edabcd32c9c33726fcf6eece25443c2af1693768f53abdbce1e1256544af59",
         "chain/inclusion.csv":
-            "20be8e4289f0a6738bc587c9e850986598ed8dce2837c2d66024b2b95ccdd3db",
+            "16210d341d645c6edc720ec7838fd428c7e13e1d7fee926504a0cb0fbf8db210",
         "chain/median_graph.edges":
-            "3d4b279e14f183ba4b043e08939cadd7836f0df02b283b8787337846c6108823",
+            "c47b9ec2a88400eaa43fd528ce5f6b6612ac58c31005f15a7959bb32ea254a0e",
         "chain/meta.json":
-            "077e0a875f61357d4efb20d72f132c14c5184c199d953c9910f27630f2093fed",
+            "653808b06addec8663a39768497692b448c344c896b5a5db6707aaf5a93b9551",
         "chain/trace.csv":
-            "76d174ef7cf404cefa8db3ddf11f875721782d88dfde4cf749a2ccf1575e2db4",
+            "3eb5812268cf2e6a74f0d002939357618202211940be3d99304124aa716c4c74",
         "data/X.csv":
             "e579906094dab8c41d25b5a6b1c010977c9bf471a753ef69a1810f5ed4c876f5",
         "data/graph0.edges":

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from gwish.errors import NotDecomposable
-from gwish.graph import (
-    UndirectedGraph,
-    decomposable_neighbors,
-    is_decomposable,
-)
+from gwish.graph import UndirectedGraph, decomposable_neighbors
 from gwish.mcmc import (
     ChainConfig,
     ChainResult,
@@ -43,6 +39,13 @@ class FakeRng:
         return v
 
 
+class NoScorer:
+    """Fails the test on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"scorer.{name} used")
+
+
 def path_graph(p, k):
     return UndirectedGraph.from_edges(p, [(i, i + 1) for i in range(k)])
 
@@ -65,27 +68,27 @@ class TestUniformProposal:
         assert edge == (0, 1) and g.has_edge(*edge)
         assert lqr == pytest.approx(math.log(5.0 / 41.0), abs=1e-12)
 
-    def test_forced_add_from_empty(self):
-        g = UndirectedGraph.empty(4)
-        rng = FakeRng(randoms=[], ints=[1, 1])  # no coin consumed; pair -> (1, 2)
-        edge, lqr = _propose_uniform(g, rng)
-        assert edge == (1, 2)
-        assert lqr == pytest.approx(math.log(6.0), abs=1e-12)
+    # a draw with no posterior mass is a rejected step before any score or
+    # acceptance draw: the FakeRng has no u to give, NoScorer fails on use
+    @pytest.mark.parametrize(
+        "g, coin",
+        [(UndirectedGraph.empty(4), 0.1), (UndirectedGraph.complete(4), 0.9)],
+        ids=["delete-coin-on-empty", "add-coin-on-complete"],
+    )
+    def test_coin_without_an_edge_is_rejected(self, g, coin):
+        state = ChainState(g, None)
+        rng = FakeRng(randoms=[coin])
+        new, accepted = mh_step(state, NoScorer(), "uniform", rng)
+        assert new is state and not accepted
+        assert rng.randoms == [] and rng.ints == []
 
-    def test_forced_delete_from_complete(self):
-        g = UndirectedGraph.complete(3)
-        rng = FakeRng(randoms=[], ints=[0])
-        edge, lqr = _propose_uniform(g, rng)
-        assert edge == (0, 1) and g.has_edge(*edge)
-        assert lqr == pytest.approx(math.log(3.0), abs=1e-12)
-
-    def test_resamples_until_decomposable(self):
-        # path 0-1-2-3: adding (0,3) closes a four-cycle and must be redrawn
-        g = path_graph(4, 3)
-        rng = FakeRng(randoms=[0.9, 0.9], ints=[0, 2, 0, 1])  # (0,3) then (0,2)
-        edge, _ = _propose_uniform(g, rng)
-        assert edge == (0, 2)
-        assert is_decomposable(g.toggled(*edge))
+    def test_non_decomposable_move_is_rejected(self):
+        # path 0-1-2-3: adding (0,3) closes a chordless four-cycle
+        state = ChainState(path_graph(4, 3), None)
+        rng = FakeRng(randoms=[0.9], ints=[0, 2])  # coin -> add, pair -> (0, 3)
+        new, accepted = mh_step(state, NoScorer(), "uniform", rng)
+        assert new is state and not accepted
+        assert rng.randoms == [] and rng.ints == []
 
 
 class TestExactProposal:
@@ -271,6 +274,23 @@ class TestScoreBookkeeping:
         assert res.acceptance_rate > 0.0
 
 
+def tv_to_exact_posterior(p, n, data_seed, g, kernel, iterations, burn_in, seed):
+    """TV distance between a chain's visit frequencies on ar1 data and the
+    enumerated posterior."""
+    truth = build_truth(TrueModelSpec(kind="ar1", p=p))
+    data = sample_dataset(truth, n=n, rng=make_rng(data_seed))
+    hyper = Hyperparameters(g=g)
+    res = run_chain(
+        ChainConfig(
+            iterations=iterations, burn_in=burn_in, seed=seed, kernel=kernel,
+            track_graphs=True,
+        ),
+        data,
+        hyper,
+    )
+    return tv_distance(visit_frequencies(res), exact_posterior(data, hyper))
+
+
 class TestPosteriorSummaries:
     def test_median_graph_threshold_is_strict(self):
         inclusion = np.zeros((3, 3))
@@ -316,19 +336,21 @@ class TestPosteriorSummaries:
         assert tv_distance({a: 0.5, b: 0.5}, {a: 1.0}) == pytest.approx(0.5)
 
     def test_chain_approaches_exact_posterior_p3(self):
-        truth = build_truth(TrueModelSpec(kind="ar1", p=3))
-        data = sample_dataset(truth, n=40, rng=make_rng(2))
-        hyper = Hyperparameters(g=0.3)
-        exact = exact_posterior(data, hyper)
-        res = run_chain(
-            ChainConfig(
-                iterations=8000, burn_in=1000, seed=7, kernel="exact", track_graphs=True
-            ),
-            data,
-            hyper,
-        )
-        freq = visit_frequencies(res)
-        assert tv_distance(freq, exact) < 0.1
+        assert tv_to_exact_posterior(
+            p=3, n=40, data_seed=2, g=0.3, kernel="exact",
+            iterations=8000, burn_in=1000, seed=7,
+        ) < 0.1
+
+    # criterion 3's data, chain seed and bound at p = 4 and 5; the exact
+    # kernel at p = 4 is criterion 3 itself
+    @pytest.mark.parametrize(
+        "kernel, p", [("uniform", 4), ("uniform", 5), ("exact", 5)]
+    )
+    def test_kernel_approaches_exact_posterior(self, kernel, p):
+        assert tv_to_exact_posterior(
+            p=p, n=200, data_seed=42, g=0.2, kernel=kernel,
+            iterations=50_000, burn_in=5_000, seed=0,
+        ) <= 0.05
 
     def test_visit_frequencies_requires_tracking(self, small_data):
         res = run_chain(
