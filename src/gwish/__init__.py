@@ -63,7 +63,6 @@ from .search import (
     CandidateConfig,
     ModeSearchResult,
     bayes_estimator_l1_stein,
-    bayes_estimator_l2,
     candidate_graphs,
     hybrid_mode,
     shotgun_search,

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +34,13 @@ from .model import (
     PRESETS,
     log_pairwise_bayes_factor,
     log_posterior_ratio,
+    posterior_mean_precision,
     theory_r_max,
 )
 from .numerics import make_rng
 from .search import (
     CandidateConfig,
     bayes_estimator_l1_stein,
-    bayes_estimator_l2,
     hybrid_mode,
 )
 from .simulate import (
@@ -123,15 +124,6 @@ def _resolve_hyper(args, n: int, p: int) -> Hyperparameters:
         return Hyperparameters(nu=args.nu, g=g, c_tau=args.c_tau, r_max=r_max)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _hyper_meta(hyper: Hyperparameters) -> dict:
-    return {
-        "nu": hyper.nu,
-        "g": hyper.g,
-        "c_tau": hyper.c_tau,
-        "r_max": hyper.r_max,
-    }
 
 
 def _load_dataset(args) -> Dataset:
@@ -247,7 +239,7 @@ def _cmd_mcmc(args) -> int:
         "kernel": config.kernel,
         "init": str(config.init),
         "thin": config.thin,
-        "hyper": _hyper_meta(hyper),
+        "hyper": asdict(hyper),
         "acceptance_rate": result.acceptance_rate,
         "best_log_posterior": result.best_score.log_posterior,
         "median_graph_edges": median.size,
@@ -268,7 +260,6 @@ def _cmd_mcmc(args) -> int:
 def _cmd_search(args) -> int:
     data = _load_dataset(args)
     hyper = _resolve_hyper(args, data.n, data.p)
-    out = _outdir(args)
     kwargs = {}
     if args.ridge_grid:
         kwargs["ridge_grid"] = tuple(float(v) for v in args.ridge_grid.split(","))
@@ -276,7 +267,7 @@ def _cmd_search(args) -> int:
         kwargs["threshold_grid"] = tuple(
             float(v) for v in args.threshold_grid.split(",")
         )
-    if args.max_candidates:
+    if args.max_candidates is not None:
         kwargs["max_candidates"] = args.max_candidates
     config = CandidateConfig(**kwargs)
     rng = make_rng(args.seed, args.stream)
@@ -287,6 +278,7 @@ def _cmd_search(args) -> int:
         search_iters=args.search_iters,
         rng=rng,
     )
+    out = _outdir(args)
     write_edge_list(result.mode_graph, str(out / "mode_graph.edges"))
     payload = {
         "log_marginal": result.mode_score.log_marginal,
@@ -310,7 +302,7 @@ def _cmd_search(args) -> int:
             "ridge_grid": list(config.ridge_grid),
             "threshold_grid_size": len(config.threshold_grid),
             "max_candidates": config.max_candidates,
-            "hyper": _hyper_meta(hyper),
+            "hyper": asdict(hyper),
             **payload,
         },
     )
@@ -327,7 +319,7 @@ def _cmd_bf(args) -> int:
     payload = {
         "log_bayes_factor": log_bf,
         "log_posterior_ratio": log_ratio,
-        "hyper": _hyper_meta(hyper),
+        "hyper": asdict(hyper),
         "n": data.n,
         "p": data.p,
     }
@@ -343,7 +335,6 @@ def _cmd_bf(args) -> int:
 
 def _cmd_ratio_experiment(args) -> int:
     p_list = [int(v) for v in args.p_list.split(",")]
-    out = _outdir(args)
     rows = posterior_ratio_experiment(
         p_list,
         args.n,
@@ -352,6 +343,7 @@ def _cmd_ratio_experiment(args) -> int:
         hyper_preset=args.preset or "ratio",
         n_seeds=args.replicates,
     )
+    out = _outdir(args)
     cols = list(rows[0].keys())
     with open(out / "ratio.csv", "w") as fh:
         fh.write(",".join(cols) + "\n")
@@ -381,14 +373,14 @@ def _cmd_estimate(args) -> int:
         "n": data.n,
         "p": data.p,
         "seed": args.seed,
-        "hyper": _hyper_meta(hyper),
+        "hyper": asdict(hyper),
     }
     if args.estimator in ("l2", "l1-stein"):
         if not args.graph:
             raise UsageError(f"--graph is required for the {args.estimator} estimator")
         graph = read_edge_list(args.graph, p=data.p)
         if args.estimator == "l2":
-            omega = bayes_estimator_l2(data, graph, hyper)
+            omega = posterior_mean_precision(data, graph, hyper)
         else:
             omega = bayes_estimator_l1_stein(
                 data, graph, hyper, make_rng(args.seed, args.stream),

@@ -14,6 +14,11 @@ decomposable iff S separates u from v, and deleting it does iff S is
 complete.  One add-candidate filter decides most additions without that
 separator search, from component labels (or the union-find roots of a
 ``GrowingGraph``) and the common-neighbour test.
+
+``random_decomposable_move`` draws one such move of a requested kind, and
+makes the other kind when the graph has no pair of the requested one (an
+empty graph cannot lose an edge, a complete one cannot gain one); it raises
+NoValidMove only at p = 1, where there is no pair to move.
 """
 
 from __future__ import annotations
@@ -100,33 +105,9 @@ class UndirectedGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return _normalize_edge(i, j) in self.edges
 
-    def with_edge(self, i: int, j: int) -> "UndirectedGraph":
-        e = _normalize_edge(i, j)
-        if e[0] >= self.p or e[1] >= self.p:
-            raise IndexOutOfRange(f"edge {e} invalid for p={self.p}")
-        if e in self.edges:
-            raise InvalidMove(f"edge {e} already present")
-        return UndirectedGraph(self.p, self.edges | {e})
-
-    def without_edge(self, i: int, j: int) -> "UndirectedGraph":
-        e = _normalize_edge(i, j)
-        if e not in self.edges:
-            raise InvalidMove(f"edge {e} not present")
-        return UndirectedGraph(self.p, self.edges - {e})
-
     def toggled(self, i: int, j: int) -> "UndirectedGraph":
         """The single-edge move on (i, j): delete the edge if present, else add it."""
-        if self.has_edge(i, j):
-            return self.without_edge(i, j)
-        return self.with_edge(i, j)
-
-    def relabel(self, perm: Sequence[int]) -> "UndirectedGraph":
-        """Return the graph with vertex i renamed to perm[i]."""
-        if sorted(perm) != list(range(self.p)):
-            raise ValueError("perm must be a permutation of 0..p-1")
-        return UndirectedGraph.from_edges(
-            self.p, ((perm[i], perm[j]) for i, j in self.edges)
-        )
+        return UndirectedGraph(self.p, self.edges ^ {_normalize_edge(i, j)})
 
     def connected(self, u: int, v: int, blocked: Iterable[int] = ()) -> bool:
         """Breadth-first reachability between u and v avoiding ``blocked``.
@@ -264,41 +245,6 @@ def perfect_sequence(
             seps.append(cl & seen)
         seen |= cl
     return PerfectSequence(tuple(keep), tuple(seps))
-
-
-def check_perfect_sequence(g: UndirectedGraph, seq: PerfectSequence) -> None:
-    """Validate the defining properties of a perfect sequence; raises on failure.
-
-    Checks: cliques are maximal complete sets covering every vertex, the
-    union of within-clique pairs reconstructs the edge set, each separator
-    equals its clique's intersection with the history and is contained in
-    some earlier clique (running intersection), and separators are complete.
-    """
-    cliques = seq.cliques
-    if not _all_complete(g, [sorted(c) for c in cliques]):
-        raise AssertionError("a clique is not complete")
-    covered: set[int] = set()
-    edges: set[Edge] = set()
-    for c in cliques:
-        covered |= c
-        cs = sorted(c)
-        edges |= {(cs[a], cs[b]) for a in range(len(cs)) for b in range(a + 1, len(cs))}
-    if covered != set(range(g.p)):
-        raise AssertionError("cliques do not cover all vertices")
-    if edges != set(g.edges):
-        raise AssertionError("cliques do not reconstruct the edge set")
-    for l, c in enumerate(cliques):
-        for other in cliques:
-            if other != c and c <= other:
-                raise AssertionError("a clique is not maximal")
-        if l == 0:
-            continue
-        hist = frozenset().union(*cliques[:l])
-        s = seq.separators[l - 1]
-        if s != c & hist:
-            raise AssertionError("separator != clique intersected with history")
-        if not any(s <= cliques[m] for m in range(l)):
-            raise AssertionError("running intersection property violated")
 
 
 def _addition_is_decomposable(
@@ -470,32 +416,29 @@ def decomposable_neighbors(g: UndirectedGraph) -> list[Edge]:
 
 
 def random_decomposable_move(
-    g: UndirectedGraph, kind: str, rng: np.random.Generator
+    g: UndirectedGraph, add: bool, rng: np.random.Generator
 ) -> UndirectedGraph:
-    """Apply one uniformly chosen decomposability-preserving ``kind`` move,
-    ``add`` or ``delete``.
+    """Apply one uniformly chosen decomposability-preserving addition (``add``
+    true) or deletion.
 
-    Candidates are shuffled and the first one that passes
-    ``move_is_decomposable`` is applied.  The add candidates are the pairs
-    that pass the add-candidate filter of ``_add_candidates`` (different
-    components or a common neighbour), in row-major order before the
-    shuffle.  Raises NoValidMove when no move of the requested kind exists.
+    When ``g`` has no pair of the requested kind (no edge to delete, or no
+    absent pair to add), the move is of the other kind.  Candidates are
+    shuffled and the first one that passes ``move_is_decomposable`` is
+    applied with ``toggled``.  The add candidates are the pairs that pass
+    the add-candidate filter of ``_add_candidates`` (different components or
+    a common neighbour), in row-major order before the shuffle; the delete
+    candidates are the edges in sorted order.  A decomposable graph always
+    has a valid move of a kind it has pairs for, so NoValidMove is raised
+    only when ``g`` has no vertex pair at all (p = 1).
     """
-    if kind == "add":
-        cand = _add_candidates(g)[1]
-        rng.shuffle(cand)
-        for e in cand:
-            if move_is_decomposable(g, e):
-                return g.with_edge(*e)
-        raise NoValidMove("no decomposability-preserving addition exists")
-    if kind == "delete":
-        cand = list(g.sorted_edges)
-        rng.shuffle(cand)
-        for e in cand:
-            if move_is_decomposable(g, e):
-                return g.without_edge(*e)
-        raise NoValidMove("no decomposability-preserving deletion exists")
-    raise InvalidMove(f"unknown move kind {kind!r}")
+    if g.size == (g.max_edges if add else 0):
+        add = not add
+    cand = _add_candidates(g)[1] if add else list(g.sorted_edges)
+    rng.shuffle(cand)
+    for e in cand:
+        if move_is_decomposable(g, e):
+            return g.toggled(*e)
+    raise NoValidMove(f"no decomposability-preserving move exists at p={g.p}")
 
 
 def enumerate_graphs(p: int) -> Iterator[UndirectedGraph]:

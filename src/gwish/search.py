@@ -20,7 +20,6 @@ from .model import (
     GraphScorer,
     Hyperparameters,
     PrecisionSampler,
-    posterior_mean_precision,
 )
 from .numerics import spd_inverse
 from .errors import CliqueTooLarge, NoValidMove
@@ -166,8 +165,10 @@ def shotgun_search(
     larger than n are skipped, and a restart whose jitter creates one starts
     from the unperturbed incumbent.  Only the states the search moves to get
     a full score.  The score trace records the incumbent after each step and
-    never decreases.
+    never decreases.  Raises ValueError for a negative ``max_iters``.
     """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     scorer = GraphScorer(data, hyper)
     current = init
     cur_lp = scorer.score(current).log_posterior
@@ -201,9 +202,8 @@ def shotgun_search(
                 break
             current = best_g
             for _ in range(_RESTART_JITTER):
-                kind = "add" if rng.random() < 0.5 else "delete"
                 try:
-                    current = _jittered(current, kind, rng)
+                    current = random_decomposable_move(current, rng.random() < 0.5, rng)
                 except NoValidMove:
                     pass
             try:
@@ -218,16 +218,6 @@ def shotgun_search(
         visited=visited,
         score_trace=tuple(trace),
     )
-
-
-def _jittered(
-    g: UndirectedGraph, kind: str, rng: np.random.Generator
-) -> UndirectedGraph:
-    if kind == "delete" and g.size == 0:
-        kind = "add"
-    if kind == "add" and g.size == g.max_edges:
-        kind = "delete"
-    return random_decomposable_move(g, kind, rng)
 
 
 def hybrid_mode(
@@ -246,13 +236,6 @@ def hybrid_mode(
         visited=refined.visited + n_candidates,
         score_trace=refined.score_trace,
     )
-
-
-def bayes_estimator_l2(
-    data: Dataset, graph: UndirectedGraph, hyper: Hyperparameters
-) -> np.ndarray:
-    """Posterior mean precision given the graph (optimal under squared loss)."""
-    return posterior_mean_precision(data, graph, hyper)
 
 
 def bayes_estimator_l1_stein(

@@ -207,21 +207,26 @@ def case_graph(
     Case 2: decomposable subgraph with floor(|G0|/2) edges.  Cases 3 and 4
     match those sizes but grow from the empty graph, so containment is not
     enforced.  All moves are uniformly chosen decomposability-preserving
-    single-edge changes driven by ``rng``.
+    single-edge changes driven by ``rng``.  Raises ValueError, before any
+    draw, when the target size exceeds the p(p-1)/2 pairs there are.
     """
     k0 = truth_graph.size
     if case == 1:
-        g, target, kind = truth_graph, 2 * k0, "add"
+        g, target, add = truth_graph, 2 * k0, True
     elif case == 2:
-        g, target, kind = truth_graph, k0 // 2, "delete"
+        g, target, add = truth_graph, k0 // 2, False
     elif case == 3:
-        g, target, kind = UndirectedGraph.empty(truth_graph.p), 2 * k0, "add"
+        g, target, add = UndirectedGraph.empty(truth_graph.p), 2 * k0, True
     elif case == 4:
-        g, target, kind = UndirectedGraph.empty(truth_graph.p), k0 // 2, "add"
+        g, target, add = UndirectedGraph.empty(truth_graph.p), k0 // 2, True
     else:
         raise ValueError(f"case must be 1..4, got {case}")
+    if target > g.max_edges:
+        raise ValueError(
+            f"case {case} needs {target} edges but p={g.p} allows {g.max_edges}"
+        )
     while g.size != target:
-        g = random_decomposable_move(g, kind, rng)
+        g = random_decomposable_move(g, add, rng)
     return g
 
 
@@ -239,12 +244,16 @@ def posterior_ratio_experiment(
     drawn per (p, replicate), a case graph is built, and the log posterior
     ratio of the case graph over the true graph is recorded.  Streams are
     derived from the p index and replicate, so p values are reproducible
-    independently of each other.
+    independently of each other.  Raises ValueError for p < 2 (via
+    ``TrueModelSpec``, before the preset is resolved), for ``n_seeds`` < 1,
+    and for a case graph larger than p allows.
     """
+    if n_seeds < 1:
+        raise ValueError(f"need at least one replicate, got {n_seeds}")
     rows: list[dict] = []
     for ip, p in enumerate(p_list):
-        hyper = Hyperparameters.preset(hyper_preset, p)
         truth = build_truth(TrueModelSpec("sim1-ar1-cov", p))
+        hyper = Hyperparameters.preset(hyper_preset, p)
         for rep in range(n_seeds):
             rng = make_rng(seed, stream=ip * 1000 + rep)
             data = sample_dataset(truth, n, rng)

@@ -28,9 +28,9 @@ def random_chordal_graph(p, seed, steps):
     rng = np.random.default_rng(seed)
     g = UndirectedGraph.empty(p)
     for _ in range(steps):
-        kind = "add" if g.size == 0 or rng.random() < 0.7 else "delete"
+        add = g.size == 0 or rng.random() < 0.7
         try:
-            g = random_decomposable_move(g, kind, rng)
+            g = random_decomposable_move(g, add, rng)
         except NoValidMove:
             pass
     return g

@@ -16,7 +16,12 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from gwish.errors import NotDecomposable
-from gwish.graph import UndirectedGraph, is_decomposable, move_is_decomposable
+from gwish.graph import (
+    PerfectSequence,
+    UndirectedGraph,
+    is_decomposable,
+    move_is_decomposable,
+)
 from gwish.numerics import spd_inverse
 
 
@@ -67,6 +72,40 @@ def reachable(p: int, edges: set[tuple[int, int]], u: int, v: int) -> bool:
                 seen.add(b)
                 queue.append(b)
     return v in seen
+
+
+def relabel(g: UndirectedGraph, perm: list[int]) -> UndirectedGraph:
+    """The graph with vertex i renamed to perm[i]."""
+    assert sorted(perm) == list(range(g.p)), "perm must be a permutation of 0..p-1"
+    return UndirectedGraph.from_edges(g.p, ((perm[i], perm[j]) for i, j in g.edges))
+
+
+def check_perfect_sequence(g: UndirectedGraph, seq: PerfectSequence) -> None:
+    """Assert the defining properties of a perfect sequence of ``g``.
+
+    The cliques are complete, maximal and cover every vertex; their
+    within-clique pairs are exactly the edge set; each separator is its
+    clique's intersection with the earlier cliques and lies inside one of
+    them (running intersection).
+    """
+    cliques = seq.cliques
+    pairs = {
+        pair for c in cliques for pair in itertools.combinations(sorted(c), 2)
+    }
+    assert pairs <= g.edges, "a clique is not complete"
+    assert pairs == g.edges, "cliques do not reconstruct the edge set"
+    assert set().union(*cliques) == set(range(g.p)), "cliques do not cover all vertices"
+    for l, c in enumerate(cliques):
+        assert not any(c < other for other in cliques), "a clique is not maximal"
+        if l == 0:
+            continue
+        s = seq.separators[l - 1]
+        assert s == c & frozenset().union(*cliques[:l]), (
+            "separator != clique intersected with history"
+        )
+        assert any(s <= cliques[m] for m in range(l)), (
+            "running intersection property violated"
+        )
 
 
 def wishart_batch(
@@ -304,7 +343,7 @@ def candidate_graphs_reference(scorer, config) -> list[tuple[UndirectedGraph, fl
                 if move_is_decomposable(g, (i, j)):
                     if lp > -math.inf:
                         lp += scorer.log_posterior_delta(g, (i, j))
-                    g = g.with_edge(i, j)
+                    g = g.toggled(i, j)
             if g.edges not in seen:
                 seen.add(g.edges)
                 out.append((g, lp))

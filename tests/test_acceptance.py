@@ -345,7 +345,7 @@ def test_criterion_8_bayes_factor_trends(criteria):
     with g = max(n, p)^(-3)."""
     t0 = time.time()
     truth = build_truth(TrueModelSpec("ar1", 10))
-    g1 = truth.graph.with_edge(0, 2)
+    g1 = truth.graph.toggled(0, 2)
     assert is_decomposable(g1)
     ok = True
     worst = math.inf

@@ -174,6 +174,21 @@ class TestSearch:
         g = read_edge_list(str(out / "mode_graph.edges"))
         assert max(len(c) for c in perfect_sequence(g).cliques) <= 3
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--max-candidates", 0, "max_candidates must be positive"),
+         ("--search-iters", -2, "max_iters must be nonnegative")],
+        ids=["max-candidates-0", "search-iters-negative"],
+    )
+    def test_invalid_counts_exit_2(self, data_dir, tmp_path, capsys, flag, value,
+                                   message):
+        out = tmp_path / "mode"
+        assert run("search", "--data", data_dir, "--g", 0.05,
+                   "--ridge-grid", "0.1", "--threshold-grid", "0.0,0.1",
+                   flag, value, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBayesFactor:
     def test_same_graph_is_zero(self, data_dir, tmp_path, capsys):
@@ -229,6 +244,27 @@ class TestRatioExperiment:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["p_list"] == [8, 10]
         assert meta["preset"] == "ratio"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(("--case", 1, "--p-list", 2), "case 1 needs 2 edges but p=2 allows 1"),
+         (("--case", 1, "--p-list", 3), "case 1 needs 4 edges but p=3 allows 3"),
+         (("--case", 3, "--p-list", 2), "case 3 needs 2 edges but p=2 allows 1"),
+         (("--case", 3, "--p-list", 3), "case 3 needs 4 edges but p=3 allows 3"),
+         (("--case", 4, "--p-list", 0), "needs p >= 2, got 0"),
+         (("--case", 4, "--p-list", -5), "needs p >= 2, got -5"),
+         (("--case", 4, "--p-list", 8, "--replicates", 0),
+          "need at least one replicate, got 0"),
+         (("--case", 4, "--p-list", 8, "--replicates", -1),
+          "need at least one replicate, got -1")],
+        ids=["case1-p2", "case1-p3", "case3-p2", "case3-p3", "p0", "p-negative",
+             "replicates-0", "replicates-negative"],
+    )
+    def test_impossible_input_exits_2(self, tmp_path, capsys, args, message):
+        out = tmp_path / "ratio"
+        assert run("ratio-experiment", *args, "--n", 20, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEstimate:

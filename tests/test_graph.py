@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwish.errors import InvalidMove, NotDecomposable, NoValidMove
+from gwish.errors import IndexOutOfRange, InvalidMove, NotDecomposable, NoValidMove
 from gwish.graph import (
     UndirectedGraph,
-    check_perfect_sequence,
     decomposable_neighbors,
     enumerate_graphs,
     is_decomposable,
@@ -23,7 +22,13 @@ from gwish.model import Dataset, GraphScorer, Hyperparameters
 from gwish.numerics import make_rng
 
 from conftest import chordal_graphs
-from oracles import chordal_by_cycle_scan, decomposable_neighbors_reference, reachable
+from oracles import (
+    check_perfect_sequence,
+    chordal_by_cycle_scan,
+    decomposable_neighbors_reference,
+    reachable,
+    relabel,
+)
 
 
 def all_graphs(p):
@@ -61,16 +66,15 @@ class TestBasics:
         with pytest.raises(Exception):
             UndirectedGraph.from_edges(3, [(0, 5)])
 
-    def test_with_without_edge_round_trip(self):
-        g = UndirectedGraph.empty(3).with_edge(0, 2)
-        assert g.size == 1
-        assert g.without_edge(2, 0).size == 0
-        with pytest.raises(InvalidMove):
-            g.with_edge(0, 2)
-        with pytest.raises(InvalidMove):
-            g.without_edge(0, 1)
-        assert g.toggled(0, 1) == g.with_edge(1, 0)
+    def test_toggled_round_trip(self):
+        g = UndirectedGraph.empty(3).toggled(0, 2)
+        assert g.edges == {(0, 2)}
         assert g.toggled(2, 0) == UndirectedGraph.empty(3)
+        assert g.toggled(1, 0) == UndirectedGraph.from_edges(3, [(0, 2), (0, 1)])
+        with pytest.raises(IndexOutOfRange):
+            g.toggled(0, 3)
+        with pytest.raises(IndexOutOfRange):
+            g.toggled(-1, 1)
 
 
 class TestChordalityOracle:
@@ -101,7 +105,7 @@ class TestChordalityOracle:
                 6, frozenset(e for e, keep in zip(pairs, mask) if keep)
             )
             perm = rng.permutation(6).tolist()
-            assert is_decomposable(g) == is_decomposable(g.relabel(perm))
+            assert is_decomposable(g) == is_decomposable(relabel(g, perm))
 
 
 class TestPerfectSequence:
@@ -192,10 +196,10 @@ class TestMoves:
         rng = make_rng(0, 0)
         g = UndirectedGraph.from_edges(6, [(i, i + 1) for i in range(5)])
         for _ in range(20):
-            g2 = random_decomposable_move(g, "add", rng)
+            g2 = random_decomposable_move(g, True, rng)
             assert g2.size == g.size + 1
             assert is_decomposable(g2)
-            g3 = random_decomposable_move(g, "delete", rng)
+            g3 = random_decomposable_move(g, False, rng)
             assert g3.size == g.size - 1
             assert is_decomposable(g3)
 
@@ -203,10 +207,25 @@ class TestMoves:
         # 0 and 1 share 128 common neighbours, which wraps an int8 count to
         # -128; the pair must still be found and the addition is valid.
         p = 130
-        g = UndirectedGraph.complete(p).without_edge(0, 1)
+        g = UndirectedGraph.complete(p).toggled(0, 1)
         assert is_decomposable(g)
-        g2 = random_decomposable_move(g, "add", make_rng(0, 0))
+        g2 = random_decomposable_move(g, True, make_rng(0, 0))
         assert g2 == UndirectedGraph.complete(p)
+
+    def test_delete_on_empty_graph_adds(self):
+        g = random_decomposable_move(UndirectedGraph.empty(4), False, make_rng(0, 0))
+        assert g.size == 1
+
+    def test_add_on_complete_graph_deletes(self):
+        k4 = UndirectedGraph.complete(4)
+        g = random_decomposable_move(k4, True, make_rng(0, 0))
+        assert g.size == k4.size - 1 and g.edges < k4.edges
+        assert is_decomposable(g)
+
+    @pytest.mark.parametrize("add", [True, False])
+    def test_no_pair_at_p1_raises(self, add):
+        with pytest.raises(NoValidMove):
+            random_decomposable_move(UndirectedGraph.empty(1), add, make_rng(0, 0))
 
 
 class ShuffleRecorder:
@@ -239,11 +258,11 @@ class TestLocalMoveRules:
             if (i, j) not in g.edges
             and (nbrs[i] & nbrs[j] or not reachable(g.p, set(g.edges), i, j))
         ]
+        if g.size == g.max_edges:
+            # no pair to add: the move is a deletion, drawn from the edges
+            expected = sorted(g.edges)
         recorder = ShuffleRecorder()
-        try:
-            random_decomposable_move(g, "add", recorder)
-        except NoValidMove:
-            pass
+        random_decomposable_move(g, True, recorder)
         assert recorder.seen == expected
 
 

@@ -101,7 +101,7 @@ class TestExactProposal:
         rng = FakeRng(ints=[nbrs.index((0, 2))])
         edge, lqr, nbrs_new = _propose_exact(g, rng, nbrs)
         assert edge == (0, 2)
-        assert nbrs_new == decomposable_neighbors(g.with_edge(0, 2))
+        assert nbrs_new == decomposable_neighbors(g.toggled(0, 2))
         assert len(nbrs_new) == 6
         assert lqr == pytest.approx(math.log(5.0 / 6.0), abs=1e-12)
 

@@ -28,7 +28,7 @@ from gwish.model import (
 from gwish.numerics import make_rng
 
 from conftest import random_chordal_graph
-from oracles import sample_precision_reference
+from oracles import relabel, sample_precision_reference
 
 
 def random_dataset(n, p, seed=0, truth=None):
@@ -171,7 +171,7 @@ class TestMarginalLikelihood:
         inv = [0] * 4
         for new_pos, old in enumerate(perm):
             inv[old] = new_pos
-        relabelled = g.relabel(inv)
+        relabelled = relabel(g, inv)
         assert GraphScorer(data_perm, hyper).log_marginal(relabelled) == pytest.approx(
             GraphScorer(data, hyper).log_marginal(g), rel=1e-10
         )
@@ -232,9 +232,9 @@ class TestScorer:
     def test_score_beyond_cap_is_minus_inf(self):
         data = random_dataset(12, 4, seed=10)
         sc = GraphScorer(data, Hyperparameters(r_max=2)).score(
-            UndirectedGraph.complete(3).relabel([0, 1, 2])
+            UndirectedGraph.complete(3)
         )
-        # complete(3) relabelled is still 3 edges > cap 2
+        # 3 edges > cap 2
         assert sc.log_posterior == -math.inf
 
     def test_score_raises_on_non_decomposable(self):

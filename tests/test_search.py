@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gwish.cli import main
 from gwish.graph import (
     UndirectedGraph,
     decomposable_neighbors,
     enumerate_decomposable_graphs,
     is_decomposable,
+    write_edge_list,
 )
 from gwish.model import (
     Dataset,
@@ -22,7 +24,6 @@ from gwish.numerics import make_rng
 from gwish.search import (
     CandidateConfig,
     bayes_estimator_l1_stein,
-    bayes_estimator_l2,
     candidate_graphs,
     hybrid_mode,
     shotgun_search,
@@ -189,11 +190,26 @@ class TestShotgun:
         start = UndirectedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         res = shotgun_search(start, ar1_data, hyper, max_iters=1)
         best = max(
-            (start.without_edge(*e) for e in start.edges),
+            (start.toggled(*e) for e in start.edges),
             key=lambda g: log_post(ar1_data, g, hyper),
         )
         assert res.mode_graph == best
         assert res.score_trace[0] == log_post(ar1_data, best, hyper)
+
+    def test_restarts_at_p1_return(self):
+        # one vertex has no pair to jitter, so each restart keeps the graph
+        data = Dataset.from_matrix(np.random.default_rng(2).standard_normal((10, 1)))
+        res = shotgun_search(
+            UndirectedGraph.empty(1), data, Hyperparameters(), max_iters=3,
+            rng=make_rng(0),
+        )
+        assert res.mode_graph == UndirectedGraph.empty(1)
+        assert len(res.score_trace) == 3
+
+    def test_negative_iterations_raise(self, ar1_data):
+        with pytest.raises(ValueError, match="max_iters"):
+            shotgun_search(UndirectedGraph.empty(4), ar1_data, Hyperparameters(),
+                           max_iters=-2)
 
     def test_visited_counts_work(self, ar1_data):
         res = shotgun_search(
@@ -212,12 +228,18 @@ class TestHybrid:
 
 
 class TestEstimators:
-    def test_l2_is_posterior_mean(self, ar1_data):
-        hyper = Hyperparameters(g=0.2)
+    def test_l2_is_posterior_mean(self, ar1_data, tmp_path):
+        # ``estimate --estimator l2`` writes the posterior mean precision;
+        # %.17g round-trips every double, so the match is exact
+        np.savetxt(tmp_path / "X.csv", ar1_data.x, delimiter=",", fmt="%.17g")
         g = ar1_data.truth.graph
+        write_edge_list(g, str(tmp_path / "g.edges"))
+        assert main(["estimate", "--x", str(tmp_path / "X.csv"), "--g", "0.2",
+                     "--estimator", "l2", "--graph", str(tmp_path / "g.edges"),
+                     "--out", str(tmp_path / "l2")]) == 0
+        omega = np.loadtxt(tmp_path / "l2/omega_hat.csv", delimiter=",", ndmin=2)
         assert np.array_equal(
-            bayes_estimator_l2(ar1_data, g, hyper),
-            posterior_mean_precision(ar1_data, g, hyper),
+            omega, posterior_mean_precision(ar1_data, g, Hyperparameters(g=0.2))
         )
 
     def test_estimates_are_exactly_symmetric(self, ar1_data):
@@ -225,7 +247,7 @@ class TestEstimators:
         hyper = Hyperparameters(g=0.2)
         g = ar1_data.truth.graph
         for est in (
-            bayes_estimator_l2(ar1_data, g, hyper),
+            posterior_mean_precision(ar1_data, g, hyper),
             bayes_estimator_l1_stein(ar1_data, g, hyper, make_rng(3), mc_draws=20),
         ):
             assert np.array_equal(est, est.T)
