@@ -12,13 +12,22 @@ Moves on a decomposable graph are tested locally, without re-running MCS
 (Giudici & Green 1999): with S = N(u) & N(v), adding (u, v) keeps the graph
 decomposable iff S separates u from v, and deleting it does iff S is
 complete.  One add-candidate filter decides most additions without that
-separator search, from component labels (or the union-find roots of a
-``GrowingGraph``) and the common-neighbour test.
+separator search, from the union-find roots of a ``GrowingGraph`` and the
+common-neighbour test.
 
 ``random_decomposable_move`` draws one such move of a requested kind, and
 makes the other kind when the graph has no pair of the requested one (an
 empty graph cannot lose an edge, a complete one cannot gain one); it raises
-NoValidMove only at p = 1, where there is no pair to move.
+NoValidMove only at p = 1, where there is no pair to move.  Random
+additions, one or a run of them (``random_decomposable_additions``), draw
+from one add-candidate state kept across the run (``_AdditionDraws``): a
+dense adjacency, the pairs with a common neighbour and the component labels
+are updated after each addition instead of being rebuilt from the graph.
+Each draw shuffles the candidates as flat indices u * p + v; numpy's
+shuffle gives a 1-d integer array the same permutation, and leaves the
+generator in the same state, as a list of the same length, so a run of
+additions makes the graph and later draws that one rebuilt list of (u, v)
+tuples per move would.
 """
 
 from __future__ import annotations
@@ -280,7 +289,7 @@ def _addition_is_decomposable(
 
 class GrowingGraph:
     """A decomposable graph grown by single-edge additions, for greedy
-    passes that test many additions in a row.
+    passes and random growth that test many additions in a row.
 
     It keeps mutable neighbour sets, the edge set and union-find component
     roots that record whether their component has a cycle, so the
@@ -331,34 +340,60 @@ class GrowingGraph:
             self._cyclic[rv] = self._cyclic[rv] or self._cyclic[ru]
 
 
-def _add_candidates(g: UndirectedGraph) -> tuple[list[int], list[Edge]]:
-    """The add-candidate filter on a whole graph.
+class _AdditionDraws:
+    """The add-candidate filter kept across a run of random additions.
 
-    Returns each vertex's component label and the absent pairs an addition
-    can qualify for, in row-major order: pairs in different components or
-    with a common neighbour.  The labels come from one depth-first
-    labelling and the common neighbours from one two-step adjacency
-    product.
+    It holds a dense adjacency, a matrix marking the pairs with a common
+    neighbour, per-vertex component labels and a ``GrowingGraph`` for the
+    exact ``can_add`` rule.  Additions only ever join components and create
+    common neighbours, so ``add`` updates all four in O(p) without a
+    rebuild: the new edge (u, v) gives v a common neighbour with every
+    neighbour of u and vice versa, and relabels v's component as u's.
     """
-    nbrs = g.neighbor_sets
-    comp = [-1] * g.p
-    for root in range(g.p):
-        if comp[root] < 0:
-            comp[root] = root
-            stack = [root]
-            while stack:
-                for x in nbrs[stack.pop()]:
-                    if comp[x] < 0:
-                        comp[x] = root
-                        stack.append(x)
-    labels = np.asarray(comp)
-    adj = g.adjacency
-    # Common-neighbour counts in float32 go through BLAS and stay exact
-    # below 2**24 vertices; a narrow integer type would wrap.
-    a = adj.astype(np.float32)
-    mask = ~adj & (((a @ a) > 0) | (labels[:, None] != labels[None, :]))
-    rows, cols = np.nonzero(np.triu(mask, 1))
-    return comp, list(zip(rows.tolist(), cols.tolist()))
+
+    def __init__(self, g: UndirectedGraph):
+        self.graph = GrowingGraph(g.p)
+        for u, v in g.sorted_edges:
+            self.graph.add(u, v)
+        self.adj = np.array(g.adjacency)
+        # float32 goes through BLAS and counts exactly below 2**24
+        # vertices; a narrow integer type would wrap
+        a = self.adj.astype(np.float32)
+        self.shared = (a @ a) > 0
+        self.labels = np.array([self.graph._find(x) for x in range(g.p)])
+        self._upper = ~np.tri(g.p, dtype=bool)
+
+    def candidates(self) -> np.ndarray:
+        """Flat indices u * p + v of the absent pairs u < v that are in
+        different components or have a common neighbour, ascending (the
+        row-major order of the pairs)."""
+        labels = self.labels
+        joinable = self.shared | (labels[:, None] != labels[None, :])
+        return np.flatnonzero(joinable & ~self.adj & self._upper)
+
+    def add(self, u: int, v: int) -> None:
+        """Add the edge (u, v) with u < v, which ``can_add`` has accepted."""
+        adj, shared = self.adj, self.shared
+        shared[v] |= adj[u]
+        shared[:, v] |= adj[u]
+        shared[u] |= adj[v]
+        shared[:, u] |= adj[v]
+        adj[u, v] = adj[v, u] = True
+        labels = self.labels
+        labels[labels == labels[v]] = labels[u]
+        self.graph.add(u, v)
+
+    def draw(self, rng: np.random.Generator) -> None:
+        """Add one uniformly chosen decomposability-preserving pair: shuffle
+        the candidates and add the first that passes ``can_add``."""
+        flat = self.candidates()
+        rng.shuffle(flat)
+        for k in flat:
+            u, v = divmod(int(k), self.graph.p)
+            if self.graph.can_add(u, v):
+                self.add(u, v)
+                return
+        raise NoValidMove(f"no decomposability-preserving addition at p={self.graph.p}")
 
 
 def move_is_decomposable(g: UndirectedGraph, edge: Edge) -> bool:
@@ -389,30 +424,46 @@ def decomposable_neighbors(g: UndirectedGraph) -> list[Edge]:
     """The edges whose single-edge move keeps the graph decomposable.
 
     Returned in lexicographic order; an edge of ``g`` names a deletion, any
-    other pair an addition.  Additions go through the add-candidate filter
-    of ``_add_candidates``: pairs in different components, and pairs with a
-    common neighbour in a tree, are added with no search, joined pairs
-    without a common neighbour are skipped, and only the rest run the
-    separator BFS.  Raises NotDecomposable if ``g`` is not decomposable.
+    other pair an addition.  The additions are the candidates of the
+    add-candidate filter (``_AdditionDraws.candidates``, built once for
+    ``g``) that pass ``GrowingGraph.can_add``: pairs in different
+    components, and pairs with a common neighbour in a tree, are added with
+    no search, and only the rest run the separator BFS.  Raises
+    NotDecomposable if ``g`` is not decomposable.
     """
     if not is_decomposable(g):
         raise NotDecomposable("neighbourhood is defined for decomposable graphs only")
-    comp, cand = _add_candidates(g)
-    # a component is a tree iff it has one edge fewer than vertices
-    spare = [-1] * g.p
-    for x in comp:
-        spare[x] += 1
-    for i, _ in g.edges:
-        spare[comp[i]] -= 1
-    acyclic = [spare[x] == 0 for x in comp]
+    draws = _AdditionDraws(g)
     moves = [e for e in g.sorted_edges if move_is_decomposable(g, e)]
-    moves += [
-        (u, v)
-        for u, v in cand
-        if _addition_is_decomposable(g, u, v, comp[u] == comp[v], acyclic[u])
-    ]
+    for k in draws.candidates().tolist():
+        u, v = divmod(k, g.p)
+        if draws.graph.can_add(u, v):
+            moves.append((u, v))
     moves.sort()
     return moves
+
+
+def random_decomposable_additions(
+    g: UndirectedGraph, count: int, rng: np.random.Generator
+) -> UndirectedGraph:
+    """Grow ``g`` by ``count`` successive uniformly chosen
+    decomposability-preserving additions.
+
+    The add-candidate state of ``_AdditionDraws`` is built once and updated
+    after each addition.  Each draw shuffles the candidates' flat indices
+    u * p + v, in ascending order, with ``rng`` and adds the first that
+    passes ``GrowingGraph.can_add``.  Shuffling a 1-d integer array draws
+    the same permutation, and leaves the generator in the same state, as
+    shuffling a list of the same length, so this makes the same graph and
+    the same later draws as ``count`` calls of
+    ``random_decomposable_move(g, True, rng)`` that each rebuild the
+    candidate list of (u, v) tuples.  Raises NoValidMove when the graph is
+    complete before ``count`` additions are made.
+    """
+    draws = _AdditionDraws(g)
+    for _ in range(count):
+        draws.draw(rng)
+    return UndirectedGraph(g.p, frozenset(draws.graph.edges))
 
 
 def random_decomposable_move(
@@ -422,18 +473,22 @@ def random_decomposable_move(
     true) or deletion.
 
     When ``g`` has no pair of the requested kind (no edge to delete, or no
-    absent pair to add), the move is of the other kind.  Candidates are
-    shuffled and the first one that passes ``move_is_decomposable`` is
-    applied with ``toggled``.  The add candidates are the pairs that pass
-    the add-candidate filter of ``_add_candidates`` (different components or
-    a common neighbour), in row-major order before the shuffle; the delete
-    candidates are the edges in sorted order.  A decomposable graph always
+    absent pair to add), the move is of the other kind.  An addition is
+    ``random_decomposable_additions`` with one addition: the candidates of
+    the add-candidate filter (different components or a common neighbour),
+    as flat indices u * p + v in ascending order, are shuffled and the first
+    that passes ``GrowingGraph.can_add`` is added.  The shuffle permutes
+    them as it would the row-major list of (u, v) tuples.  A deletion
+    shuffles the edges in sorted order and applies the first that passes
+    ``move_is_decomposable`` with ``toggled``.  A decomposable graph always
     has a valid move of a kind it has pairs for, so NoValidMove is raised
     only when ``g`` has no vertex pair at all (p = 1).
     """
     if g.size == (g.max_edges if add else 0):
         add = not add
-    cand = _add_candidates(g)[1] if add else list(g.sorted_edges)
+    if add:
+        return random_decomposable_additions(g, 1, rng)
+    cand = list(g.sorted_edges)
     rng.shuffle(cand)
     for e in cand:
         if move_is_decomposable(g, e):

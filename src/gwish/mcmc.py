@@ -208,15 +208,24 @@ def _resolve_init(
     return threshold_init(data, hyper)
 
 
+def _add_inclusion(inclusion: np.ndarray, g: UndirectedGraph, steps: int) -> None:
+    for i, j in g.edges:
+        inclusion[i, j] += steps
+
+
 def run_chain(
     config: ChainConfig, data: Dataset, hyper: Hyperparameters
 ) -> ChainResult:
     """Run burn_in + iterations MH steps and accumulate summaries.
 
     Edge inclusion frequencies, optional precision averaging and graph visit
-    counts use post-burn-in states only; traces cover every step.  All
-    randomness comes from the (seed, stream) generator, so reruns with the
-    same config are bit-identical.
+    counts use post-burn-in states only; traces cover every step.  Inclusion
+    is counted per run of kept steps in one graph: the run's length is added
+    to each of its edges once, when a move is accepted and at the end.  The
+    sums are integers, exact in float64, so the frequencies are the same
+    bits as counting every step.  All randomness comes from the
+    (seed, stream) generator, so reruns with the same config are
+    bit-identical.
     """
     rng = make_rng(config.seed, config.stream)
     scorer = GraphScorer(data, hyper)
@@ -234,6 +243,7 @@ def run_chain(
     prec_draws = 0
     sampler: PrecisionSampler | None = None  # rebuilt when the graph changes
     counts: Counter = Counter()
+    run_graph, run_length = state.graph, 0  # kept steps in the current state
 
     for it in range(total):
         state, accepted = mh_step(state, scorer, config.kernel, rng)
@@ -244,8 +254,11 @@ def run_chain(
             best_graph, best_score = state.graph, state.score
         if it < config.burn_in:
             continue
-        for i, j in state.graph.edges:
-            inclusion[i, j] += 1.0
+        if accepted and run_length:
+            _add_inclusion(inclusion, run_graph, run_length)
+            run_length = 0
+        run_graph = state.graph
+        run_length += 1
         if config.track_graphs:
             counts[state.graph] += 1
         if prec_sum is not None and (it - config.burn_in) % config.thin == 0:
@@ -254,6 +267,7 @@ def run_chain(
             prec_sum += sampler.draw(rng)
             prec_draws += 1
 
+    _add_inclusion(inclusion, run_graph, run_length)
     if config.iterations > 0:
         inclusion /= config.iterations
     inclusion = inclusion + inclusion.T

@@ -9,7 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .graph import UndirectedGraph, random_decomposable_move
+from .graph import (
+    UndirectedGraph,
+    random_decomposable_additions,
+    random_decomposable_move,
+)
 from .model import Dataset, GroundTruth, Hyperparameters, log_posterior_ratio
 from .numerics import make_rng, sample_mvn, spd_inverse, submatrix
 
@@ -207,8 +211,13 @@ def case_graph(
     Case 2: decomposable subgraph with floor(|G0|/2) edges.  Cases 3 and 4
     match those sizes but grow from the empty graph, so containment is not
     enforced.  All moves are uniformly chosen decomposability-preserving
-    single-edge changes driven by ``rng``.  Raises ValueError, before any
-    draw, when the target size exceeds the p(p-1)/2 pairs there are.
+    single-edge changes driven by ``rng``.  Cases 1, 3 and 4 make their
+    target - size additions in one ``random_decomposable_additions`` call,
+    which keeps its add-candidate state across the additions; the graph and
+    the generator state after it are those of one
+    ``random_decomposable_move`` per edge.  Case 2 deletes one edge per
+    ``random_decomposable_move`` call.  Raises ValueError, before any draw,
+    when the target size exceeds the p(p-1)/2 pairs there are.
     """
     k0 = truth_graph.size
     if case == 1:
@@ -225,8 +234,10 @@ def case_graph(
         raise ValueError(
             f"case {case} needs {target} edges but p={g.p} allows {g.max_edges}"
         )
+    if add:
+        return random_decomposable_additions(g, target - g.size, rng)
     while g.size != target:
-        g = random_decomposable_move(g, add, rng)
+        g = random_decomposable_move(g, False, rng)
     return g
 
 

@@ -2,9 +2,9 @@
 
 Everything here is deliberately written from first principles (brute force
 where feasible) rather than by calling the code under test.  The exceptions
-are the former per-pair implementations at the end, kept as references for
-their faster replacements: they call the library's single-move test and
-move delta, which have oracle tests of their own.
+are the former per-pair and per-move implementations at the end, kept as
+references for their faster replacements: they call the library's
+single-move test and move delta, which have oracle tests of their own.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import math
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from gwish.errors import NotDecomposable
+from gwish.errors import NotDecomposable, NoValidMove
 from gwish.graph import (
+    Edge,
     PerfectSequence,
     UndirectedGraph,
     is_decomposable,
@@ -350,3 +351,61 @@ def candidate_graphs_reference(scorer, config) -> list[tuple[UndirectedGraph, fl
                 if len(out) >= config.max_candidates:
                     return out
     return out
+
+
+def _add_candidates_reference(g: UndirectedGraph) -> list[Edge]:
+    """The add-candidate filter rebuilt from a whole graph: the absent pairs
+    in different components or with a common neighbour, in row-major order,
+    from one depth-first labelling and one two-step adjacency product."""
+    nbrs = g.neighbor_sets
+    comp = [-1] * g.p
+    for root in range(g.p):
+        if comp[root] < 0:
+            comp[root] = root
+            stack = [root]
+            while stack:
+                for x in nbrs[stack.pop()]:
+                    if comp[x] < 0:
+                        comp[x] = root
+                        stack.append(x)
+    labels = np.asarray(comp)
+    adj = g.adjacency
+    a = adj.astype(np.float32)
+    mask = ~adj & (((a @ a) > 0) | (labels[:, None] != labels[None, :]))
+    rows, cols = np.nonzero(np.triu(mask, 1))
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def random_decomposable_move_reference(
+    g: UndirectedGraph, add: bool, rng: np.random.Generator
+) -> UndirectedGraph:
+    """One random decomposable move with every candidate list rebuilt from
+    ``g``: the add candidates (or the sorted edges) as a list of tuples,
+    shuffled by ``rng``, and the first that passes ``move_is_decomposable``
+    applied.  With no pair of the requested kind the move is of the other
+    kind."""
+    if g.size == (g.max_edges if add else 0):
+        add = not add
+    cand = _add_candidates_reference(g) if add else list(g.sorted_edges)
+    rng.shuffle(cand)
+    for e in cand:
+        if move_is_decomposable(g, e):
+            return g.toggled(*e)
+    raise NoValidMove(f"no decomposability-preserving move exists at p={g.p}")
+
+
+def case_graph_reference(
+    case: int, truth_graph: UndirectedGraph, rng: np.random.Generator
+) -> UndirectedGraph:
+    """A posterior-ratio case graph built one reference move at a time."""
+    k0 = truth_graph.size
+    empty = UndirectedGraph.empty(truth_graph.p)
+    g, target, add = {
+        1: (truth_graph, 2 * k0, True),
+        2: (truth_graph, k0 // 2, False),
+        3: (empty, 2 * k0, True),
+        4: (empty, k0 // 2, True),
+    }[case]
+    while g.size != target:
+        g = random_decomposable_move_reference(g, add, rng)
+    return g

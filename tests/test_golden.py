@@ -39,7 +39,7 @@ def select_pipeline(tmp):
 
 
 def ratio_pipeline(tmp):
-    for case in (2, 3):
+    for case in (1, 2, 3, 4):
         run("ratio-experiment", "--case", case, "--p-list", "20,60", "--n", 60,
             "--seed", 5, "--out", tmp / f"case{case}")
 
@@ -114,6 +114,10 @@ GOLDEN = {
             "3cd432471b5fce9f82fda6121cc2f9c6006effaab80464082c4caff11ac5410f",
     }),
     "ratio": (ratio_pipeline, {
+        "case1/meta.json":
+            "81a29eaa0a983a8603cbed8392ae9e1bb9cf38decbe06faf166832f96b998dca",
+        "case1/ratio.csv":
+            "04905a21ea975eba746ee40a748ecd473f3479080ea95fe66e4699ba4d88d4c3",
         "case2/meta.json":
             "13d5d81b5a75bafb233a155a9fdcbe5900147b06f46166bfd84d6c572d509347",
         "case2/ratio.csv":
@@ -122,6 +126,10 @@ GOLDEN = {
             "a11ccb6beff38a21162c1d43622366343d4678dd0726b0484bbc4643b9e6ca0f",
         "case3/ratio.csv":
             "458fcd2d5ca749b7c2ccb0933847e5e574690ac14053c86727e2c19e4c50cddd",
+        "case4/meta.json":
+            "697f9279a0f99705f22d9f1ef6859714204d519a71eaba1fc04e31b0ad4f4561",
+        "case4/ratio.csv":
+            "811b5ccd403e16612a7f07a4ab288269adfc9e2dd83a804bd3d41b4a9759bc07",
     }),
     "mode_estimate": (mode_estimate_pipeline, {
         "data/X.csv":

@@ -26,6 +26,7 @@ from oracles import (
     check_perfect_sequence,
     chordal_by_cycle_scan,
     decomposable_neighbors_reference,
+    random_decomposable_move_reference,
     reachable,
     relabel,
 )
@@ -258,12 +259,23 @@ class TestLocalMoveRules:
             if (i, j) not in g.edges
             and (nbrs[i] & nbrs[j] or not reachable(g.p, set(g.edges), i, j))
         ]
-        if g.size == g.max_edges:
-            # no pair to add: the move is a deletion, drawn from the edges
-            expected = sorted(g.edges)
         recorder = ShuffleRecorder()
         random_decomposable_move(g, True, recorder)
-        assert recorder.seen == expected
+        if g.size == g.max_edges:
+            # no pair to add: the move is a deletion, drawn from the edges
+            assert recorder.seen == sorted(g.edges)
+        else:
+            # additions are drawn as flat indices u * p + v
+            assert [divmod(int(k), g.p) for k in recorder.seen] == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(chordal_graphs, st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_addition_matches_per_move_reference(self, g, seed):
+        rng, ref_rng = make_rng(seed), make_rng(seed)
+        assert random_decomposable_move(g, True, rng) == (
+            random_decomposable_move_reference(g, True, ref_rng)
+        )
+        assert rng.random() == ref_rng.random()
 
 
     @settings(max_examples=150, deadline=None)

@@ -160,6 +160,24 @@ class TestRunChain:
         assert np.all(res.inclusion >= 0.0) and np.all(res.inclusion <= 1.0)
         assert np.all(np.diag(res.inclusion) == 0.0)
 
+    @pytest.mark.parametrize("kernel", ["uniform", "exact"])
+    def test_inclusion_counts_every_kept_visit(self, kernel):
+        # counted once per run of steps in a graph, inclusion must equal,
+        # bit for bit, its recount from the per-step visit counts
+        truth = build_truth(TrueModelSpec(kind="ar1", p=5))
+        data = sample_dataset(truth, n=40, rng=make_rng(6))
+        config = ChainConfig(
+            iterations=400, burn_in=50, seed=7, kernel=kernel, track_graphs=True
+        )
+        res = run_chain(config, data, Hyperparameters(g=0.2))
+        assert len(res.graph_counts) > 1
+        recount = np.zeros((5, 5))
+        for g, visits in res.graph_counts.items():
+            for i, j in g.edges:
+                recount[i, j] += visits
+        recount /= config.iterations
+        assert np.array_equal(res.inclusion, recount + recount.T)
+
     def test_best_graph_tracks_maximum(self, small_data):
         res = run_chain(
             ChainConfig(iterations=300, burn_in=0, seed=4),

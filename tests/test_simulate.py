@@ -17,6 +17,8 @@ from gwish.simulate import (
     sample_dataset,
 )
 
+from oracles import case_graph_reference
+
 
 def band_edges(p, width):
     return frozenset(
@@ -196,6 +198,23 @@ class TestCaseGraphs:
     def test_bad_case_number(self, path_truth):
         with pytest.raises(ValueError):
             case_graph(5, path_truth, make_rng(0))
+
+    @pytest.mark.parametrize("case", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [3, 5, 10, 30, 100])
+    def test_matches_per_move_reference(self, case, p):
+        # the graph and the generator state after it, against one
+        # rebuilt candidate list per move
+        truth = build_truth(TrueModelSpec("sim1-ar1-cov", p)).graph
+        for seed in range(6):
+            rng, ref_rng = make_rng(seed), make_rng(seed)
+            if case in (1, 3) and 2 * truth.size > truth.max_edges:
+                with pytest.raises(ValueError):
+                    case_graph(case, truth, rng)
+                continue
+            assert case_graph(case, truth, rng) == case_graph_reference(
+                case, truth, ref_rng
+            )
+            assert rng.random() == ref_rng.random()
 
     def test_deterministic(self, path_truth):
         assert case_graph(1, path_truth, make_rng(2)) == case_graph(
