@@ -75,11 +75,14 @@ def _read_matrix(path: str) -> np.ndarray:
             return np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
 
 
-def _write_meta(outdir: Path, payload: dict) -> None:
-    payload = {"version": __version__, **payload}
-    with open(outdir / "meta.json", "w") as fh:
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
+
+
+def _write_meta(outdir: Path, payload: dict) -> None:
+    _write_json(outdir / "meta.json", {"version": __version__, **payload})
 
 
 def _outdir(args) -> Path:
@@ -120,10 +123,7 @@ def _resolve_hyper(args, n: int, p: int) -> Hyperparameters:
         if r_max is not None:
             raise UsageError("--r-max and --r-theory are mutually exclusive")
         r_max = theory_r_max(n, p)
-    try:
-        return Hyperparameters(nu=args.nu, g=g, c_tau=args.c_tau, r_max=r_max)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return Hyperparameters(nu=args.nu, g=g, c_tau=args.c_tau, r_max=r_max)
 
 
 def _load_dataset(args) -> Dataset:
@@ -165,9 +165,7 @@ def _cmd_gen_data(args) -> int:
     }
     if args.conditions:
         rep = conditions_report(truth, rng=make_rng(args.seed, args.stream + 1))
-        with open(out / "conditions.json", "w") as fh:
-            json.dump(rep.__dict__, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / "conditions.json", rep.__dict__)
         meta["conditions"] = "conditions.json"
     _write_meta(out, meta)
     return 0
@@ -287,9 +285,7 @@ def _cmd_search(args) -> int:
         "edges": result.mode_graph.size,
         "visited": result.visited,
     }
-    with open(out / "mode.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "mode.json", payload)
     _write_meta(
         out,
         {
@@ -326,9 +322,7 @@ def _cmd_bf(args) -> int:
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         out = _outdir(args)
-        with open(out / "bf.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / "bf.json", payload)
         _write_meta(out, {"command": "bf", **payload})
     return 0
 
@@ -556,10 +550,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     except GwishError as exc:

@@ -11,23 +11,16 @@ graph has that edge and adds it otherwise (``UndirectedGraph.toggled``).
 Moves on a decomposable graph are tested locally, without re-running MCS
 (Giudici & Green 1999): with S = N(u) & N(v), adding (u, v) keeps the graph
 decomposable iff S separates u from v, and deleting it does iff S is
-complete.  One add-candidate filter decides most additions without that
-separator search, from the union-find roots of a ``GrowingGraph`` and the
-common-neighbour test.
+complete.  A run of additions grows one mutable ``GrowingGraph``, whose
+component labels and common-neighbour matrix decide most additions without
+that separator search.
 
 ``random_decomposable_move`` draws one such move of a requested kind, and
 makes the other kind when the graph has no pair of the requested one (an
 empty graph cannot lose an edge, a complete one cannot gain one); it raises
 NoValidMove only at p = 1, where there is no pair to move.  Random
-additions, one or a run of them (``random_decomposable_additions``), draw
-from one add-candidate state kept across the run (``_AdditionDraws``): a
-dense adjacency, the pairs with a common neighbour and the component labels
-are updated after each addition instead of being rebuilt from the graph.
-Each draw shuffles the candidates as flat indices u * p + v; numpy's
-shuffle gives a 1-d integer array the same permutation, and leaves the
-generator in the same state, as a list of the same length, so a run of
-additions makes the graph and later draws that one rebuilt list of (u, v)
-tuples per move would.
+additions, one or a run of them (``random_decomposable_additions``), are
+``GrowingGraph.draw`` calls on one ``GrowingGraph``.
 """
 
 from __future__ import annotations
@@ -291,22 +284,48 @@ class GrowingGraph:
     """A decomposable graph grown by single-edge additions, for greedy
     passes and random growth that test many additions in a row.
 
-    It keeps mutable neighbour sets, the edge set and union-find component
-    roots that record whether their component has a cycle, so the
-    add-candidate filter of ``_addition_is_decomposable`` runs no search
-    for pairs in different components or in one tree, and rejects joined
-    pairs without a common neighbour outright.  It offers the reads that
-    the rule, ``UndirectedGraph.connected`` and
-    ``GraphScorer.log_posterior_delta`` make: ``p``, ``size``,
-    ``neighbor_sets`` and ``has_edge``.
+    It keeps mutable neighbour sets and the edge set, a dense adjacency, a
+    matrix marking the pairs with a common neighbour, and one component
+    labelling with a flag per component that records whether it has a
+    cycle.  So the add-candidate filter of ``_addition_is_decomposable``
+    runs no search for pairs in different components or in one tree, and
+    rejects joined pairs without a common neighbour outright.  Additions
+    only ever join components and create common neighbours, so ``add``
+    updates all of it in O(p) without a rebuild: the new edge (u, v) gives
+    v a common neighbour with every neighbour of u and vice versa, and
+    relabels v's component as u's.  It offers the reads that the rule,
+    ``UndirectedGraph.connected`` and ``GraphScorer.log_posterior_delta``
+    make: ``p``, ``size``, ``neighbor_sets`` and ``has_edge``.
     """
 
-    def __init__(self, p: int):
-        self.p = p
-        self.neighbor_sets: list[set[int]] = [set() for _ in range(p)]
-        self.edges: set[Edge] = set()
-        self._root = list(range(p))
-        self._cyclic = [False] * p  # read at roots only
+    def __init__(self, g: UndirectedGraph):
+        p = self.p = g.p
+        self.neighbor_sets: list[set[int]] = [set(s) for s in g.neighbor_sets]
+        self.edges: set[Edge] = set(g.edges)
+        self.adj = np.array(g.adjacency)
+        # float32 goes through BLAS and counts exactly below 2**24
+        # vertices; a narrow integer type would wrap
+        a = self.adj.astype(np.float32)
+        self.shared = (a @ a) > 0
+        np.fill_diagonal(self.shared, False)  # a vertex is no pair with itself
+        self._upper = ~np.tri(p, dtype=bool)
+        # a component's label is one of its vertices (here its lowest), and
+        # its flag is read at that label only; a connected component is a
+        # tree iff it has one edge fewer than it has vertices
+        nbrs = self.neighbor_sets
+        labels: list[int] = [-1] * p
+        self._cyclic = [False] * p
+        for s in range(p):
+            if labels[s] < 0:
+                labels[s] = s
+                comp = [s]
+                for w in comp:
+                    for x in nbrs[w]:
+                        if labels[x] < 0:
+                            labels[x] = s
+                            comp.append(x)
+                self._cyclic[s] = sum(len(nbrs[w]) for w in comp) >= 2 * len(comp)
+        self.labels = labels
 
     @property
     def size(self) -> int:
@@ -315,85 +334,56 @@ class GrowingGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return ((i, j) if i < j else (j, i)) in self.edges
 
-    def _find(self, x: int) -> int:
-        root = self._root
-        while root[x] != x:
-            root[x] = root[root[x]]  # path halving
-            x = root[x]
-        return x
-
     def can_add(self, u: int, v: int) -> bool:
         """Would adding the absent pair (u, v) keep the graph decomposable?"""
-        ru, rv = self._find(u), self._find(v)
-        return _addition_is_decomposable(self, u, v, ru == rv, not self._cyclic[ru])
+        # int labels make ``lu == lv`` a Python bool, which the rule's
+        # ``joined is False`` test needs
+        lu, lv = self.labels[u], self.labels[v]
+        return _addition_is_decomposable(self, u, v, lu == lv, not self._cyclic[lu])
 
     def add(self, u: int, v: int) -> None:
         """Add the edge (u, v) with u < v, which ``can_add`` has accepted."""
         self.neighbor_sets[u].add(v)
         self.neighbor_sets[v].add(u)
         self.edges.add((u, v))
-        ru, rv = self._find(u), self._find(v)
-        if ru == rv:
-            self._cyclic[ru] = True
-        else:
-            self._root[ru] = rv
-            self._cyclic[rv] = self._cyclic[rv] or self._cyclic[ru]
-
-
-class _AdditionDraws:
-    """The add-candidate filter kept across a run of random additions.
-
-    It holds a dense adjacency, a matrix marking the pairs with a common
-    neighbour, per-vertex component labels and a ``GrowingGraph`` for the
-    exact ``can_add`` rule.  Additions only ever join components and create
-    common neighbours, so ``add`` updates all four in O(p) without a
-    rebuild: the new edge (u, v) gives v a common neighbour with every
-    neighbour of u and vice versa, and relabels v's component as u's.
-    """
-
-    def __init__(self, g: UndirectedGraph):
-        self.graph = GrowingGraph(g.p)
-        for u, v in g.sorted_edges:
-            self.graph.add(u, v)
-        self.adj = np.array(g.adjacency)
-        # float32 goes through BLAS and counts exactly below 2**24
-        # vertices; a narrow integer type would wrap
-        a = self.adj.astype(np.float32)
-        self.shared = (a @ a) > 0
-        self.labels = np.array([self.graph._find(x) for x in range(g.p)])
-        self._upper = ~np.tri(g.p, dtype=bool)
+        for a, b in ((u, v), (v, u)):
+            # b gains a common neighbour with every neighbour of a
+            self.shared[b] |= self.adj[a]
+            self.shared[:, b] |= self.adj[a]
+        self.adj[u, v] = self.adj[v, u] = True
+        lu, lv = self.labels[u], self.labels[v]
+        self._cyclic[lu] = lu == lv or self._cyclic[lu] or self._cyclic[lv]
+        if lu != lv:
+            self.labels = [lu if x == lv else x for x in self.labels]
 
     def candidates(self) -> np.ndarray:
         """Flat indices u * p + v of the absent pairs u < v that are in
         different components or have a common neighbour, ascending (the
         row-major order of the pairs)."""
-        labels = self.labels
+        labels = np.array(self.labels)
         joinable = self.shared | (labels[:, None] != labels[None, :])
         return np.flatnonzero(joinable & ~self.adj & self._upper)
 
-    def add(self, u: int, v: int) -> None:
-        """Add the edge (u, v) with u < v, which ``can_add`` has accepted."""
-        adj, shared = self.adj, self.shared
-        shared[v] |= adj[u]
-        shared[:, v] |= adj[u]
-        shared[u] |= adj[v]
-        shared[:, u] |= adj[v]
-        adj[u, v] = adj[v, u] = True
-        labels = self.labels
-        labels[labels == labels[v]] = labels[u]
-        self.graph.add(u, v)
-
     def draw(self, rng: np.random.Generator) -> None:
-        """Add one uniformly chosen decomposability-preserving pair: shuffle
-        the candidates and add the first that passes ``can_add``."""
+        """Add one uniformly chosen decomposability-preserving pair.
+
+        ``rng.shuffle`` permutes the ``candidates`` array, and the first
+        index in the shuffled order whose pair passes ``can_add`` is added.
+        Shuffling a 1-d integer array draws the same permutation, and
+        leaves the generator in the same state, as shuffling a list of the
+        same length, so each draw makes the same addition and the same
+        later draws as shuffling the row-major list of candidate (u, v)
+        tuples.  This is the one use of ``rng`` per addition.  Raises
+        NoValidMove when no absent pair can be added.
+        """
         flat = self.candidates()
         rng.shuffle(flat)
         for k in flat:
-            u, v = divmod(int(k), self.graph.p)
-            if self.graph.can_add(u, v):
+            u, v = divmod(int(k), self.p)
+            if self.can_add(u, v):
                 self.add(u, v)
                 return
-        raise NoValidMove(f"no decomposability-preserving addition at p={self.graph.p}")
+        raise NoValidMove(f"no decomposability-preserving addition at p={self.p}")
 
 
 def move_is_decomposable(g: UndirectedGraph, edge: Edge) -> bool:
@@ -424,20 +414,19 @@ def decomposable_neighbors(g: UndirectedGraph) -> list[Edge]:
     """The edges whose single-edge move keeps the graph decomposable.
 
     Returned in lexicographic order; an edge of ``g`` names a deletion, any
-    other pair an addition.  The additions are the candidates of the
-    add-candidate filter (``_AdditionDraws.candidates``, built once for
-    ``g``) that pass ``GrowingGraph.can_add``: pairs in different
-    components, and pairs with a common neighbour in a tree, are added with
-    no search, and only the rest run the separator BFS.  Raises
-    NotDecomposable if ``g`` is not decomposable.
+    other pair an addition.  The additions are the candidates of a
+    ``GrowingGraph`` built once for ``g`` that pass its ``can_add``: pairs
+    in different components, and pairs with a common neighbour in a tree,
+    are added with no search, and only the rest run the separator BFS.
+    Raises NotDecomposable if ``g`` is not decomposable.
     """
     if not is_decomposable(g):
         raise NotDecomposable("neighbourhood is defined for decomposable graphs only")
-    draws = _AdditionDraws(g)
+    grown = GrowingGraph(g)
     moves = [e for e in g.sorted_edges if move_is_decomposable(g, e)]
-    for k in draws.candidates().tolist():
+    for k in grown.candidates().tolist():
         u, v = divmod(k, g.p)
-        if draws.graph.can_add(u, v):
+        if grown.can_add(u, v):
             moves.append((u, v))
     moves.sort()
     return moves
@@ -446,24 +435,17 @@ def decomposable_neighbors(g: UndirectedGraph) -> list[Edge]:
 def random_decomposable_additions(
     g: UndirectedGraph, count: int, rng: np.random.Generator
 ) -> UndirectedGraph:
-    """Grow ``g`` by ``count`` successive uniformly chosen
-    decomposability-preserving additions.
+    """Grow ``g`` by ``count`` successive ``GrowingGraph.draw`` additions,
+    each uniformly chosen among the decomposability-preserving ones.
 
-    The add-candidate state of ``_AdditionDraws`` is built once and updated
-    after each addition.  Each draw shuffles the candidates' flat indices
-    u * p + v, in ascending order, with ``rng`` and adds the first that
-    passes ``GrowingGraph.can_add``.  Shuffling a 1-d integer array draws
-    the same permutation, and leaves the generator in the same state, as
-    shuffling a list of the same length, so this makes the same graph and
-    the same later draws as ``count`` calls of
-    ``random_decomposable_move(g, True, rng)`` that each rebuild the
-    candidate list of (u, v) tuples.  Raises NoValidMove when the graph is
-    complete before ``count`` additions are made.
+    One ``GrowingGraph`` is built and kept across the additions.  Raises
+    NoValidMove when the graph is complete before ``count`` additions are
+    made.
     """
-    draws = _AdditionDraws(g)
+    grown = GrowingGraph(g)
     for _ in range(count):
-        draws.draw(rng)
-    return UndirectedGraph(g.p, frozenset(draws.graph.edges))
+        grown.draw(rng)
+    return UndirectedGraph(g.p, frozenset(grown.edges))
 
 
 def random_decomposable_move(
@@ -473,16 +455,12 @@ def random_decomposable_move(
     true) or deletion.
 
     When ``g`` has no pair of the requested kind (no edge to delete, or no
-    absent pair to add), the move is of the other kind.  An addition is
-    ``random_decomposable_additions`` with one addition: the candidates of
-    the add-candidate filter (different components or a common neighbour),
-    as flat indices u * p + v in ascending order, are shuffled and the first
-    that passes ``GrowingGraph.can_add`` is added.  The shuffle permutes
-    them as it would the row-major list of (u, v) tuples.  A deletion
-    shuffles the edges in sorted order and applies the first that passes
-    ``move_is_decomposable`` with ``toggled``.  A decomposable graph always
-    has a valid move of a kind it has pairs for, so NoValidMove is raised
-    only when ``g`` has no vertex pair at all (p = 1).
+    absent pair to add), the move is of the other kind.  An addition is one
+    ``GrowingGraph.draw``.  A deletion shuffles the edges in sorted order
+    and applies the first that passes ``move_is_decomposable``.  A
+    decomposable graph always has a valid move of a kind it has pairs for,
+    so NoValidMove is raised only when ``g`` has no vertex pair at all
+    (p = 1).
     """
     if g.size == (g.max_edges if add else 0):
         add = not add

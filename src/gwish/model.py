@@ -71,6 +71,10 @@ class Hyperparameters:
     r_max: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("nu", "g", "c_tau"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.nu > 2.0:
             raise ValueError(f"nu must exceed 2, got {self.nu}")
         if not self.g > 0.0:

@@ -47,10 +47,7 @@ def cholesky_logdet(m: np.ndarray) -> tuple[np.ndarray, float]:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    try:
-        lower = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
+    lower = cholesky_factor(m)
     logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
     return lower, logdet
 

@@ -88,11 +88,11 @@ def candidate_graphs(
     prefix walked in order, keeping each edge whose addition preserves
     decomposability.  Since a longer prefix only appends pairs, one
     incremental walk per ridge value yields all prefixes.  The walk grows a
-    ``GrowingGraph``, whose add-candidate filter decides most pairs from
-    union-find components and common neighbours without a search, and it
-    builds an ``UndirectedGraph`` only for each new candidate.  Duplicates
-    are dropped, order is deterministic, and at most ``max_candidates``
-    (graph, log posterior) pairs are returned.
+    ``GrowingGraph`` from the empty graph, whose add-candidate filter
+    decides most pairs from its component labels and common neighbours
+    without a search, and it builds an ``UndirectedGraph`` only for each
+    new candidate.  Duplicates are dropped, order is deterministic, and at
+    most ``max_candidates`` (graph, log posterior) pairs are returned.
 
     A score is the empty graph's score plus the move deltas of the additions
     along the walk.  A candidate outside the support scores -inf, and so
@@ -105,7 +105,7 @@ def candidate_graphs(
     empty_lp = scorer.score(UndirectedGraph.empty(data.p)).log_posterior
     for lam in config.ridge_grid:
         pairs, lengths = _ridge_edge_order(data, lam, config.threshold_grid)
-        walk = GrowingGraph(data.p)
+        walk = GrowingGraph(UndirectedGraph.empty(data.p))
         lp = empty_lp
         consumed = 0
         for length in lengths:

@@ -212,12 +212,10 @@ def case_graph(
     match those sizes but grow from the empty graph, so containment is not
     enforced.  All moves are uniformly chosen decomposability-preserving
     single-edge changes driven by ``rng``.  Cases 1, 3 and 4 make their
-    target - size additions in one ``random_decomposable_additions`` call,
-    which keeps its add-candidate state across the additions; the graph and
-    the generator state after it are those of one
-    ``random_decomposable_move`` per edge.  Case 2 deletes one edge per
-    ``random_decomposable_move`` call.  Raises ValueError, before any draw,
-    when the target size exceeds the p(p-1)/2 pairs there are.
+    target - size additions in one ``random_decomposable_additions`` call;
+    case 2 deletes one edge per ``random_decomposable_move`` call.  Raises
+    ValueError, before any draw, when the target size exceeds the p(p-1)/2
+    pairs there are.
     """
     k0 = truth_graph.size
     if case == 1:

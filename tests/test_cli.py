@@ -405,6 +405,25 @@ class TestNonFiniteData:
         assert not (out / "meta.json").exists()
 
 
+class TestNonFiniteHyperparameters:
+    """A NaN or infinite nu, g or c_tau fails with exit 2 before any output."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("mcmc", "--c-tau", "nan"), ("mcmc", "--c-tau", "inf"),
+         ("mcmc", "--g", "inf"), ("mcmc", "--nu", "inf"),
+         ("search", "--c-tau", "nan")],
+    )
+    def test_exits_2_before_writing(self, data_dir, tmp_path, capsys, command,
+                                    flag, value):
+        out = tmp_path / "out"
+        assert run(command, "--data", data_dir, flag, value,
+                   "--out", out) == 2
+        name = flag[2:].replace("-", "_")
+        assert f"{command}: {name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTooFewRows:
     """Data with fewer than 2 rows fails at load, with exit 2, before any work."""
 

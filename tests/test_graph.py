@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gwish.errors import IndexOutOfRange, InvalidMove, NotDecomposable, NoValidMove
 from gwish.graph import (
+    GrowingGraph,
     UndirectedGraph,
     decomposable_neighbors,
     enumerate_graphs,
@@ -306,6 +307,88 @@ class TestNoPerPairSearch:
         g = UndirectedGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
         assert (0, 3) in decomposable_neighbors(g)
         assert separator_searches
+
+
+def grown_state(grown):
+    """Everything a ``GrowingGraph`` holds, as plain values; the component
+    labelling as the partition it makes, with each block's cycle flag."""
+    blocks = {}
+    for x, label in enumerate(grown.labels):
+        blocks.setdefault(label, set()).add(x)
+    return {
+        "edges": grown.edges,
+        "neighbor_sets": grown.neighbor_sets,
+        "adjacency": grown.adj.tolist(),
+        "shared": grown.shared.tolist(),
+        "components": {frozenset(b): grown._cyclic[k] for k, b in blocks.items()},
+        "candidates": grown.candidates().tolist(),
+    }
+
+
+class TestGrowingGraph:
+    """The state kept across additions is the state built for the result."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(chordal_graphs, st.booleans(), st.integers(0, 30),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_grown_equals_built_fresh(self, g, from_empty, count, seed):
+        grown = GrowingGraph(UndirectedGraph.empty(g.p) if from_empty else g)
+        rng = make_rng(seed)
+        for _ in range(count):
+            try:
+                grown.draw(rng)
+            except NoValidMove:
+                assert grown.size == g.max_edges
+                break
+        fresh = GrowingGraph(UndirectedGraph(g.p, frozenset(grown.edges)))
+        assert grown_state(grown) == grown_state(fresh)
+
+    @settings(max_examples=150, deadline=None)
+    @given(chordal_graphs)
+    def test_built_state_matches_definitions(self, g):
+        state = grown_state(GrowingGraph(g))
+        nbrs = g.neighbor_sets
+        pairs = list(itertools.combinations(range(g.p), 2))
+        assert state["adjacency"] == g.adjacency.tolist()
+        assert state["shared"] == [
+            [i != j and bool(nbrs[i] & nbrs[j]) for j in range(g.p)]
+            for i in range(g.p)
+        ]
+        components = state["components"]
+        assert all(
+            any({i, j} <= b for b in components) == reachable(g.p, set(g.edges), i, j)
+            for i, j in pairs
+        )
+        for block, cyclic in components.items():
+            inside = sum(1 for i, j in g.edges if i in block)
+            assert cyclic == (inside >= len(block))
+        assert state["candidates"] == [
+            i * g.p + j for i, j in pairs
+            if (i, j) not in g.edges
+            and (nbrs[i] & nbrs[j] or not reachable(g.p, set(g.edges), i, j))
+        ]
+
+    def test_growing_a_forest_runs_no_search(self, separator_searches):
+        # in a forest every absent pair lies in two trees (valid), in one
+        # tree with a common neighbour (valid) or in one tree without one
+        # (invalid), so the filter decides all of them
+        p = 10
+        rng = make_rng(3)
+        order = rng.permutation(p).tolist()
+        grown = GrowingGraph(UndirectedGraph.empty(p))
+        verdicts = []
+        for k in range(1, p):
+            g = UndirectedGraph(p, frozenset(grown.edges))
+            for i, j in itertools.combinations(range(p), 2):
+                if not grown.has_edge(i, j):
+                    verdicts.append((g, (i, j), grown.can_add(i, j)))
+            # attach the next vertex to an earlier one: a random tree
+            u, v = sorted((order[k], order[int(rng.integers(k))]))
+            grown.add(u, v)
+        assert grown.size == p - 1
+        assert separator_searches == []
+        for g, pair, ok in verdicts:
+            assert ok == is_decomposable(g.toggled(*pair))
 
 
 class TestMoveDelta:

@@ -273,6 +273,10 @@ class TestHyperparameters:
             Hyperparameters(c_tau=-1.0)
         with pytest.raises(ValueError):
             Hyperparameters(r_max=-1)
+        for name in ("nu", "g", "c_tau"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    Hyperparameters(**{name: value})
 
     def test_preset_values(self):
         assert PRESETS["ratio"](30) == pytest.approx(0.0019607654721305423, rel=1e-12)
