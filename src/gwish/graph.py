@@ -4,16 +4,19 @@ Decomposability is detected with maximum cardinality search (MCS): a graph
 is chordal iff, visiting vertices in MCS order, every vertex's already
 visited neighbourhood is complete (Tarjan & Yannakakis 1984).  Maximal
 cliques and a perfect sequence with the running intersection property are
-read off the same visit order following Blair & Peyton (1993).
+read off the same visit order following Blair & Peyton (1993).  MCS reads
+the neighbour sets only and picks each next vertex from a heap of integer
+keys, so no dense adjacency is built for it.
 
 A single-edge move is named by its edge alone: it deletes (u, v) when the
 graph has that edge and adds it otherwise (``UndirectedGraph.toggled``).
 Moves on a decomposable graph are tested locally, without re-running MCS
 (Giudici & Green 1999): with S = N(u) & N(v), adding (u, v) keeps the graph
 decomposable iff S separates u from v, and deleting it does iff S is
-complete.  A run of additions grows one mutable ``GrowingGraph``, whose
-component labels and common-neighbour matrix decide most additions without
-that separator search.
+complete.  Component labels with a cycle flag per component decide most
+additions without that separator search: a graph computes them once, and a
+run of additions grows one mutable ``GrowingGraph`` that keeps them up to
+date.
 
 ``random_decomposable_move`` draws one such move of a requested kind, and
 makes the other kind when the graph has no pair of the requested one (an
@@ -26,6 +29,7 @@ additions, one or a run of them (``random_decomposable_additions``), are
 from __future__ import annotations
 
 import functools
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -41,6 +45,13 @@ def _normalize_edge(i: int, j: int) -> Edge:
     if i == j:
         raise InvalidMove(f"self loop ({i},{i}) is not a valid edge")
     return (i, j) if i < j else (j, i)
+
+
+def _adjacency_matrix(p: int, edges: Iterable[Edge]) -> np.ndarray:
+    a = np.zeros((p, p), dtype=bool)
+    for i, j in edges:
+        a[i, j] = a[j, i] = True
+    return a
 
 
 @dataclass(frozen=True)
@@ -74,6 +85,15 @@ class UndirectedGraph:
     def complete(cls, p: int) -> "UndirectedGraph":
         return cls(p, frozenset((i, j) for i in range(p) for j in range(i + 1, p)))
 
+    @classmethod
+    def _trusted(cls, p: int, edges: frozenset[Edge]) -> "UndirectedGraph":
+        """A graph from edges known to be valid (i < j, both in 0..p-1),
+        built without ``__post_init__`` re-checking each of them."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "p", p)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     @property
     def size(self) -> int:
         """Number of edges."""
@@ -90,9 +110,7 @@ class UndirectedGraph:
     @functools.cached_property
     def adjacency(self) -> np.ndarray:
         """Dense boolean adjacency matrix (no self loops)."""
-        a = np.zeros((self.p, self.p), dtype=bool)
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = True
+        a = _adjacency_matrix(self.p, self.edges)
         a.setflags(write=False)
         return a
 
@@ -104,12 +122,38 @@ class UndirectedGraph:
             nbrs[j].add(i)
         return tuple(frozenset(s) for s in nbrs)
 
+    @functools.cached_property
+    def _components(self) -> tuple[list[int], list[bool]]:
+        """A component label per vertex and a cycle flag per label.
+
+        A component's label is its lowest vertex, and its flag is read at
+        that label only: a connected component has a cycle iff it has at
+        least as many edges as vertices.
+        """
+        nbrs = self.neighbor_sets
+        labels = [-1] * self.p
+        cyclic = [False] * self.p
+        for s in range(self.p):
+            if labels[s] < 0:
+                labels[s] = s
+                comp = [s]
+                for w in comp:
+                    for x in nbrs[w]:
+                        if labels[x] < 0:
+                            labels[x] = s
+                            comp.append(x)
+                cyclic[s] = sum(len(nbrs[w]) for w in comp) >= 2 * len(comp)
+        return labels, cyclic
+
     def has_edge(self, i: int, j: int) -> bool:
         return _normalize_edge(i, j) in self.edges
 
     def toggled(self, i: int, j: int) -> "UndirectedGraph":
         """The single-edge move on (i, j): delete the edge if present, else add it."""
-        return UndirectedGraph(self.p, self.edges ^ {_normalize_edge(i, j)})
+        u, v = _normalize_edge(i, j)
+        if not (0 <= u and v < self.p):
+            raise IndexOutOfRange(f"edge ({u},{v}) invalid for p={self.p}")
+        return UndirectedGraph._trusted(self.p, self.edges ^ {(u, v)})
 
     def connected(self, u: int, v: int, blocked: Iterable[int] = ()) -> bool:
         """Breadth-first reachability between u and v avoiding ``blocked``.
@@ -160,35 +204,45 @@ class PerfectSequence:
 def _mcs_visit(
     g: UndirectedGraph, priority: Sequence[int] | None = None
 ) -> tuple[list[int], list[list[int]]]:
-    """Maximum cardinality search visit order plus earlier-neighbour lists.
+    """Maximum cardinality search visit order plus earlier-neighbour lists,
+    each list in ascending vertex order.
 
-    Ties in the cardinality weight break toward the lowest vertex index, or
-    toward the lowest ``priority`` value when one is supplied, which makes
-    the visit order deterministic for a given graph.
+    The next vertex has the most visited neighbours (its weight).  Ties
+    break toward the lowest vertex index, or toward the lowest ``priority``
+    value when one is supplied, which makes the visit order deterministic
+    for a given graph.  Only ``neighbor_sets`` is read.  A heap holds one
+    integer key rank - weight * p per weight a vertex reaches, so the
+    smallest key is the next vertex and the key mod p is its rank; a
+    vertex's older keys sort after its newest and are skipped once it is
+    visited.
     """
     p = g.p
-    adj = g.adjacency
-    weights = np.zeros(p, dtype=np.int64)
-    visited = np.zeros(p, dtype=bool)
     if priority is None:
-        rank = np.arange(p, dtype=np.int64)
+        rank = vertex = range(p)
     else:
         if sorted(priority) != list(range(p)):
             raise ValueError("priority must be a permutation of 0..p-1")
-        rank = np.asarray(priority, dtype=np.int64)
-
+        rank = priority
+        vertex = [0] * p
+        for v, r in enumerate(priority):
+            vertex[r] = v
+    nbrs = g.neighbor_sets
+    weight = [0] * p
+    visited = [False] * p
+    heap = list(range(p))  # every rank at weight 0: already a heap
     order: list[int] = []
     earlier: list[list[int]] = []
-    for _ in range(p):
-        # lexicographic argmax on (weight, -rank) over unvisited vertices
-        key = weights * p - rank
-        key[visited] = np.iinfo(np.int64).min
-        z = int(np.argmax(key))
-        mask = adj[z] & visited
-        earlier.append(np.nonzero(mask)[0].tolist())
+    while len(order) < p:
+        z = vertex[heapq.heappop(heap) % p]
+        if visited[z]:
+            continue
         visited[z] = True
         order.append(z)
-        weights[adj[z]] += 1
+        earlier.append(sorted([x for x in nbrs[z] if visited[x]]))
+        for x in nbrs[z]:
+            if not visited[x]:
+                weight[x] += 1
+                heapq.heappush(heap, rank[x] - weight[x] * p)
     return order, earlier
 
 
@@ -253,79 +307,64 @@ def _addition_is_decomposable(
     g: "UndirectedGraph | GrowingGraph",
     u: int,
     v: int,
-    joined: bool | None = None,
-    acyclic: bool = False,
+    joined: bool,
+    acyclic: bool,
 ) -> bool:
     """Would adding the absent edge (u, v) keep the decomposable ``g``
     decomposable?  It does iff S = N(u) & N(v) separates u from v.
 
-    This is the add-candidate filter plus the separator BFS.  Callers that
-    know the components decide most pairs without a search: ``joined`` is
-    False for u and v in different components (no path, so valid), and
-    ``acyclic`` marks a shared component that is a tree (its one u-v path
-    runs through the common neighbour, so valid when S is non-empty).  A
-    joined pair without a common neighbour is invalid: a shortest path plus
-    the edge is a chordless cycle.  Every other pair, and every pair when
-    ``joined`` is None (unknown), runs one BFS avoiding S.
+    This is the add-candidate filter plus the separator BFS.  The caller
+    knows the components, which decide most pairs without a search:
+    ``joined`` is false for u and v in different components (no path, so
+    valid), and ``acyclic`` marks a shared component that is a tree (its
+    one u-v path runs through the common neighbour, so valid when S is
+    non-empty).  A joined pair without a common neighbour is invalid: a
+    shortest path plus the edge is a chordless cycle.  Only a joined pair
+    with a common neighbour in a component with a cycle runs one BFS
+    avoiding S.
     """
-    if joined is False:
+    if not joined:
         return True
     nbrs = g.neighbor_sets
     sep = nbrs[u] & nbrs[v]
-    if sep:
-        if acyclic:
-            return True
-    elif joined:
+    if not sep:
         return False
-    return not UndirectedGraph.connected(g, u, v, blocked=sep)
+    return acyclic or not UndirectedGraph.connected(g, u, v, blocked=sep)
 
 
 class GrowingGraph:
     """A decomposable graph grown by single-edge additions, for greedy
     passes and random growth that test many additions in a row.
 
-    It keeps mutable neighbour sets and the edge set, a dense adjacency, a
-    matrix marking the pairs with a common neighbour, and one component
+    It keeps mutable neighbour sets and the edge set, and one component
     labelling with a flag per component that records whether it has a
-    cycle.  So the add-candidate filter of ``_addition_is_decomposable``
-    runs no search for pairs in different components or in one tree, and
-    rejects joined pairs without a common neighbour outright.  Additions
-    only ever join components and create common neighbours, so ``add``
-    updates all of it in O(p) without a rebuild: the new edge (u, v) gives
+    cycle, copied from the graph it is built from.  So the add-candidate
+    filter of ``_addition_is_decomposable`` runs no search for pairs in
+    different components or in one tree, and rejects joined pairs without
+    a common neighbour outright.  ``candidates`` also needs a dense
+    adjacency and a matrix marking the pairs with a common neighbour; they
+    are built on its first call, so a walk that only tests and adds pairs
+    never pays for them.  Additions only ever join components and create
+    common neighbours, so ``add`` updates the labels, and the dense state
+    once it is built, in O(p) without a rebuild: the new edge (u, v) gives
     v a common neighbour with every neighbour of u and vice versa, and
-    relabels v's component as u's.  It offers the reads that the rule,
-    ``UndirectedGraph.connected`` and ``GraphScorer.log_posterior_delta``
-    make: ``p``, ``size``, ``neighbor_sets`` and ``has_edge``.
+    relabels v's component as u's.  It
+    offers the reads that the rule, ``UndirectedGraph.connected`` and
+    ``GraphScorer.log_posterior_delta`` make: ``p``, ``size``,
+    ``neighbor_sets`` and ``has_edge``.
     """
 
     def __init__(self, g: UndirectedGraph):
-        p = self.p = g.p
+        self.p = g.p
         self.neighbor_sets: list[set[int]] = [set(s) for s in g.neighbor_sets]
         self.edges: set[Edge] = set(g.edges)
-        self.adj = np.array(g.adjacency)
-        # float32 goes through BLAS and counts exactly below 2**24
-        # vertices; a narrow integer type would wrap
-        a = self.adj.astype(np.float32)
-        self.shared = (a @ a) > 0
-        np.fill_diagonal(self.shared, False)  # a vertex is no pair with itself
-        self._upper = ~np.tri(p, dtype=bool)
-        # a component's label is one of its vertices (here its lowest), and
-        # its flag is read at that label only; a connected component is a
-        # tree iff it has one edge fewer than it has vertices
-        nbrs = self.neighbor_sets
-        labels: list[int] = [-1] * p
-        self._cyclic = [False] * p
-        for s in range(p):
-            if labels[s] < 0:
-                labels[s] = s
-                comp = [s]
-                for w in comp:
-                    for x in nbrs[w]:
-                        if labels[x] < 0:
-                            labels[x] = s
-                            comp.append(x)
-                self._cyclic[s] = sum(len(nbrs[w]) for w in comp) >= 2 * len(comp)
-        self.labels = labels
+        labels, cyclic = g._components
+        self.labels = list(labels)
+        self._cyclic = list(cyclic)
+        # the dense state, built by the first ``candidates`` call
+        self.adj: np.ndarray | None = None
+        self.shared: np.ndarray | None = None
+        self._upper: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -336,21 +375,22 @@ class GrowingGraph:
 
     def can_add(self, u: int, v: int) -> bool:
         """Would adding the absent pair (u, v) keep the graph decomposable?"""
-        # int labels make ``lu == lv`` a Python bool, which the rule's
-        # ``joined is False`` test needs
-        lu, lv = self.labels[u], self.labels[v]
-        return _addition_is_decomposable(self, u, v, lu == lv, not self._cyclic[lu])
+        lu = self.labels[u]
+        return _addition_is_decomposable(
+            self, u, v, lu == self.labels[v], not self._cyclic[lu]
+        )
 
     def add(self, u: int, v: int) -> None:
         """Add the edge (u, v) with u < v, which ``can_add`` has accepted."""
         self.neighbor_sets[u].add(v)
         self.neighbor_sets[v].add(u)
         self.edges.add((u, v))
-        for a, b in ((u, v), (v, u)):
-            # b gains a common neighbour with every neighbour of a
-            self.shared[b] |= self.adj[a]
-            self.shared[:, b] |= self.adj[a]
-        self.adj[u, v] = self.adj[v, u] = True
+        if self.adj is not None:
+            for a, b in ((u, v), (v, u)):
+                # b gains a common neighbour with every neighbour of a
+                self.shared[b] |= self.adj[a]
+                self.shared[:, b] |= self.adj[a]
+            self.adj[u, v] = self.adj[v, u] = True
         lu, lv = self.labels[u], self.labels[v]
         self._cyclic[lu] = lu == lv or self._cyclic[lu] or self._cyclic[lv]
         if lu != lv:
@@ -360,6 +400,14 @@ class GrowingGraph:
         """Flat indices u * p + v of the absent pairs u < v that are in
         different components or have a common neighbour, ascending (the
         row-major order of the pairs)."""
+        if self.adj is None:
+            self.adj = _adjacency_matrix(self.p, self.edges)
+            # float32 goes through BLAS and counts exactly below 2**24
+            # vertices; a narrow integer type would wrap
+            a = self.adj.astype(np.float32)
+            self.shared = (a @ a) > 0
+            np.fill_diagonal(self.shared, False)  # a vertex is no pair with itself
+            self._upper = ~np.tri(self.p, dtype=bool)
         labels = np.array(self.labels)
         joinable = self.shared | (labels[:, None] != labels[None, :])
         return np.flatnonzero(joinable & ~self.adj & self._upper)
@@ -400,14 +448,17 @@ def move_is_decomposable(g: UndirectedGraph, edge: Edge) -> bool:
     - deleting (u, v) is valid iff S is complete, i.e. the edge lies in
       exactly one maximal clique.
 
-    One pair knows nothing of the components, so an addition always runs
-    the separator BFS of ``_addition_is_decomposable``.
+    An addition reads the graph's component labels and cycle flags, built
+    once per graph, so ``_addition_is_decomposable`` runs the separator BFS
+    only for a pair with a common neighbour in a component with a cycle.
     """
     u, v = _normalize_edge(*edge)
     if (u, v) in g.edges:
         sep = g.neighbor_sets[u] & g.neighbor_sets[v]
         return _all_complete(g, [tuple(sep)])
-    return _addition_is_decomposable(g, u, v)
+    labels, cyclic = g._components
+    lu = labels[u]
+    return _addition_is_decomposable(g, u, v, lu == labels[v], not cyclic[lu])
 
 
 def decomposable_neighbors(g: UndirectedGraph) -> list[Edge]:

@@ -74,7 +74,7 @@ def _ridge_edge_order(
     order = np.lexsort((cols, rows, -weights))
     lengths = np.searchsorted(-weights[order], -np.asarray(thresholds), side="left")
     pairs = list(zip(rows[order].tolist(), cols[order].tolist()))
-    return pairs, np.unique(lengths).tolist()
+    return pairs, sorted(set(lengths.tolist()))
 
 
 def candidate_graphs(
@@ -90,9 +90,12 @@ def candidate_graphs(
     incremental walk per ridge value yields all prefixes.  The walk grows a
     ``GrowingGraph`` from the empty graph, whose add-candidate filter
     decides most pairs from its component labels and common neighbours
-    without a search, and it builds an ``UndirectedGraph`` only for each
-    new candidate.  Duplicates are dropped, order is deterministic, and at
-    most ``max_candidates`` (graph, log posterior) pairs are returned.
+    without a search.  The walk looks a prefix's graph up among the earlier
+    candidates only when it has grown since the last prefix, and builds an
+    ``UndirectedGraph`` only for each new candidate, without re-checking
+    the edges it added as valid pairs.  Duplicates are dropped, order is
+    deterministic, and at most ``max_candidates`` (graph, log posterior)
+    pairs are returned.
 
     A score is the empty graph's score plus the move deltas of the additions
     along the walk.  A candidate outside the support scores -inf, and so
@@ -108,6 +111,7 @@ def candidate_graphs(
         walk = GrowingGraph(UndirectedGraph.empty(data.p))
         lp = empty_lp
         consumed = 0
+        tested_size = -1  # the walk's size when its graph was last looked up
         for length in lengths:
             for i, j in pairs[consumed:length]:
                 if walk.can_add(i, j):
@@ -115,10 +119,13 @@ def candidate_graphs(
                         lp += scorer.log_posterior_delta(walk, (i, j))
                     walk.add(i, j)
             consumed = length
+            if walk.size == tested_size:
+                continue  # not grown: the graph last looked up, so in ``seen``
+            tested_size = walk.size
             edges = frozenset(walk.edges)
             if edges not in seen:
                 seen.add(edges)
-                out.append((UndirectedGraph(data.p, edges), lp))
+                out.append((UndirectedGraph._trusted(data.p, edges), lp))
                 if len(out) >= config.max_candidates:
                     return out
     return out

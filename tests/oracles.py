@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from first principles (brute force
 where feasible) rather than by calling the code under test.  The exceptions
-are the former per-pair and per-move implementations at the end, kept as
-references for their faster replacements: they call the library's
-single-move test and move delta, which have oracle tests of their own.
+are the former implementations at the end, kept as references for their
+faster replacements: the dense maximum cardinality search, and the
+per-pair and per-move walks, which call the library's single-move test and
+move delta (both have oracle tests of their own).
 """
 
 from __future__ import annotations
@@ -409,3 +410,36 @@ def case_graph_reference(
     while g.size != target:
         g = random_decomposable_move_reference(g, add, rng)
     return g
+
+
+def mcs_visit_reference(
+    g: UndirectedGraph, priority: list[int] | None = None
+) -> tuple[list[int], list[list[int]]]:
+    """Maximum cardinality search by p argmax rounds over the dense
+    adjacency: the visit order and each vertex's earlier neighbours in
+    ascending order, ties toward the lowest vertex index or ``priority``
+    value."""
+    p = g.p
+    adj = g.adjacency
+    weights = np.zeros(p, dtype=np.int64)
+    visited = np.zeros(p, dtype=bool)
+    if priority is None:
+        rank = np.arange(p, dtype=np.int64)
+    else:
+        if sorted(priority) != list(range(p)):
+            raise ValueError("priority must be a permutation of 0..p-1")
+        rank = np.asarray(priority, dtype=np.int64)
+
+    order: list[int] = []
+    earlier: list[list[int]] = []
+    for _ in range(p):
+        # lexicographic argmax on (weight, -rank) over unvisited vertices
+        key = weights * p - rank
+        key[visited] = np.iinfo(np.int64).min
+        z = int(np.argmax(key))
+        mask = adj[z] & visited
+        earlier.append(np.nonzero(mask)[0].tolist())
+        visited[z] = True
+        order.append(z)
+        weights[adj[z]] += 1
+    return order, earlier

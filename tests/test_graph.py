@@ -10,6 +10,7 @@ from gwish.errors import IndexOutOfRange, InvalidMove, NotDecomposable, NoValidM
 from gwish.graph import (
     GrowingGraph,
     UndirectedGraph,
+    _mcs_visit,
     decomposable_neighbors,
     enumerate_graphs,
     is_decomposable,
@@ -27,6 +28,7 @@ from oracles import (
     check_perfect_sequence,
     chordal_by_cycle_scan,
     decomposable_neighbors_reference,
+    mcs_visit_reference,
     random_decomposable_move_reference,
     reachable,
     relabel,
@@ -35,6 +37,16 @@ from oracles import (
 
 def all_graphs(p):
     return list(enumerate_graphs(p))
+
+
+@st.composite
+def any_graphs(draw, max_p=12):
+    """A graph on up to ``max_p`` vertices with every pair drawn in or out,
+    so most are not chordal."""
+    p = draw(st.integers(min_value=1, max_value=max_p))
+    pairs = list(itertools.combinations(range(p), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return UndirectedGraph(p, frozenset(e for e, k in zip(pairs, keep) if k))
 
 
 class TestBasics:
@@ -151,6 +163,34 @@ class TestPerfectSequence:
                 priority = rng.permutation(4).tolist()
                 seq = perfect_sequence(g, priority=priority)
                 check_perfect_sequence(g, seq)
+
+
+class TestMcsVisit:
+    """The heap-driven search against the dense argmax search it replaced."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_matches_reference_on_every_small_graph(self, p):
+        rng = np.random.default_rng(p)
+        for g in all_graphs(p):
+            assert _mcs_visit(g) == mcs_visit_reference(g)
+            for _ in range(3):
+                priority = rng.permutation(p).tolist()
+                assert _mcs_visit(g, priority) == mcs_visit_reference(g, priority)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(chordal_graphs, any_graphs()), st.data())
+    def test_matches_reference_on_random_graphs(self, g, data):
+        priority = data.draw(st.permutations(range(g.p)))
+        assert _mcs_visit(g) == mcs_visit_reference(g)
+        assert _mcs_visit(g, priority) == mcs_visit_reference(g, priority)
+
+    @pytest.mark.parametrize("priority", [[0, 0, 1], [0, 1], [1, 2, 3]])
+    def test_priority_must_be_a_permutation(self, priority):
+        g = UndirectedGraph.from_edges(3, [(0, 1)])
+        with pytest.raises(ValueError):
+            _mcs_visit(g, priority)
+        with pytest.raises(ValueError):
+            perfect_sequence(g, priority=priority)
 
 
 class TestMoves:
@@ -301,6 +341,19 @@ class TestNoPerPairSearch:
         )
         assert separator_searches == []
 
+    def test_move_test_decides_from_components(self, separator_searches):
+        # a path 0-1-2-3 beside a triangle 4-5-6 with a tail 6-7
+        g = UndirectedGraph.from_edges(
+            8, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (5, 6), (6, 7)]
+        )
+        assert not move_is_decomposable(g, (0, 3))  # joined, no common neighbour
+        assert move_is_decomposable(g, (3, 4))  # in two components
+        assert move_is_decomposable(g, (0, 2))  # common neighbour 1 in a tree
+        assert separator_searches == []
+        # common neighbour 6 in the component with the triangle
+        assert move_is_decomposable(g, (4, 7))
+        assert separator_searches == [(4, 7)]
+
     def test_cycle_in_component_needs_the_search(self, separator_searches):
         # a triangle with a tail: (0, 3) has common neighbour 2 in a component
         # with a cycle, so only the BFS avoiding {2} can accept it
@@ -311,7 +364,9 @@ class TestNoPerPairSearch:
 
 def grown_state(grown):
     """Everything a ``GrowingGraph`` holds, as plain values; the component
-    labelling as the partition it makes, with each block's cycle flag."""
+    labelling as the partition it makes, with each block's cycle flag.  The
+    ``candidates`` call comes first, since it builds the dense state."""
+    candidates = grown.candidates().tolist()
     blocks = {}
     for x, label in enumerate(grown.labels):
         blocks.setdefault(label, set()).add(x)
@@ -321,7 +376,7 @@ def grown_state(grown):
         "adjacency": grown.adj.tolist(),
         "shared": grown.shared.tolist(),
         "components": {frozenset(b): grown._cyclic[k] for k, b in blocks.items()},
-        "candidates": grown.candidates().tolist(),
+        "candidates": candidates,
     }
 
 
@@ -342,6 +397,23 @@ class TestGrowingGraph:
                 break
         fresh = GrowingGraph(UndirectedGraph(g.p, frozenset(grown.edges)))
         assert grown_state(grown) == grown_state(fresh)
+
+    @settings(max_examples=150, deadline=None)
+    @given(chordal_graphs, st.integers(min_value=0, max_value=2**32 - 1))
+    def test_dense_state_kept_through_additions_equals_built_after(self, g, seed):
+        # one greedy walk over the pairs in random order, as the threshold
+        # walk makes, on a state whose dense part exists before the run and
+        # on one that builds it after
+        early, late = GrowingGraph(g), GrowingGraph(g)
+        early.candidates()
+        pairs = list(itertools.combinations(range(g.p), 2))
+        for k in make_rng(seed).permutation(len(pairs)).tolist():
+            u, v = pairs[k]
+            if not early.has_edge(u, v) and early.can_add(u, v):
+                early.add(u, v)
+                late.add(u, v)
+        assert late.adj is None and late.shared is None
+        assert grown_state(early) == grown_state(late)
 
     @settings(max_examples=150, deadline=None)
     @given(chordal_graphs)

@@ -2,6 +2,9 @@
 
 Each probe runs in a fresh interpreter that imports gwish from the same
 directory as this test session, then prints the scipy modules it loaded.
+One more probe checks that the thresholded-candidate search loads no
+``numpy.ma``, whose import costs every ``search`` and ``mcmc --init
+threshold`` process 10 to 15 ms.
 """
 
 import json
@@ -38,18 +41,38 @@ PROBES = {
 }
 
 
-@pytest.mark.parametrize("probe", sorted(PROBES))
-def test_no_scipy_module_is_loaded(probe):
+def run_probe(code):
+    """Standard output of ``code`` run in a fresh interpreter, as lines."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC, *filter(None, [env.get("PYTHONPATH")])]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", PROBES[probe] + REPORT],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    *before, last = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_no_scipy_module_is_loaded(probe):
+    *before, last = run_probe(PROBES[probe] + REPORT)
     if probe.endswith("--version"):
         assert before == [f"gwish {gwish.__version__}"]
     assert json.loads(last) == []
+
+
+def test_threshold_init_loads_no_masked_arrays():
+    lines = run_probe(
+        "import sys\n"
+        "import numpy as np\n"
+        "from gwish.model import Dataset, Hyperparameters\n"
+        "from gwish.search import threshold_init\n"
+        "x = np.random.default_rng(0).standard_normal((12, 5))\n"
+        "g = threshold_init(Dataset.from_matrix(x), Hyperparameters(g=0.3))\n"
+        "print(g.p)\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    assert lines == ["5", "[]"]
