@@ -241,14 +241,17 @@ class GraphScorer:
     def __init__(self, data: Dataset, hyper: Hyperparameters):
         self.data = data
         self.hyper = hyper
-        self._logdet: dict[tuple[int, ...], float] = {}
+        self._logdet: dict[frozenset[int], float] = {}
         self._scalar: dict[int, float] = {}
 
-    def _gram_logdet(self, subset: tuple[int, ...]) -> float:
+    def _gram_logdet(self, subset: frozenset[int]) -> float:
         cached = self._logdet.get(subset)
         if cached is not None:
             return cached
-        _, val = cholesky_logdet(submatrix(self.data.gram, subset))
+        # a subset of distinct vertices 0..p-1, so the Gram block is indexed
+        # directly, in sorted order, without ``submatrix``'s checks
+        idx = np.array(sorted(subset))
+        _, val = cholesky_logdet(self.data.gram[idx[:, None], idx])
         self._logdet[subset] = val
         return val
 
@@ -274,8 +277,7 @@ class GraphScorer:
             return 0.0
         if q > self.data.n:
             raise CliqueTooLarge(q, self.data.n)
-        key = tuple(sorted(subset))
-        return self._scalar_term(q) - self.data.n / 2.0 * self._gram_logdet(key)
+        return self._scalar_term(q) - self.data.n / 2.0 * self._gram_logdet(subset)
 
     def log_marginal_core(
         self, g: UndirectedGraph, seq: PerfectSequence | None = None
@@ -318,7 +320,8 @@ class GraphScorer:
         addition, negated for a deletion.
         """
         u, v = edge
-        sep = g.neighbor_sets[u] & g.neighbor_sets[v]
+        # frozen, so that the four subsets below can key the log-det cache
+        sep = frozenset(g.neighbor_sets[u] & g.neighbor_sets[v])
         delta = (
             self.clique_term(sep | {u, v})
             - self.clique_term(sep | {u})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +44,11 @@ class CandidateConfig:
     max_candidates: int = 5000
 
     def __post_init__(self) -> None:
-        if any(lam <= 0 for lam in self.ridge_grid):
-            raise ValueError("ridge values must be positive")
-        if any(t < 0 for t in self.threshold_grid):
-            raise ValueError("thresholds must be nonnegative")
+        if not all(0 < lam < math.inf for lam in self.ridge_grid):
+            raise ValueError("ridge values must be positive and finite")
+        if not all(t >= 0 for t in self.threshold_grid):
+            # NaN fails this test; +inf keeps no pair and is allowed
+            raise ValueError("thresholds must be nonnegative numbers")
         if self.max_candidates < 1:
             raise ValueError("max_candidates must be positive")
 
@@ -77,6 +79,49 @@ def _ridge_edge_order(
     return pairs, sorted(set(lengths.tolist()))
 
 
+def _walk_candidates(
+    scorer: GraphScorer, config: CandidateConfig
+) -> Iterator[tuple[GrowingGraph, float]]:
+    """The walk behind ``candidate_graphs``: yields (walk, log posterior)
+    once per new candidate, in the order that ``candidate_graphs`` lists
+    them.  ``walk`` is the live ``GrowingGraph``: the caller reads it before
+    it draws the next item and never changes it.
+
+    A candidate is known by its pair bitmask, a Python int with one bit per
+    vertex pair i < j, numbered in row-major order, set for each edge.  So
+    the deduplication keeps one int of at most p(p-1)/2 bits per candidate
+    and builds no edge set.
+    """
+    data = scorer.data
+    p = data.p
+    seen: set[int] = set()
+    empty_lp = scorer.score(UndirectedGraph.empty(p)).log_posterior
+    for lam in config.ridge_grid:
+        pairs, lengths = _ridge_edge_order(data, lam, config.threshold_grid)
+        walk = GrowingGraph(UndirectedGraph.empty(p))
+        lp = empty_lp
+        key = 0
+        consumed = 0
+        tested_size = -1  # the walk's size when its key was last looked up
+        for length in lengths:
+            for i, j in pairs[consumed:length]:
+                if walk.can_add(i, j):
+                    if lp > -math.inf:
+                        lp += scorer.log_posterior_delta(walk, (i, j))
+                    walk.add(i, j)
+                    # bit k for the k-th pair i < j in row-major order
+                    key |= 1 << (i * (2 * p - i - 3) // 2 + j - 1)
+            consumed = length
+            if walk.size == tested_size:
+                continue  # not grown: the graph last looked up, so in ``seen``
+            tested_size = walk.size
+            if key not in seen:
+                seen.add(key)
+                yield walk, lp
+                if len(seen) >= config.max_candidates:
+                    return
+
+
 def candidate_graphs(
     scorer: GraphScorer, config: CandidateConfig | None = None
 ) -> list[tuple[UndirectedGraph, float]]:
@@ -91,56 +136,40 @@ def candidate_graphs(
     ``GrowingGraph`` from the empty graph, whose add-candidate filter
     decides most pairs from its component labels and common neighbours
     without a search.  The walk looks a prefix's graph up among the earlier
-    candidates only when it has grown since the last prefix, and builds an
-    ``UndirectedGraph`` only for each new candidate, without re-checking
-    the edges it added as valid pairs.  Duplicates are dropped, order is
+    candidates only when it has grown since the last prefix, by its pair
+    bitmask (one bit per vertex pair).  Duplicates are dropped, order is
     deterministic, and at most ``max_candidates`` (graph, log posterior)
-    pairs are returned.
+    pairs are returned.  This list holds a frozen graph per candidate;
+    ``threshold_init`` and ``hybrid_mode`` rank the same walk as it runs
+    and keep only the best graph.
 
     A score is the empty graph's score plus the move deltas of the additions
     along the walk.  A candidate outside the support scores -inf, and so
     does every later one of its walk, since the walk only adds edges.
     """
-    config = config or CandidateConfig()
-    data = scorer.data
-    out: list[tuple[UndirectedGraph, float]] = []
-    seen: set[frozenset] = set()
-    empty_lp = scorer.score(UndirectedGraph.empty(data.p)).log_posterior
-    for lam in config.ridge_grid:
-        pairs, lengths = _ridge_edge_order(data, lam, config.threshold_grid)
-        walk = GrowingGraph(UndirectedGraph.empty(data.p))
-        lp = empty_lp
-        consumed = 0
-        tested_size = -1  # the walk's size when its graph was last looked up
-        for length in lengths:
-            for i, j in pairs[consumed:length]:
-                if walk.can_add(i, j):
-                    if lp > -math.inf:
-                        lp += scorer.log_posterior_delta(walk, (i, j))
-                    walk.add(i, j)
-            consumed = length
-            if walk.size == tested_size:
-                continue  # not grown: the graph last looked up, so in ``seen``
-            tested_size = walk.size
-            edges = frozenset(walk.edges)
-            if edges not in seen:
-                seen.add(edges)
-                out.append((UndirectedGraph._trusted(data.p, edges), lp))
-                if len(out) >= config.max_candidates:
-                    return out
-    return out
+    p = scorer.data.p
+    return [
+        (UndirectedGraph._trusted(p, frozenset(walk.edges)), lp)
+        for walk, lp in _walk_candidates(scorer, config or CandidateConfig())
+    ]
 
 
 def _best_candidate(
     data: Dataset, hyper: Hyperparameters, config: CandidateConfig | None
 ) -> tuple[UndirectedGraph, int]:
-    """Highest-scoring candidate (earliest on ties, the empty graph when
-    every candidate is outside the support) and the number of candidates."""
-    scored = candidate_graphs(GraphScorer(data, hyper), config)
-    best, lp = max(scored, key=lambda c: c[1])
-    if lp == -math.inf:
-        best = UndirectedGraph.empty(data.p)
-    return best, len(scored)
+    """Highest-scoring candidate of ``candidate_graphs`` (earliest on ties,
+    the empty graph when every candidate is outside the support) and the
+    number of candidates, ranked as the walk makes them: only a candidate
+    that beats the best so far is frozen."""
+    best_edges: frozenset[Edge] = frozenset()
+    best_lp = -math.inf
+    count = 0
+    scorer = GraphScorer(data, hyper)
+    for walk, lp in _walk_candidates(scorer, config or CandidateConfig()):
+        count += 1
+        if lp > best_lp:
+            best_edges, best_lp = frozenset(walk.edges), lp
+    return UndirectedGraph._trusted(data.p, best_edges), count
 
 
 def threshold_init(
@@ -151,6 +180,9 @@ def threshold_init(
     """Highest-scoring thresholded candidate; ties go to the earliest.
 
     Returns the empty graph when every candidate lies outside the support.
+    The candidates of ``candidate_graphs`` are ranked as the walk makes
+    them, deduplicated by their pair bitmasks, so only the best graph so
+    far is kept.
     """
     return _best_candidate(data, hyper, config)[0]
 
@@ -234,7 +266,11 @@ def hybrid_mode(
     search_iters: int = 30,
     rng: np.random.Generator | None = None,
 ) -> ModeSearchResult:
-    """Score all candidates, then refine the best by shotgun search."""
+    """Score all candidates, then refine the best by shotgun search.
+
+    The candidates are ranked as the threshold walk makes them, as in
+    ``threshold_init``, and each counts once in ``visited``.
+    """
     start, n_candidates = _best_candidate(data, hyper, config)
     refined = shotgun_search(start, data, hyper, max_iters=search_iters, rng=rng)
     return ModeSearchResult(

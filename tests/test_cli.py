@@ -189,6 +189,29 @@ class TestSearch:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--ridge-grid", "0.1,nan", "ridge values must be positive and finite"),
+         ("--ridge-grid", "inf", "ridge values must be positive and finite"),
+         ("--threshold-grid", "0.1,nan", "thresholds must be nonnegative")],
+        ids=["ridge-nan", "ridge-inf", "threshold-nan"],
+    )
+    def test_non_finite_grids_exit_2(self, data_dir, tmp_path, capsys, flag, value,
+                                     message):
+        out = tmp_path / "mode"
+        assert run("search", "--data", data_dir, "--g", 0.05, flag, value,
+                   "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_threshold_keeps_no_pair(self, data_dir, tmp_path):
+        out = tmp_path / "mode"
+        assert run("search", "--data", data_dir, "--g", 0.05,
+                   "--ridge-grid", "0.1", "--threshold-grid", "inf",
+                   "--search-iters", 0, "--out", out) == 0
+        assert read_edge_list(str(out / "mode_graph.edges")).size == 0
+        assert json.loads((out / "mode.json").read_text())["visited"] == 2
+
 
 class TestBayesFactor:
     def test_same_graph_is_zero(self, data_dir, tmp_path, capsys):

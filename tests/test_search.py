@@ -1,9 +1,10 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwish.cli import main
@@ -23,6 +24,7 @@ from gwish.model import (
 from gwish.numerics import make_rng
 from gwish.search import (
     CandidateConfig,
+    _best_candidate,
     bayes_estimator_l1_stein,
     candidate_graphs,
     hybrid_mode,
@@ -80,6 +82,13 @@ class TestCandidates:
             CandidateConfig(ridge_grid=(0.0,))
         with pytest.raises(ValueError):
             CandidateConfig(threshold_grid=(-0.1,))
+        for ridge in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                CandidateConfig(ridge_grid=(0.1, ridge))
+        with pytest.raises(ValueError):
+            CandidateConfig(threshold_grid=(0.1, math.nan))
+        # +inf keeps no pair: a valid, empty threshold
+        CandidateConfig(threshold_grid=(math.inf,))
         with pytest.raises(ValueError):
             CandidateConfig(max_candidates=0)
 
@@ -112,32 +121,80 @@ class TestCandidates:
         assert best == UndirectedGraph.empty(4)
 
 
+WALK_CASES = dict(
+    p=st.integers(2, 14),
+    n=st.integers(3, 40),
+    seed=st.integers(0, 2**32 - 1),
+    r_max=st.sampled_from([None, 0, 2, 5]),
+    ridge=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=3),
+    thresholds=st.lists(st.floats(0.0, 0.6), min_size=1, max_size=6),
+    max_candidates=st.integers(1, 40),
+)
+
+
+def walk_case(p, n, seed, r_max, ridge, thresholds, max_candidates):
+    # mixed columns give the ridge inverses some structure; with n as low
+    # as 3 the walk reaches cliques larger than n, which score -inf
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p)) @ (np.eye(p) + 0.5 * rng.standard_normal((p, p)))
+    data = Dataset.from_matrix(x)
+    hyper = Hyperparameters(g=0.2, r_max=r_max)
+    config = CandidateConfig(tuple(ridge), tuple(thresholds), max_candidates)
+    return data, hyper, config
+
+
 class TestCandidateWalk:
     """The incremental walk against the frozen-graph walk it replaced."""
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        p=st.integers(2, 14),
-        n=st.integers(3, 40),
-        seed=st.integers(0, 2**32 - 1),
-        r_max=st.sampled_from([None, 0, 2, 5]),
-        ridge=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=3),
-        thresholds=st.lists(st.floats(0.0, 0.6), min_size=1, max_size=6),
-        max_candidates=st.integers(1, 40),
-    )
+    @given(**WALK_CASES)
     def test_same_graphs_and_scores_as_reference(
         self, p, n, seed, r_max, ridge, thresholds, max_candidates
     ):
-        # mixed columns give the ridge inverses some structure; with n as low
-        # as 3 the walk reaches cliques larger than n, which score -inf
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, p)) @ (np.eye(p) + 0.5 * rng.standard_normal((p, p)))
-        data = Dataset.from_matrix(x)
-        hyper = Hyperparameters(g=0.2, r_max=r_max)
-        config = CandidateConfig(tuple(ridge), tuple(thresholds), max_candidates)
+        data, hyper, config = walk_case(
+            p, n, seed, r_max, ridge, thresholds, max_candidates
+        )
         got = candidate_graphs(GraphScorer(data, hyper), config)
         want = candidate_graphs_reference(GraphScorer(data, hyper), config)
         assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(**WALK_CASES)
+    # r_max = 0: the empty candidate comes first and is the only finite one
+    @example(p=6, n=30, seed=3, r_max=0, ridge=[0.1],
+             thresholds=[1e9, 0.0], max_candidates=40)
+    # every candidate scores -inf, so the empty graph, which is no candidate
+    @example(p=6, n=3, seed=3, r_max=0, ridge=[0.1],
+             thresholds=[0.0], max_candidates=40)
+    # six candidates untruncated, cut to two
+    @example(p=8, n=30, seed=2, r_max=None, ridge=[0.1, 1.0],
+             thresholds=[0.0, 0.1, 0.3], max_candidates=2)
+    def test_streamed_ranking_is_first_argmax(
+        self, p, n, seed, r_max, ridge, thresholds, max_candidates
+    ):
+        data, hyper, config = walk_case(
+            p, n, seed, r_max, ridge, thresholds, max_candidates
+        )
+        scored = candidate_graphs(GraphScorer(data, hyper), config)
+        best, lp = max(scored, key=lambda c: c[1])  # the first maximum
+        if lp == -math.inf:
+            best = UndirectedGraph.empty(p)
+        assert _best_candidate(data, hyper, config) == (best, len(scored))
+
+    def test_threshold_init_keeps_no_candidate_list(self):
+        # A list of every candidate graph peaked at 6.6 MB here; the ranking
+        # keeps one bitmask per candidate and the best graph so far.
+        truth = build_truth(TrueModelSpec(kind="ar2", p=60))
+        data = sample_dataset(truth, n=150, rng=make_rng(11))
+        hyper = Hyperparameters.preset("selection", 60)
+        threshold_init(data, hyper)  # lazy imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            threshold_init(data, hyper)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
     def test_forest_walk_runs_no_separator_search(self, separator_searches):
         # The strongest pairs of this ar1 sample are the seven path edges,
