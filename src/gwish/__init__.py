@@ -45,6 +45,7 @@ from .model import (
     GroundTruth,
     Hyperparameters,
     PrecisionSampler,
+    bayes_estimator_l1_stein,
     log_graph_prior,
     log_norm_const,
     log_norm_const_complete,
@@ -62,7 +63,6 @@ from .numerics import (
 from .search import (
     CandidateConfig,
     ModeSearchResult,
-    bayes_estimator_l1_stein,
     candidate_graphs,
     hybrid_mode,
     shotgun_search,

@@ -32,17 +32,14 @@ from .model import (
     Dataset,
     Hyperparameters,
     PRESETS,
+    bayes_estimator_l1_stein,
     log_pairwise_bayes_factor,
     log_posterior_ratio,
     posterior_mean_precision,
     theory_r_max,
 )
 from .numerics import make_rng
-from .search import (
-    CandidateConfig,
-    bayes_estimator_l1_stein,
-    hybrid_mode,
-)
+from .search import CandidateConfig, hybrid_mode
 from .simulate import (
     KINDS,
     TrueModelSpec,
@@ -376,11 +373,7 @@ def _cmd_estimate(args) -> int:
         if args.estimator == "l2":
             omega = posterior_mean_precision(data, graph, hyper)
         else:
-            omega = bayes_estimator_l1_stein(
-                data, graph, hyper, make_rng(args.seed, args.stream),
-                mc_draws=args.mc_draws,
-            )
-            meta["mc_draws"] = args.mc_draws
+            omega = bayes_estimator_l1_stein(data, graph, hyper)
         meta["graph_edges"] = graph.size
     else:  # mcmc
         config = _chain_config(args, data.p, sample_precision=True)
@@ -528,7 +521,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--estimator", choices=("l2", "l1-stein", "mcmc"), required=True
     )
     sp.add_argument("--graph", default=None, help="edge list for l2 / l1-stein")
-    sp.add_argument("--mc-draws", type=int, default=500)
+    sp.add_argument(
+        "--mc-draws",
+        type=int,
+        default=None,
+        help="accepted and ignored: l1-stein is computed exactly, without draws",
+    )
     _chain_flags(sp)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_estimate)

@@ -40,7 +40,7 @@ from .model import (
     PrecisionSampler,
 )
 from .numerics import make_rng
-from .search import threshold_init
+from .search import _best_candidate
 
 KERNELS = ("uniform", "exact")
 
@@ -196,16 +196,16 @@ def mh_step(
     return state, False
 
 
-def _resolve_init(
-    config: ChainConfig, data: Dataset, hyper: Hyperparameters
-) -> UndirectedGraph:
+def _resolve_init(config: ChainConfig, scorer: GraphScorer) -> UndirectedGraph:
+    # the threshold start is ``search.threshold_init``, ranked with the
+    # chain's own scorer so the chain reuses the walk's log determinants
     if isinstance(config.init, UndirectedGraph):
         if not is_decomposable(config.init):
             raise NotDecomposable("initial graph must be decomposable")
         return config.init
     if config.init == "empty":
-        return UndirectedGraph.empty(data.p)
-    return threshold_init(data, hyper)
+        return UndirectedGraph.empty(scorer.data.p)
+    return _best_candidate(scorer, None)[0]
 
 
 def _add_inclusion(inclusion: np.ndarray, g: UndirectedGraph, steps: int) -> None:
@@ -229,7 +229,7 @@ def run_chain(
     """
     rng = make_rng(config.seed, config.stream)
     scorer = GraphScorer(data, hyper)
-    g0 = _resolve_init(config, data, hyper)
+    g0 = _resolve_init(config, scorer)
     state = ChainState(g0, scorer.score(g0))
     p = data.p
 

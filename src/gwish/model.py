@@ -18,7 +18,8 @@ submatrices scaled by g and 1 + g; the p x p matrix A is never formed.
 Graphs carry a size-penalised prior over decomposable graphs.  Conjugacy
 gives Omega | G, X ~ W_G(n + nu, X'X + A), which factorises over a perfect
 numbering of G into independent gamma and normal draws, one pair per
-vertex (Roverato 2000).
+vertex (Roverato 2000).  Its Bayes estimators given G under squared-error
+and Stein's loss are clique/separator sums in closed form.
 """
 
 from __future__ import annotations
@@ -446,27 +447,65 @@ class PrecisionSampler:
         return symmetrize(root.T @ root)
 
 
-def posterior_mean_precision(
-    data: Dataset, g: UndirectedGraph, hyper: Hyperparameters
+def _clique_separator_sum(
+    data: Dataset, g: UndirectedGraph, weight: Callable[[int], float]
 ) -> np.ndarray:
-    """Closed-form posterior mean of Omega given the graph.
+    """Sum over the cliques C of weight(|C|) * inv(Gram_C), each padded with
+    zeros to p x p, minus the same sum over the separators.
 
-    Sum over cliques of (n + nu + |C| - 1) / (1 + g) * inv(Gram_C), padded
-    with zeros, minus the matching separator terms.
+    Only clique blocks are written, so every entry off the graph is exactly
+    0.0; each block inverse is exactly symmetric, and so is the sum.  Raises
+    NotDecomposable for a non-chordal graph and CliqueTooLarge when a clique
+    has more than n vertices, since its Gram block is then singular.
     """
+    if g.p != data.p:
+        raise DimensionMismatch(f"graph p={g.p} does not match data p={data.p}")
     seq = perfect_sequence(g)
     n = data.n
     for c in seq.cliques:
         if len(c) > n:
             raise CliqueTooLarge(len(c), n)
-    nu_post = n + hyper.nu
-    shrink = 1.0 / (1.0 + hyper.g)
     out = np.zeros((data.p, data.p))
     for subsets, sign in ((seq.cliques, 1.0), (seq.separators, -1.0)):
         for s in subsets:
             if not s:
                 continue
             ix = np.ix_(sorted(s), sorted(s))
-            inv = spd_inverse(data.gram[ix])
-            out[ix] += sign * ((nu_post + len(s) - 1) * shrink) * inv
+            out[ix] += sign * weight(len(s)) * spd_inverse(data.gram[ix])
     return out
+
+
+def posterior_mean_precision(
+    data: Dataset, g: UndirectedGraph, hyper: Hyperparameters
+) -> np.ndarray:
+    """Closed-form posterior mean of Omega given the graph: the Bayes
+    estimator under squared-error (l2) loss.
+
+    Sum over cliques of (n + nu + |C| - 1) / (1 + g) * inv(Gram_C), padded
+    with zeros, minus the matching separator terms.
+    """
+    nu_post = data.n + hyper.nu
+    shrink = 1.0 / (1.0 + hyper.g)
+    return _clique_separator_sum(data, g, lambda q: (nu_post + q - 1) * shrink)
+
+
+def bayes_estimator_l1_stein(
+    data: Dataset, g: UndirectedGraph, hyper: Hyperparameters
+) -> np.ndarray:
+    """Bayes estimator of Omega given the graph under Stein's loss:
+    inv(E[Sigma | G, X]) with Sigma = inv(Omega), in closed form.
+
+    Under the W_q convention of ``numerics``, each clique block Sigma_C has
+    posterior mean D_C / (n + nu - 2), D = (1 + g) X'X, whatever |C|, and
+    E[Sigma | G, X] is the G-completion of D / (n + nu - 2).  The inverse of
+    that completion is
+
+        (n + nu - 2) / (1 + g) * (sum_C inv(Gram_C)^0 - sum_S inv(Gram_S)^0),
+
+    where ^0 pads a block with zeros to p x p (Rajaratnam, Massam & Carvalho
+    2008, Ann. Statist. 36): the clique/separator sum of
+    ``posterior_mean_precision`` with n + nu - 2 in place of n + nu + |C| - 1.
+    No variate is drawn; entries off the graph are exactly 0.0.
+    """
+    weight = (data.n + hyper.nu - 2.0) / (1.0 + hyper.g)
+    return _clique_separator_sum(data, g, lambda q: weight)

@@ -15,13 +15,7 @@ from .graph import (
     decomposable_neighbors,
     random_decomposable_move,
 )
-from .model import (
-    Dataset,
-    GraphScore,
-    GraphScorer,
-    Hyperparameters,
-    PrecisionSampler,
-)
+from .model import Dataset, GraphScore, GraphScorer, Hyperparameters
 from .numerics import spd_inverse
 from .errors import CliqueTooLarge, NoValidMove
 
@@ -155,21 +149,22 @@ def candidate_graphs(
 
 
 def _best_candidate(
-    data: Dataset, hyper: Hyperparameters, config: CandidateConfig | None
+    scorer: GraphScorer, config: CandidateConfig | None
 ) -> tuple[UndirectedGraph, int]:
     """Highest-scoring candidate of ``candidate_graphs`` (earliest on ties,
     the empty graph when every candidate is outside the support) and the
     number of candidates, ranked as the walk makes them: only a candidate
-    that beats the best so far is frozen."""
+    that beats the best so far is frozen.  ``scorer`` keeps the log
+    determinants of the walk, so a chain or search that goes on from the
+    candidate with the same scorer does not factorise them again."""
     best_edges: frozenset[Edge] = frozenset()
     best_lp = -math.inf
     count = 0
-    scorer = GraphScorer(data, hyper)
     for walk, lp in _walk_candidates(scorer, config or CandidateConfig()):
         count += 1
         if lp > best_lp:
             best_edges, best_lp = frozenset(walk.edges), lp
-    return UndirectedGraph._trusted(data.p, best_edges), count
+    return UndirectedGraph._trusted(scorer.data.p, best_edges), count
 
 
 def threshold_init(
@@ -184,7 +179,7 @@ def threshold_init(
     them, deduplicated by their pair bitmasks, so only the best graph so
     far is kept.
     """
-    return _best_candidate(data, hyper, config)[0]
+    return _best_candidate(GraphScorer(data, hyper), config)[0]
 
 
 def shotgun_search(
@@ -206,9 +201,18 @@ def shotgun_search(
     a full score.  The score trace records the incumbent after each step and
     never decreases.  Raises ValueError for a negative ``max_iters``.
     """
+    return _shotgun(init, GraphScorer(data, hyper), max_iters, rng)
+
+
+def _shotgun(
+    init: UndirectedGraph,
+    scorer: GraphScorer,
+    max_iters: int,
+    rng: np.random.Generator | None,
+) -> ModeSearchResult:
+    """The ascent of ``shotgun_search``, scoring with ``scorer``."""
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
-    scorer = GraphScorer(data, hyper)
     current = init
     cur_lp = scorer.score(current).log_posterior
     best_g, best_lp = current, cur_lp
@@ -269,34 +273,16 @@ def hybrid_mode(
     """Score all candidates, then refine the best by shotgun search.
 
     The candidates are ranked as the threshold walk makes them, as in
-    ``threshold_init``, and each counts once in ``visited``.
+    ``threshold_init``, and each counts once in ``visited``.  The walk and
+    the search share one scorer, so the search reuses the walk's log
+    determinants.
     """
-    start, n_candidates = _best_candidate(data, hyper, config)
-    refined = shotgun_search(start, data, hyper, max_iters=search_iters, rng=rng)
+    scorer = GraphScorer(data, hyper)
+    start, n_candidates = _best_candidate(scorer, config)
+    refined = _shotgun(start, scorer, search_iters, rng)
     return ModeSearchResult(
         mode_graph=refined.mode_graph,
         mode_score=refined.mode_score,
         visited=refined.visited + n_candidates,
         score_trace=refined.score_trace,
     )
-
-
-def bayes_estimator_l1_stein(
-    data: Dataset,
-    graph: UndirectedGraph,
-    hyper: Hyperparameters,
-    rng: np.random.Generator,
-    mc_draws: int = 500,
-) -> np.ndarray:
-    """Inverse of the Monte Carlo posterior mean covariance given the graph.
-
-    Estimates E[inv(Omega) | G, X] from ``mc_draws`` posterior draws and
-    inverts it; the estimator associated with Stein-type covariance loss.
-    """
-    if mc_draws < 1:
-        raise ValueError("mc_draws must be positive")
-    sampler = PrecisionSampler(data, graph, hyper)
-    acc = np.zeros((data.p, data.p))
-    for _ in range(mc_draws):
-        acc += spd_inverse(sampler.draw(rng))
-    return spd_inverse(acc / mc_draws)

@@ -3,9 +3,10 @@
 Everything here is deliberately written from first principles (brute force
 where feasible) rather than by calling the code under test.  The exceptions
 are the former implementations at the end, kept as references for their
-faster replacements: the dense maximum cardinality search, and the
-per-pair and per-move walks, which call the library's single-move test and
-move delta (both have oracle tests of their own).
+faster replacements: the dense maximum cardinality search, the per-pair
+and per-move walks, which call the library's single-move test and move
+delta (both have oracle tests of their own), and the Monte Carlo Stein-loss
+estimator, which calls the library's precision sampler.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from gwish.graph import (
     is_decomposable,
     move_is_decomposable,
 )
+from gwish.model import PrecisionSampler
 from gwish.numerics import spd_inverse
 
 
@@ -443,3 +445,15 @@ def mcs_visit_reference(
         order.append(z)
         weights[adj[z]] += 1
     return order, earlier
+
+
+def posterior_mean_covariance_mc(
+    data, g: UndirectedGraph, hyper, rng: np.random.Generator, draws: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo mean of Sigma = inv(Omega) over ``draws`` posterior draws
+    of Omega given ``g``, and its entrywise standard error.  The inverse of
+    the mean is the former Monte Carlo Stein-loss estimator, the reference
+    for the closed form ``model.bayes_estimator_l1_stein``."""
+    sampler = PrecisionSampler(data, g, hyper)
+    sigmas = np.array([spd_inverse(sampler.draw(rng)) for _ in range(draws)])
+    return sigmas.mean(axis=0), sigmas.std(axis=0, ddof=1) / math.sqrt(draws)

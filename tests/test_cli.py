@@ -307,16 +307,39 @@ class TestEstimate:
                    "--out", tmp_path / "x") == 2
 
     def test_l1_stein(self, data_dir, tmp_path):
+        # exact, so --mc-draws is accepted and changes nothing
         gpath = tmp_path / "g.edges"
         write_edge_list(UndirectedGraph.from_edges(4, [(0, 1)]), str(gpath))
+        args = ("estimate", "--data", data_dir, "--g", 0.2,
+                "--estimator", "l1-stein", "--graph", gpath)
+        assert run(*args, "--mc-draws", 50, "--out", tmp_path / "draws") == 0
+        assert run(*args, "--seed", 9, "--out", tmp_path / "stein") == 0
         out = tmp_path / "stein"
-        assert run("estimate", "--data", data_dir, "--g", 0.2,
-                   "--estimator", "l1-stein", "--graph", gpath,
-                   "--mc-draws", 50, "--out", out) == 0
+        assert ((out / "omega_hat.csv").read_bytes()
+                == (tmp_path / "draws/omega_hat.csv").read_bytes())
         omega = np.loadtxt(out / "omega_hat.csv", delimiter=",", ndmin=2)
         assert np.all(np.linalg.eigvalsh(omega) > 0)
+        assert omega[0, 2] == 0.0 and omega[2, 3] == 0.0
         meta = json.loads((out / "meta.json").read_text())
-        assert meta["mc_draws"] == 50
+        assert meta["estimator"] == "l1-stein" and "mc_draws" not in meta
+
+    @pytest.mark.parametrize("estimator", ["l2", "l1-stein"])
+    def test_graph_outside_the_support_exits_3(self, tmp_path, capsys, estimator):
+        data = tmp_path / "data"
+        assert run("gen-data", "--kind", "ar1", "--p", 4, "--n", 3,
+                   "--out", data) == 0
+        c4 = UndirectedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        for name, graph, message in (
+            ("c4", c4, "not chordal"),
+            ("k4", UndirectedGraph.complete(4), "exceeds the sample size n=3"),
+        ):
+            gpath = tmp_path / f"{name}.edges"
+            write_edge_list(graph, str(gpath))
+            out = tmp_path / name
+            assert run("estimate", "--data", data, "--g", 0.2, "--estimator",
+                       estimator, "--graph", gpath, "--out", out) == 3
+            assert message in capsys.readouterr().err
+            assert not (out / "omega_hat.csv").exists()
 
     def test_mcmc_estimator(self, data_dir, tmp_path):
         out = tmp_path / "avg"

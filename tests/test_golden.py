@@ -50,8 +50,8 @@ def mode_estimate_pipeline(tmp):
     run("search", "--data", tmp / "data", "--search-iters", 5, "--seed", 4,
         "--out", tmp / "mode")
     run("estimate", "--data", tmp / "data", "--estimator", "l1-stein",
-        "--graph", tmp / "mode" / "mode_graph.edges", "--mc-draws", 30,
-        "--seed", 4, "--out", tmp / "est")
+        "--graph", tmp / "mode" / "mode_graph.edges", "--seed", 4,
+        "--out", tmp / "est")
 
 
 def precision_pipeline(tmp):
@@ -141,9 +141,9 @@ GOLDEN = {
         "data/omega0.csv":
             "7eef329e33d1cca45893be2b9f777b850a6701815abc24e3a8465b510efca4c2",
         "est/meta.json":
-            "9a551f5e994e44b12ae228cd43357cc8b735d4c6224fd7fbf5a7c323d087d570",
+            "29d2fa8cc16c31cdf90b90a8ea9d4c44a309e800f33247bd1b135901bcb45ab0",
         "est/omega_hat.csv":
-            "a97a38a55d72d1a5007a1e73b7229861a46c559137a6ec691d76fa300deb9ffb",
+            "517fc8000e3c55fd77c6e48b5ecf2751485f0a2b9f81ee1a91adb8347cad4ee9",
         "mode/meta.json":
             "5029ef83b9a233eed93ed0e8f33500b9d3556273b365efdddc9490fdf63a4497",
         "mode/mode.json":

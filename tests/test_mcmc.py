@@ -20,6 +20,7 @@ from gwish.mcmc import (
 )
 from gwish.model import GraphScorer, Hyperparameters, PrecisionSampler
 from gwish.numerics import make_rng
+from gwish.search import threshold_init
 from gwish.simulate import TrueModelSpec, build_truth, sample_dataset
 
 
@@ -212,6 +213,33 @@ class TestRunChain:
             Hyperparameters(g=0.2),
         )
         assert res.iterations == 20
+
+    def test_threshold_start_shares_the_walks_scorer(self, monkeypatch):
+        # the chain scores with the scorer that ranked the threshold walk;
+        # cached terms are the same bits, so the chain is the one a cold
+        # scorer runs from the same start
+        truth = build_truth(TrueModelSpec(kind="ar2", p=10))
+        data = sample_dataset(truth, n=40, rng=make_rng(8))
+        hyper = Hyperparameters(g=0.3)
+        start = threshold_init(data, hyper)
+        runs = {}
+        built = []
+        init = GraphScorer.__init__
+
+        def counted(scorer, *args):
+            built.append(scorer)
+            init(scorer, *args)
+
+        monkeypatch.setattr(GraphScorer, "__init__", counted)
+        for label, g0 in (("cold", start), ("threshold", "threshold")):
+            runs[label] = run_chain(
+                ChainConfig(iterations=150, burn_in=50, seed=2, init=g0), data, hyper
+            )
+        assert len(built) == 2  # one scorer per chain
+        cold, shared = runs["cold"], runs["threshold"]
+        assert np.array_equal(shared.log_posterior_trace, cold.log_posterior_trace)
+        assert np.array_equal(shared.accepted_trace, cold.accepted_trace)
+        assert np.array_equal(shared.inclusion, cold.inclusion)
 
     def test_non_decomposable_init_rejected(self, small_data):
         c4 = UndirectedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])

@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
-from gwish.errors import CliqueTooLarge, NotDecomposable, NotPositiveDefinite
+from gwish.errors import (
+    CliqueTooLarge,
+    DimensionMismatch,
+    NotDecomposable,
+    NotPositiveDefinite,
+)
 from gwish.graph import (
     UndirectedGraph,
     enumerate_decomposable_graphs,
@@ -17,6 +24,7 @@ from gwish.model import (
     GraphScorer,
     Hyperparameters,
     PrecisionSampler,
+    bayes_estimator_l1_stein,
     log_graph_prior,
     log_norm_const,
     log_norm_const_complete,
@@ -27,8 +35,12 @@ from gwish.model import (
 )
 from gwish.numerics import make_rng
 
-from conftest import random_chordal_graph
-from oracles import relabel, sample_precision_reference
+from conftest import chordal_graphs, random_chordal_graph
+from oracles import (
+    posterior_mean_covariance_mc,
+    relabel,
+    sample_precision_reference,
+)
 
 
 def random_dataset(n, p, seed=0, truth=None):
@@ -376,6 +388,67 @@ class TestPosteriorSampling:
         off = ~g.adjacency & ~np.eye(5, dtype=bool)
         assert np.all(mean[off] == 0.0)
         assert np.all(np.diag(mean) > 0.0)
+
+
+stein_cases = st.fixed_dictionaries({
+    "g": chordal_graphs,
+    "data_seed": st.integers(min_value=0, max_value=2**32 - 1),
+    "nu": st.floats(min_value=2.5, max_value=10.0),
+    "scale": st.floats(min_value=0.01, max_value=5.0),
+})
+
+
+def stein_case(g, data_seed, nu, scale):
+    data = random_dataset(2 * g.p + 5, g.p, seed=data_seed)
+    hyper = Hyperparameters(nu=nu, g=scale)
+    return data, hyper, bayes_estimator_l1_stein(data, g, hyper)
+
+
+class TestSteinEstimator:
+    """``bayes_estimator_l1_stein`` is inv(E[Sigma | G, X]), where
+    E[Sigma | G, X] is the G-completion of (1 + g) Gram / (n + nu - 2)."""
+
+    @given(stein_cases)
+    def test_inverse_matches_posterior_mean_covariance_on_cliques(self, case):
+        data, hyper, est = stein_case(**case)
+        sigma = np.linalg.inv(est)
+        for c in perfect_sequence(case["g"]).cliques:
+            ix = np.ix_(sorted(c), sorted(c))
+            expected = (1.0 + hyper.g) * data.gram[ix] / (data.n + hyper.nu - 2.0)
+            np.testing.assert_allclose(sigma[ix], expected, rtol=1e-10)
+
+    @given(stein_cases)
+    def test_exact_zeros_off_the_graph_and_exact_symmetry(self, case):
+        _, _, est = stein_case(**case)
+        off = ~case["g"].adjacency & ~np.eye(case["g"].p, dtype=bool)
+        assert np.all(est[off] == 0.0)
+        assert np.array_equal(est, est.T)
+
+    def test_matches_monte_carlo_oracle(self):
+        # the former estimator's mean of inv(draw), entrywise within 5
+        # Monte Carlo standard errors of inv(estimate)
+        for p, graph_seed, steps in [(5, 1, 10), (8, 2, 25), (10, 4, 40)]:
+            g = random_chordal_graph(p, graph_seed, steps)
+            data = random_dataset(2 * p + 5, p, seed=graph_seed)
+            hyper = Hyperparameters(nu=3.5, g=0.3)
+            mean, se = posterior_mean_covariance_mc(
+                data, g, hyper, make_rng(graph_seed, 7), draws=3000
+            )
+            sigma = np.linalg.inv(bayes_estimator_l1_stein(data, g, hyper))
+            assert np.all(np.abs(mean - sigma) < 5 * se)
+
+    @pytest.mark.parametrize(
+        "estimator", [posterior_mean_precision, bayes_estimator_l1_stein]
+    )
+    def test_support_errors(self, estimator):
+        data = random_dataset(3, 5, seed=19)
+        with pytest.raises(CliqueTooLarge):
+            estimator(data, UndirectedGraph.complete(5), Hyperparameters())
+        cycle = UndirectedGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        with pytest.raises(NotDecomposable):
+            estimator(data, cycle, Hyperparameters())
+        with pytest.raises(DimensionMismatch):
+            estimator(data, UndirectedGraph.empty(4), Hyperparameters())
 
 
 class TestSamplerMatchesPerDrawReference:

@@ -19,13 +19,13 @@ from gwish.model import (
     Dataset,
     GraphScorer,
     Hyperparameters,
+    bayes_estimator_l1_stein,
     posterior_mean_precision,
 )
 from gwish.numerics import make_rng
 from gwish.search import (
     CandidateConfig,
     _best_candidate,
-    bayes_estimator_l1_stein,
     candidate_graphs,
     hybrid_mode,
     shotgun_search,
@@ -179,7 +179,7 @@ class TestCandidateWalk:
         best, lp = max(scored, key=lambda c: c[1])  # the first maximum
         if lp == -math.inf:
             best = UndirectedGraph.empty(p)
-        assert _best_candidate(data, hyper, config) == (best, len(scored))
+        assert _best_candidate(GraphScorer(data, hyper), config) == (best, len(scored))
 
     def test_threshold_init_keeps_no_candidate_list(self):
         # A list of every candidate graph peaked at 6.6 MB here; the ranking
@@ -283,6 +283,29 @@ class TestHybrid:
         assert res.mode_score.log_posterior >= log_post(ar1_data, start, hyper)
         assert is_decomposable(res.mode_graph)
 
+    def test_one_scorer_from_walk_to_search(self, ar2_data, monkeypatch):
+        # the search goes on with the walk's scorer and its cached log
+        # determinants; cached terms are the same bits, so the result is
+        # that of a cold scorer started from the threshold graph
+        hyper = Hyperparameters(g=0.2)
+        start = threshold_init(ar2_data, hyper)
+        n_candidates = _best_candidate(GraphScorer(ar2_data, hyper), None)[1]
+        cold = shotgun_search(start, ar2_data, hyper, max_iters=8, rng=make_rng(5))
+        built = []
+        init = GraphScorer.__init__
+
+        def counted(scorer, *args):
+            built.append(scorer)
+            init(scorer, *args)
+
+        monkeypatch.setattr(GraphScorer, "__init__", counted)
+        res = hybrid_mode(ar2_data, hyper, search_iters=8, rng=make_rng(5))
+        assert len(built) == 1
+        assert res.mode_graph == cold.mode_graph
+        assert res.mode_score == cold.mode_score
+        assert res.score_trace == cold.score_trace
+        assert res.visited == cold.visited + n_candidates
+
 
 class TestEstimators:
     def test_l2_is_posterior_mean(self, ar1_data, tmp_path):
@@ -305,25 +328,19 @@ class TestEstimators:
         g = ar1_data.truth.graph
         for est in (
             posterior_mean_precision(ar1_data, g, hyper),
-            bayes_estimator_l1_stein(ar1_data, g, hyper, make_rng(3), mc_draws=20),
+            bayes_estimator_l1_stein(ar1_data, g, hyper),
         ):
             assert np.array_equal(est, est.T)
 
     def test_stein_limit_complete_bivariate(self):
         # complete graph: E[Sigma | X] = (1+g) Gram / (n + nu - 2), so the
-        # estimator converges to (n + nu - 2) inv((1+g) Gram)
+        # estimator is (n + nu - 2) inv((1+g) Gram)
         rng = np.random.default_rng(12)
         data = Dataset.from_matrix(rng.standard_normal((30, 2)))
         hyper = Hyperparameters(nu=3.0, g=0.5)
         g = UndirectedGraph.complete(2)
-        est = bayes_estimator_l1_stein(data, g, hyper, make_rng(9), mc_draws=4000)
+        est = bayes_estimator_l1_stein(data, g, hyper)
         expected = (data.n + hyper.nu - 2.0) * np.linalg.inv(
             (1.0 + hyper.g) * data.gram
         )
-        assert np.allclose(est, expected, rtol=0.05)
-
-    def test_stein_rejects_bad_draws(self, ar1_data):
-        with pytest.raises(ValueError):
-            bayes_estimator_l1_stein(
-                ar1_data, ar1_data.truth.graph, Hyperparameters(), make_rng(0), mc_draws=0
-            )
+        np.testing.assert_allclose(est, expected, rtol=1e-12)

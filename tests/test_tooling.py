@@ -1,6 +1,7 @@
 """The test tooling itself: a failing property test is reported as a
-failure, not as a crash of the test run, and the benchmark's layer tracer
-still finds every name it wraps.
+failure, not as a crash of the test run, the benchmark's layer tracer
+still finds every name it wraps, and the CLI still parses every command
+the benchmark runs.
 
 When a ``@given`` test fails, Hypothesis imports ``hypothesis.extra._patching``,
 whose import emits mypy_extensions' TypedDict DeprecationWarning.  Under the
@@ -9,16 +10,18 @@ aborts pytest with INTERNALERROR and exit code 3, hiding the FAILED line.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-import gwish.cli  # noqa: F401  imports every layer the tracer wraps
+import gwish.cli  # imports every layer the tracer wraps
 from gwish.graph import UndirectedGraph
 
 pytest_plugins = ["pytester"]
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+BENCH = PYPROJECT.parent / "bench"
 
 FAILING = """
 from hypothesis import given, settings
@@ -46,7 +49,7 @@ def test_layer_tracer_installs_and_uninstalls():
     """The benchmark's layer tracer finds every function and method it
     wraps, so renaming a traced name fails here rather than in a traced
     benchmark run."""
-    path = PYPROJECT.parent / "bench" / "layertrace.py"
+    path = BENCH / "layertrace.py"
     spec = importlib.util.spec_from_file_location("layertrace", path)
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
@@ -59,3 +62,24 @@ def test_layer_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert UndirectedGraph.connected is search
+
+
+def test_cli_parses_every_benchmark_command(monkeypatch):
+    """Each command of each benchmark workload, with its seed filled in,
+    parses under the CLI's parser, so a flag change that would break the
+    benchmark fails here rather than in a benchmark run."""
+    # loading the harness pins three BLAS thread variables; set through
+    # monkeypatch first, they get their old values back after the test
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(BENCH))  # run.py imports layertrace
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    bench_run = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, "bench_run", bench_run)
+    spec.loader.exec_module(bench_run)
+
+    parser = gwish.cli.build_parser()
+    for workload in bench_run.WORKLOADS.values():
+        for command, argv in bench_run.argv_for(workload, seed=1):
+            assert parser.parse_args(argv).command == command
