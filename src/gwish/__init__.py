@@ -44,7 +44,6 @@ from .model import (
     GraphScorer,
     GroundTruth,
     Hyperparameters,
-    PrecisionSampler,
     bayes_estimator_l1_stein,
     log_graph_prior,
     log_norm_const,

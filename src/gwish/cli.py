@@ -174,16 +174,17 @@ def _chain_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--stream", type=int, default=0)
     sp.add_argument("--kernel", choices=("uniform", "exact"), default="uniform")
-    sp.add_argument("--init", choices=("empty", "threshold"), default="empty")
+    sp.add_argument("--init", choices=("empty", "threshold"), help="default: empty")
     sp.add_argument("--init-graph", default=None, help="edge-list file to start from")
-    sp.add_argument("--thin", type=int, default=1)
 
 
 def _chain_config(
     args, p: int, sample_precision: bool = False, track: bool = False
 ) -> ChainConfig:
-    init: UndirectedGraph | str = args.init
+    init: UndirectedGraph | str = args.init or "empty"
     if args.init_graph:
+        if args.init is not None:
+            raise UsageError("--init and --init-graph are mutually exclusive")
         init = read_edge_list(args.init_graph, p=p)
     return ChainConfig(
         iterations=args.iterations,
@@ -193,7 +194,6 @@ def _chain_config(
         kernel=args.kernel,
         init=init,
         sample_precision=sample_precision,
-        thin=args.thin,
         track_graphs=track,
     )
 
@@ -233,7 +233,6 @@ def _cmd_mcmc(args) -> int:
         "stream": config.stream,
         "kernel": config.kernel,
         "init": str(config.init),
-        "thin": config.thin,
         "hyper": asdict(hyper),
         "acceptance_rate": result.acceptance_rate,
         "best_log_posterior": result.best_score.log_posterior,
@@ -242,7 +241,6 @@ def _cmd_mcmc(args) -> int:
     }
     if result.precision_mean is not None:
         _write_matrix(out / "omega_mcmc.csv", result.precision_mean)
-        meta["precision_draws"] = result.precision_draws
     if args.p4_oracle:
         exact = exact_posterior(data, hyper)
         tv = tv_distance(visit_frequencies(result), exact)
@@ -377,16 +375,14 @@ def _cmd_estimate(args) -> int:
         meta["graph_edges"] = graph.size
     else:  # mcmc
         config = _chain_config(args, data.p, sample_precision=True)
-        result = run_chain(config, data, hyper)
-        if result.precision_mean is None:
+        if config.iterations == 0:
             raise UsageError("mcmc estimator needs iterations > 0")
+        result = run_chain(config, data, hyper)
         omega = result.precision_mean
         meta.update(
             iterations=config.iterations,
             burn_in=config.burn_in,
             kernel=config.kernel,
-            thin=config.thin,
-            precision_draws=result.precision_draws,
             acceptance_rate=result.acceptance_rate,
         )
     out = _outdir(args)
@@ -470,7 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", default=None, help="data matrix CSV")
     _add_hyper_flags(sp)
     _chain_flags(sp)
-    sp.add_argument("--sample-precision", action="store_true")
+    sp.add_argument(
+        "--sample-precision",
+        action="store_true",
+        help="also write omega_mcmc.csv, the model-averaged posterior mean of Omega",
+    )
     sp.add_argument(
         "--p4-oracle",
         action="store_true",

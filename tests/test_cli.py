@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gwish import cli
 from gwish.cli import main
 from gwish.graph import (
     UndirectedGraph,
@@ -144,6 +145,21 @@ class TestMcmc:
         bare.write_text("1 2\n3 4\n")
         assert run("mcmc", "--data", data_dir, "--init-graph", bare,
                    "--iterations", 10, "--burn-in", 0, "--out", out) == 0
+
+    def test_init_and_init_graph_are_exclusive(self, data_dir, tmp_path, capsys):
+        gpath = tmp_path / "g.edges"
+        write_edge_list(UndirectedGraph.from_edges(4, [(0, 1)]), str(gpath))
+        out = tmp_path / "chain"
+        for init in ("empty", "threshold"):
+            assert run("mcmc", "--data", data_dir, "--init", init,
+                       "--init-graph", gpath, "--iterations", 10, "--burn-in", 0,
+                       "--out", out) == 2
+            assert "mutually exclusive" in capsys.readouterr().err
+            assert not (out / "meta.json").exists()
+        # with neither flag the chain starts from the empty graph
+        assert run("mcmc", "--data", data_dir, "--iterations", 10, "--burn-in", 0,
+                   "--out", out) == 0
+        assert json.loads((out / "meta.json").read_text())["init"] == "empty"
 
     def test_missing_data_exit_2(self, tmp_path):
         assert run("mcmc", "--out", tmp_path / "o", "--iterations", 1,
@@ -343,13 +359,32 @@ class TestEstimate:
 
     def test_mcmc_estimator(self, data_dir, tmp_path):
         out = tmp_path / "avg"
-        assert run("estimate", "--data", data_dir, "--g", 0.2,
-                   "--estimator", "mcmc", "--iterations", 60, "--burn-in", 20,
-                   "--thin", 3, "--out", out) == 0
+        chain = ("--g", 0.2, "--iterations", 60, "--burn-in", 20)
+        assert run("estimate", "--data", data_dir, "--estimator", "mcmc", *chain,
+                   "--out", out) == 0
         omega = np.loadtxt(out / "omega_hat.csv", delimiter=",", ndmin=2)
         assert np.array_equal(omega, omega.T)
         meta = json.loads((out / "meta.json").read_text())
-        assert meta["precision_draws"] == 20
+        assert meta["iterations"] == 60 and "precision_draws" not in meta
+        # the same chain as ``mcmc --sample-precision``, so the same average
+        assert run("mcmc", "--data", data_dir, "--sample-precision", *chain,
+                   "--out", tmp_path / "chain") == 0
+        assert ((tmp_path / "chain/omega_mcmc.csv").read_bytes()
+                == (out / "omega_hat.csv").read_bytes())
+
+    def test_mcmc_estimator_without_iterations_exits_2_first(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        # the check comes before the chain, so no burn-in is run for nothing
+        def no_chain(*args):
+            raise AssertionError("run_chain was called")
+
+        monkeypatch.setattr(cli, "run_chain", no_chain)
+        out = tmp_path / "avg"
+        assert run("estimate", "--data", data_dir, "--estimator", "mcmc",
+                   "--iterations", 0, "--burn-in", 20000, "--out", out) == 2
+        assert "mcmc estimator needs iterations > 0" in capsys.readouterr().err
+        assert not (out / "omega_hat.csv").exists()
 
 
 class TestMetrics:
@@ -502,7 +537,9 @@ class TestOneColumn:
                    "--burn-in", 5, "--sample-precision", "--out", out) == 0
         meta = json.loads((out / "meta.json").read_text())
         assert meta["p"] == 1 and meta["acceptance_rate"] == 0.0
-        assert meta["median_graph_edges"] == 0 and meta["precision_draws"] == 20
+        assert meta["median_graph_edges"] == 0
+        omega = np.loadtxt(out / "omega_mcmc.csv", delimiter=",", ndmin=2)
+        assert omega.shape == (1, 1) and omega[0, 0] > 0.0
 
 
 class TestTopLevel:

@@ -59,18 +59,18 @@ def precision_pipeline(tmp):
         "--out", tmp / "data")
     run("estimate", "--data", tmp / "data", "--estimator", "l2",
         "--graph", tmp / "data" / "graph0.edges", "--seed", 6, "--out", tmp / "l2")
-    # run_chain with sample_precision: a draw every third kept state
+    # run_chain with sample_precision: the closed-form posterior mean
+    # given each kept graph, averaged over the kept steps
     run("estimate", "--data", tmp / "data", "--estimator", "mcmc",
         "--kernel", "uniform", "--burn-in", 100, "--iterations", 300,
-        "--thin", 3, "--seed", 6, "--out", tmp / "mcmc")
+        "--seed", 6, "--out", tmp / "mcmc")
 
 
 def exact_pipeline(tmp):
     run("gen-data", "--kind", "ar2", "--p", 7, "--n", 40, "--seed", 8,
         "--out", tmp / "data")
     run("mcmc", "--data", tmp / "data", "--kernel", "exact", "--sample-precision",
-        "--thin", 5, "--burn-in", 100, "--iterations", 300, "--seed", 8,
-        "--out", tmp / "chain")
+        "--burn-in", 100, "--iterations", 300, "--seed", 8, "--out", tmp / "chain")
 
 
 def p4_oracle_pipeline(tmp):
@@ -101,7 +101,7 @@ GOLDEN = {
         "chain/median_graph.edges":
             "7679dc41a7fcd4a5856151014e0bbbef81170042597cb979752bf38ec83c9b83",
         "chain/meta.json":
-            "0c189eadc6915cd15cb71e316ec95b5aeeb7fed22e447abb87e36c00f679e68b",
+            "ce0a67d26bf8b550f55e9f7c07875fca2370424e278b4fadb4d3d0b497070bf9",
         "chain/trace.csv":
             "54b5c689dda836403a2914dd819192bdcc47d481157ce0b828556a86262676bb",
         "data/X.csv":
@@ -165,23 +165,23 @@ GOLDEN = {
         "l2/omega_hat.csv":
             "35db384cf5078b2a328be65e3690f03f6add298205c2b76e1e5bc99b8ede351b",
         "mcmc/meta.json":
-            "757be386ba30e8228ebd5685f260dc751d837239927454fc4c902587a9db93cc",
+            "86d819939aa80b1a91743381e0089d14d267a3bc09f3a9170d37b4c9968f8ce1",
         "mcmc/omega_hat.csv":
-            "c9350a993bd2167cc9e98eef30fe77d5d133dfaf6a7c6984237e6230d47082be",
+            "608cfc09c5f1de70980a372024b901523e41dc1cee5ccd88d6a1cd6fcd41d82b",
     }),
     "exact": (exact_pipeline, {
         "chain/best_graph.edges":
             "30f86b81a6db01a60a423996194b09e73a3eee239f3c623b4d6d6085f8ea7c1c",
         "chain/inclusion.csv":
-            "1bc97364f1de2f7a22177f940509b5273db0c4792ccdd0fd118d188b6c96ac61",
+            "e1fdb7237edc67feaeb1aa73244a73b4ab25dff7c70a5327feacd2e7cfc93531",
         "chain/median_graph.edges":
             "30f86b81a6db01a60a423996194b09e73a3eee239f3c623b4d6d6085f8ea7c1c",
         "chain/meta.json":
-            "d6f1b95a35a111fe6df03cf1aacd5695c7fcce11051d5fc564f50aec188804e0",
+            "59388117abd7767243b05fd08f88a3c460f6a86bab178b6216a9fb65d95ec295",
         "chain/omega_mcmc.csv":
-            "24e82db2e6a62e0cb201c37597a359192494e64e9bf88b5a7b62b4062a2f8706",
+            "abe02952b5383325bf3cf3b84d34f87a96ee91e2354bf7007cb14d7171c132af",
         "chain/trace.csv":
-            "f11c6975175c86d36248c5337fa5efec2e4d50a171eb7151c6a3789fff8edc48",
+            "e5dc653a26cfb27932ae8516776333f8676b093c1195fc8755357ee568a559e8",
         "data/X.csv":
             "75133bf81984db690a9bb7c35bd8e1310e212c9fe152b9e815d728c96539ecee",
         "data/graph0.edges":
@@ -207,7 +207,7 @@ GOLDEN = {
         "exact/median_graph.edges":
             "ebf0da8fdb740f4dc1033b404b9b6e46a2777bf45d37e9fa6fdb9d1af2f8dc2c",
         "exact/meta.json":
-            "3f2410278d2f48f7b68eb0ab45add63c033be65e489188f71eb548c4c5ee86a3",
+            "1c4aceb9b9263731cf41e2db5685fb940ab3abf76723701bbc0d0a8db6c9fcae",
         "exact/trace.csv":
             "c923ec035f62cc9b7b93d9f2ee4d0128a972cd27415a2c183011985dd59c4b85",
         "uniform/best_graph.edges":
@@ -217,7 +217,7 @@ GOLDEN = {
         "uniform/median_graph.edges":
             "ebf0da8fdb740f4dc1033b404b9b6e46a2777bf45d37e9fa6fdb9d1af2f8dc2c",
         "uniform/meta.json":
-            "aa1a1f0440862f03adc64cc44a76ad23c2437c96fcebcbb649ee1fe96a670413",
+            "17d890b406565668c09a3f210d6206868008a77a79aedac9b64fbec26f32765f",
         "uniform/trace.csv":
             "9cdc49f52c4ddcee77c51c3ef1be4b163b51b0a00df38a9cb85714a8c8d95309",
     }),
@@ -229,7 +229,7 @@ GOLDEN = {
         "chain/median_graph.edges":
             "c47b9ec2a88400eaa43fd528ce5f6b6612ac58c31005f15a7959bb32ea254a0e",
         "chain/meta.json":
-            "653808b06addec8663a39768497692b448c344c896b5a5db6707aaf5a93b9551",
+            "9e0fd4273e5b3b26a0dd755a4ec060f44f099dea54ba3842860a615aefb07506",
         "chain/trace.csv":
             "3eb5812268cf2e6a74f0d002939357618202211940be3d99304124aa716c4c74",
         "data/X.csv":

@@ -18,7 +18,7 @@ from gwish.mcmc import (
     _propose_exact,
     _propose_uniform,
 )
-from gwish.model import GraphScorer, Hyperparameters, PrecisionSampler
+from gwish.model import GraphScorer, Hyperparameters, posterior_mean_precision
 from gwish.numerics import make_rng
 from gwish.search import threshold_init
 from gwish.simulate import TrueModelSpec, build_truth, sample_dataset
@@ -252,47 +252,61 @@ class TestRunChain:
 
     def test_precision_sampling(self, small_data):
         res = run_chain(
-            ChainConfig(
-                iterations=40, burn_in=10, seed=9, sample_precision=True, thin=4
-            ),
+            ChainConfig(iterations=40, burn_in=10, seed=9, sample_precision=True),
             small_data,
             Hyperparameters(g=0.2),
         )
-        assert res.precision_draws == 10
         assert res.precision_mean.shape == (4, 4)
         assert np.array_equal(res.precision_mean, res.precision_mean.T)
+        assert np.all(np.linalg.eigvalsh(res.precision_mean) > 0)
 
-    def test_precision_draws_follow_the_kept_graph(self):
-        # the chain keeps one sampler per graph; replaying it with a sampler
-        # built afresh for every draw must give the same mean bit for bit
+    @pytest.mark.parametrize("kernel", ["uniform", "exact"])
+    def test_sample_precision_leaves_the_chain_unchanged(self, kernel):
+        # averaging the precision draws nothing from the chain's generator
+        truth = build_truth(TrueModelSpec(kind="ar2", p=6))
+        data = sample_dataset(truth, n=30, rng=make_rng(3))
+        hyper = Hyperparameters(g=0.3)
+        plain, averaged = (
+            run_chain(
+                ChainConfig(
+                    iterations=200, burn_in=20, seed=4, kernel=kernel,
+                    sample_precision=flag,
+                ),
+                data,
+                hyper,
+            )
+            for flag in (False, True)
+        )
+        assert plain.accepted_trace[20:].sum() > 5
+        assert np.array_equal(plain.log_posterior_trace, averaged.log_posterior_trace)
+        assert np.array_equal(plain.accepted_trace, averaged.accepted_trace)
+        assert np.array_equal(plain.inclusion, averaged.inclusion)
+        assert plain.best_graph == averaged.best_graph
+        assert plain.precision_mean is None and averaged.precision_mean is not None
+
+    @pytest.mark.parametrize("kernel", ["uniform", "exact"])
+    def test_precision_mean_is_the_visit_weighted_posterior_mean(self, kernel):
+        # sum over visited G of visit_freq(G) * E[Omega | G, X]
         truth = build_truth(TrueModelSpec(kind="ar2", p=6))
         data = sample_dataset(truth, n=30, rng=make_rng(3))
         hyper = Hyperparameters(g=0.3)
         config = ChainConfig(
-            iterations=120, burn_in=20, seed=4, sample_precision=True, thin=3
+            iterations=300, burn_in=20, seed=4, kernel=kernel,
+            sample_precision=True, track_graphs=True,
         )
         res = run_chain(config, data, hyper)
-        scorer = GraphScorer(data, hyper)
-        rng = make_rng(config.seed, config.stream)
-        state = ChainState(UndirectedGraph.empty(6), scorer.score(UndirectedGraph.empty(6)))
-        total, draws, graphs = np.zeros((6, 6)), 0, set()
-        for it in range(config.burn_in + config.iterations):
-            state, _ = mh_step(state, scorer, config.kernel, rng)
-            if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
-                total += PrecisionSampler(data, state.graph, hyper).draw(rng)
-                draws += 1
-                graphs.add(state.graph)
-        assert len(graphs) > 3
-        assert res.precision_draws == draws
-        assert res.precision_mean.tobytes() == (total / draws).tobytes()
+        freq = visit_frequencies(res)
+        assert len(freq) > 3
+        expected = sum(
+            w * posterior_mean_precision(data, g, hyper) for g, w in freq.items()
+        )
+        np.testing.assert_allclose(res.precision_mean, expected, rtol=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ChainConfig(iterations=-1)
         with pytest.raises(ValueError):
             ChainConfig(kernel="gibbs")
-        with pytest.raises(ValueError):
-            ChainConfig(thin=0)
         with pytest.raises(ValueError):
             ChainConfig(init="warmstart")
 

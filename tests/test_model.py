@@ -23,7 +23,6 @@ from gwish.model import (
     Dataset,
     GraphScorer,
     Hyperparameters,
-    PrecisionSampler,
     bayes_estimator_l1_stein,
     log_graph_prior,
     log_norm_const,
@@ -37,6 +36,7 @@ from gwish.numerics import make_rng
 
 from conftest import chordal_graphs, random_chordal_graph
 from oracles import (
+    PrecisionSampler,
     posterior_mean_covariance_mc,
     relabel,
     sample_precision_reference,

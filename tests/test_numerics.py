@@ -8,7 +8,7 @@ from scipy.stats import chi2
 
 from gwish.errors import DimensionMismatch, IndexOutOfRange, NotPositiveDefinite
 from gwish.graph import UndirectedGraph
-from gwish.model import Dataset, Hyperparameters, PrecisionSampler
+from gwish.model import Dataset, Hyperparameters
 from gwish.numerics import (
     cholesky_factor,
     cholesky_logdet,
@@ -19,6 +19,8 @@ from gwish.numerics import (
     submatrix,
     symmetrize,
 )
+
+from oracles import PrecisionSampler
 
 
 class TestCholesky:
