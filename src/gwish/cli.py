@@ -1,8 +1,9 @@
 """Command line entry points.
 
-Every run writes a ``meta.json`` with the fully resolved configuration.
-Exit codes: 0 on success, 2 on usage or validation problems, 3 on model or
-numerical failures.
+``estimate`` computes Omega given a graph; the model-averaged estimate is
+``mcmc --sample-precision``.  Every run writes a ``meta.json`` with the
+fully resolved configuration.  Exit codes: 0 on success, 2 on usage or
+validation problems, 3 on model or numerical failures.
 """
 
 from __future__ import annotations
@@ -168,41 +169,23 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _chain_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--iterations", type=int, default=3000)
-    sp.add_argument("--burn-in", type=int, default=3000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--stream", type=int, default=0)
-    sp.add_argument("--kernel", choices=("uniform", "exact"), default="uniform")
-    sp.add_argument("--init", choices=("empty", "threshold"), help="default: empty")
-    sp.add_argument("--init-graph", default=None, help="edge-list file to start from")
-
-
-def _chain_config(
-    args, p: int, sample_precision: bool = False, track: bool = False
-) -> ChainConfig:
+def _cmd_mcmc(args) -> int:
+    data = _load_dataset(args)
+    hyper = _resolve_hyper(args, data.n, data.p)
     init: UndirectedGraph | str = args.init or "empty"
     if args.init_graph:
         if args.init is not None:
             raise UsageError("--init and --init-graph are mutually exclusive")
-        init = read_edge_list(args.init_graph, p=p)
-    return ChainConfig(
+        init = read_edge_list(args.init_graph, p=data.p)
+    config = ChainConfig(
         iterations=args.iterations,
         burn_in=args.burn_in,
         seed=args.seed,
         stream=args.stream,
         kernel=args.kernel,
         init=init,
-        sample_precision=sample_precision,
-        track_graphs=track,
-    )
-
-
-def _cmd_mcmc(args) -> int:
-    data = _load_dataset(args)
-    hyper = _resolve_hyper(args, data.n, data.p)
-    config = _chain_config(
-        args, data.p, sample_precision=args.sample_precision, track=args.p4_oracle
+        sample_precision=args.sample_precision,
+        track_graphs=args.p4_oracle,
     )
     if args.p4_oracle and data.p != 4:
         raise UsageError("--p4-oracle requires 4-column data")
@@ -356,38 +339,25 @@ def _cmd_ratio_experiment(args) -> int:
 def _cmd_estimate(args) -> int:
     data = _load_dataset(args)
     hyper = _resolve_hyper(args, data.n, data.p)
-    meta = {
-        "command": "estimate",
-        "estimator": args.estimator,
-        "n": data.n,
-        "p": data.p,
-        "seed": args.seed,
-        "hyper": asdict(hyper),
-    }
-    if args.estimator in ("l2", "l1-stein"):
-        if not args.graph:
-            raise UsageError(f"--graph is required for the {args.estimator} estimator")
-        graph = read_edge_list(args.graph, p=data.p)
-        if args.estimator == "l2":
-            omega = posterior_mean_precision(data, graph, hyper)
-        else:
-            omega = bayes_estimator_l1_stein(data, graph, hyper)
-        meta["graph_edges"] = graph.size
-    else:  # mcmc
-        config = _chain_config(args, data.p, sample_precision=True)
-        if config.iterations == 0:
-            raise UsageError("mcmc estimator needs iterations > 0")
-        result = run_chain(config, data, hyper)
-        omega = result.precision_mean
-        meta.update(
-            iterations=config.iterations,
-            burn_in=config.burn_in,
-            kernel=config.kernel,
-            acceptance_rate=result.acceptance_rate,
-        )
+    graph = read_edge_list(args.graph, p=data.p)
+    if args.estimator == "l2":
+        omega = posterior_mean_precision(data, graph, hyper)
+    else:
+        omega = bayes_estimator_l1_stein(data, graph, hyper)
     out = _outdir(args)
     _write_matrix(out / "omega_hat.csv", omega)
-    _write_meta(out, meta)
+    _write_meta(
+        out,
+        {
+            "command": "estimate",
+            "estimator": args.estimator,
+            "n": data.n,
+            "p": data.p,
+            "seed": args.seed,
+            "hyper": asdict(hyper),
+            "graph_edges": graph.size,
+        },
+    )
     return 0
 
 
@@ -465,7 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", default=None, help="directory from gen-data")
     sp.add_argument("--x", default=None, help="data matrix CSV")
     _add_hyper_flags(sp)
-    _chain_flags(sp)
+    sp.add_argument("--iterations", type=int, default=3000)
+    sp.add_argument("--burn-in", type=int, default=3000)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--stream", type=int, default=0)
+    sp.add_argument("--kernel", choices=("uniform", "exact"), default="uniform")
+    sp.add_argument("--init", choices=("empty", "threshold"), help="default: empty")
+    sp.add_argument("--init-graph", default=None, help="edge-list file to start from")
     sp.add_argument(
         "--sample-precision",
         action="store_true",
@@ -513,21 +489,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_ratio_experiment)
 
-    sp = sub.add_parser("estimate", help="precision matrix estimate")
+    sp = sub.add_parser("estimate", help="precision matrix estimate given a graph")
     sp.add_argument("--data", default=None)
     sp.add_argument("--x", default=None)
     _add_hyper_flags(sp)
+    sp.add_argument("--estimator", choices=("l2", "l1-stein"), required=True)
+    sp.add_argument("--graph", required=True, help="edge list of the graph")
     sp.add_argument(
-        "--estimator", choices=("l2", "l1-stein", "mcmc"), required=True
+        "--seed",
+        type=int,
+        default=0,
+        help="recorded in meta.json: both estimators are exact and draw nothing",
     )
-    sp.add_argument("--graph", default=None, help="edge list for l2 / l1-stein")
     sp.add_argument(
         "--mc-draws",
         type=int,
         default=None,
         help="accepted and ignored: l1-stein is computed exactly, without draws",
     )
-    _chain_flags(sp)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_estimate)
 

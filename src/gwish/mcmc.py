@@ -16,7 +16,8 @@ the new graph and gives it a full score, so every recorded score is exact.
 The model-averaged precision estimate E[Omega | X] = sum_G pi(G | X)
 E[Omega | G, X] averages the closed-form ``posterior_mean_precision`` over
 the kept states (Rao-Blackwellisation), so only ``mh_step`` consumes the
-chain's generator.
+chain's generator.  It is the CLI's ``mcmc --sample-precision``; ``estimate``
+computes the estimators given one graph.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ class ChainConfig:
     ``init`` is "empty", "threshold" (highest-scoring thresholded candidate,
     see the search module) or an explicit decomposable graph.  When
     ``sample_precision`` is set, the chain also averages the posterior mean
-    of Omega given each kept graph; it draws no variate for it, so the
-    graphs visited are the same either way.  ``track_graphs`` additionally
-    counts visits per graph after burn-in (small graph spaces only).
+    of Omega given each kept graph, so it needs ``iterations > 0``; it draws
+    no variate for it, so the graphs visited are the same either way.
+    ``track_graphs`` additionally counts visits per graph after burn-in
+    (small graph spaces only).
     """
 
     iterations: int = 3000
@@ -74,6 +76,8 @@ class ChainConfig:
     def __post_init__(self) -> None:
         if self.iterations < 0 or self.burn_in < 0:
             raise ValueError("iterations and burn_in must be nonnegative")
+        if self.sample_precision and self.iterations == 0:
+            raise ValueError("sample_precision needs iterations > 0")
         if self.kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
         if isinstance(self.init, str) and self.init not in ("empty", "threshold"):
@@ -268,11 +272,9 @@ def run_chain(
             counts[state.graph] += 1
 
     add_run()
-    precision_mean = None
     if config.iterations > 0:
         inclusion /= config.iterations
-        if prec_sum is not None:
-            precision_mean = prec_sum / config.iterations
+    precision_mean = None if prec_sum is None else prec_sum / config.iterations
     inclusion = inclusion + inclusion.T
 
     return ChainResult(

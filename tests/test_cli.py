@@ -161,6 +161,28 @@ class TestMcmc:
                    "--out", out) == 0
         assert json.loads((out / "meta.json").read_text())["init"] == "empty"
 
+    def test_sample_precision_average_is_symmetric(self, data_dir, tmp_path):
+        out = tmp_path / "chain"
+        assert run("mcmc", "--data", data_dir, "--g", 0.2, "--sample-precision",
+                   "--iterations", 60, "--burn-in", 20, "--out", out) == 0
+        omega = np.loadtxt(out / "omega_mcmc.csv", delimiter=",", ndmin=2)
+        assert omega.shape == (4, 4) and np.array_equal(omega, omega.T)
+
+    def test_sample_precision_without_iterations_exits_2_first(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        # ChainConfig checks it before the chain, so no burn-in is run for nothing
+        def no_chain(*args):
+            raise AssertionError("run_chain was called")
+
+        monkeypatch.setattr(cli, "run_chain", no_chain)
+        out = tmp_path / "chain"
+        assert run("mcmc", "--data", data_dir, "--sample-precision",
+                   "--iterations", 0, "--burn-in", 20000, "--out", out) == 2
+        assert ("mcmc: sample_precision needs iterations > 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_missing_data_exit_2(self, tmp_path):
         assert run("mcmc", "--out", tmp_path / "o", "--iterations", 1,
                    "--burn-in", 0) == 2
@@ -319,8 +341,10 @@ class TestEstimate:
         assert np.all(np.diag(omega) > 0)
 
     def test_l2_requires_graph(self, data_dir, tmp_path):
-        assert run("estimate", "--data", data_dir, "--estimator", "l2",
-                   "--out", tmp_path / "x") == 2
+        with pytest.raises(SystemExit) as exc:
+            run("estimate", "--data", data_dir, "--estimator", "l2",
+                "--out", tmp_path / "x")
+        assert exc.value.code == 2
 
     def test_l1_stein(self, data_dir, tmp_path):
         # exact, so --mc-draws is accepted and changes nothing
@@ -357,34 +381,28 @@ class TestEstimate:
             assert message in capsys.readouterr().err
             assert not (out / "omega_hat.csv").exists()
 
-    def test_mcmc_estimator(self, data_dir, tmp_path):
-        out = tmp_path / "avg"
-        chain = ("--g", 0.2, "--iterations", 60, "--burn-in", 20)
-        assert run("estimate", "--data", data_dir, "--estimator", "mcmc", *chain,
-                   "--out", out) == 0
-        omega = np.loadtxt(out / "omega_hat.csv", delimiter=",", ndmin=2)
-        assert np.array_equal(omega, omega.T)
-        meta = json.loads((out / "meta.json").read_text())
-        assert meta["iterations"] == 60 and "precision_draws" not in meta
-        # the same chain as ``mcmc --sample-precision``, so the same average
-        assert run("mcmc", "--data", data_dir, "--sample-precision", *chain,
-                   "--out", tmp_path / "chain") == 0
-        assert ((tmp_path / "chain/omega_mcmc.csv").read_bytes()
-                == (out / "omega_hat.csv").read_bytes())
-
-    def test_mcmc_estimator_without_iterations_exits_2_first(
-        self, data_dir, tmp_path, capsys, monkeypatch
-    ):
-        # the check comes before the chain, so no burn-in is run for nothing
-        def no_chain(*args):
-            raise AssertionError("run_chain was called")
-
-        monkeypatch.setattr(cli, "run_chain", no_chain)
-        out = tmp_path / "avg"
-        assert run("estimate", "--data", data_dir, "--estimator", "mcmc",
-                   "--iterations", 0, "--burn-in", 20000, "--out", out) == 2
-        assert "mcmc estimator needs iterations > 0" in capsys.readouterr().err
-        assert not (out / "omega_hat.csv").exists()
+    @pytest.mark.parametrize("flags", [
+        ("--estimator", "mcmc"),
+        ("--iterations", 10),
+        ("--burn-in", 10),
+        ("--stream", 7),
+        ("--kernel", "exact"),
+        ("--init", "threshold"),
+        ("--init-graph", None),
+    ], ids=lambda flags: flags[0].lstrip("-"))
+    def test_chain_flags_exit_2(self, data_dir, tmp_path, capsys, flags):
+        # the model-averaged estimate is ``mcmc --sample-precision`` alone,
+        # so estimate rejects every chain flag instead of ignoring it
+        graph = data_dir / "graph0.edges"
+        flags = [graph if f is None else f for f in flags]
+        out = tmp_path / "est"
+        with pytest.raises(SystemExit) as exc:
+            run("estimate", "--data", data_dir, "--estimator", "l2",
+                "--graph", graph, *flags, "--out", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'mcmc'" in err or "unrecognized arguments" in err
+        assert not out.exists()
 
 
 class TestMetrics:

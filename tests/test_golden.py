@@ -61,7 +61,7 @@ def precision_pipeline(tmp):
         "--graph", tmp / "data" / "graph0.edges", "--seed", 6, "--out", tmp / "l2")
     # run_chain with sample_precision: the closed-form posterior mean
     # given each kept graph, averaged over the kept steps
-    run("estimate", "--data", tmp / "data", "--estimator", "mcmc",
+    run("mcmc", "--data", tmp / "data", "--sample-precision",
         "--kernel", "uniform", "--burn-in", 100, "--iterations", 300,
         "--seed", 6, "--out", tmp / "mcmc")
 
@@ -164,10 +164,18 @@ GOLDEN = {
             "bcece7043b030d2c47f98a2e9f120e5b009b36caaf0db87f0aed3eccf14f0e1c",
         "l2/omega_hat.csv":
             "35db384cf5078b2a328be65e3690f03f6add298205c2b76e1e5bc99b8ede351b",
+        "mcmc/best_graph.edges":
+            "764d85a7dd03c668d58a10ef869e82bd1c7da0e19ef0a3a91603e1d19f3b9478",
+        "mcmc/inclusion.csv":
+            "ab9bbf852ebc7273329914dd1dda4d5a971d6897213457d7e09e48d1415285ee",
+        "mcmc/median_graph.edges":
+            "764d85a7dd03c668d58a10ef869e82bd1c7da0e19ef0a3a91603e1d19f3b9478",
         "mcmc/meta.json":
-            "86d819939aa80b1a91743381e0089d14d267a3bc09f3a9170d37b4c9968f8ce1",
-        "mcmc/omega_hat.csv":
+            "b3a906343a20d2e49b86d7a38162e208ed59bf3bdc276e4410b9054fe7fc1bad",
+        "mcmc/omega_mcmc.csv":
             "608cfc09c5f1de70980a372024b901523e41dc1cee5ccd88d6a1cd6fcd41d82b",
+        "mcmc/trace.csv":
+            "09dfd54662ae5b334aac2847ca939e9223d0e44d7d2b15ba9abe8eedd3ca6225",
     }),
     "exact": (exact_pipeline, {
         "chain/best_graph.edges":

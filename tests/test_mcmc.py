@@ -309,6 +309,9 @@ class TestRunChain:
             ChainConfig(kernel="gibbs")
         with pytest.raises(ValueError):
             ChainConfig(init="warmstart")
+        # the precision average is over kept steps, so it needs some
+        with pytest.raises(ValueError, match="iterations > 0"):
+            ChainConfig(iterations=0, sample_precision=True)
 
 
 class TestScoreBookkeeping:

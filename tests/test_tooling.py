@@ -1,7 +1,7 @@
 """The test tooling itself: a failing property test is reported as a
 failure, not as a crash of the test run, the benchmark's layer tracer
 still finds every name it wraps, and the CLI still parses every command
-the benchmark runs.
+the benchmark runs and every example in the README.
 
 When a ``@given`` test fails, Hypothesis imports ``hypothesis.extra._patching``,
 whose import emits mypy_extensions' TypedDict DeprecationWarning.  Under the
@@ -10,6 +10,8 @@ aborts pytest with INTERNALERROR and exit code 3, hiding the FAILED line.
 """
 
 import importlib.util
+import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -22,6 +24,7 @@ pytest_plugins = ["pytester"]
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 BENCH = PYPROJECT.parent / "bench"
+README = PYPROJECT.parent / "README.md"
 
 FAILING = """
 from hypothesis import given, settings
@@ -83,3 +86,20 @@ def test_cli_parses_every_benchmark_command(monkeypatch):
     for workload in bench_run.WORKLOADS.values():
         for command, argv in bench_run.argv_for(workload, seed=1):
             assert parser.parse_args(argv).command == command
+
+
+def test_readme_examples_parse():
+    """Each ``gwish`` command in the README's ``sh`` blocks, with its line
+    continuations joined and comments stripped, parses under the CLI's
+    parser, so an example that names a removed flag or choice fails here."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["gwish"]]
+    assert commands, "no gwish example found in README.md"
+    parser = gwish.cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: gwish {shlex.join(argv)}")
