@@ -46,8 +46,6 @@ from .model import (
     Hyperparameters,
     bayes_estimator_l1_stein,
     log_graph_prior,
-    log_norm_const,
-    log_norm_const_complete,
     log_pairwise_bayes_factor,
     log_posterior_ratio,
     posterior_mean_precision,
@@ -62,7 +60,6 @@ from .numerics import (
 from .search import (
     CandidateConfig,
     ModeSearchResult,
-    candidate_graphs,
     hybrid_mode,
     shotgun_search,
 )

@@ -47,13 +47,6 @@ def _normalize_edge(i: int, j: int) -> Edge:
     return (i, j) if i < j else (j, i)
 
 
-def _adjacency_matrix(p: int, edges: Iterable[Edge]) -> np.ndarray:
-    a = np.zeros((p, p), dtype=bool)
-    for i, j in edges:
-        a[i, j] = a[j, i] = True
-    return a
-
-
 @dataclass(frozen=True)
 class UndirectedGraph:
     """Simple undirected graph on vertices 0..p-1 with an immutable edge set.
@@ -106,13 +99,6 @@ class UndirectedGraph:
     @functools.cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
-
-    @functools.cached_property
-    def adjacency(self) -> np.ndarray:
-        """Dense boolean adjacency matrix (no self loops)."""
-        a = _adjacency_matrix(self.p, self.edges)
-        a.setflags(write=False)
-        return a
 
     @functools.cached_property
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
@@ -201,39 +187,27 @@ class PerfectSequence:
             raise ValueError("need exactly one separator per clique after the first")
 
 
-def _mcs_visit(
-    g: UndirectedGraph, priority: Sequence[int] | None = None
-) -> tuple[list[int], list[list[int]]]:
+def _mcs_visit(g: UndirectedGraph) -> tuple[list[int], list[list[int]]]:
     """Maximum cardinality search visit order plus earlier-neighbour lists,
     each list in ascending vertex order.
 
-    The next vertex has the most visited neighbours (its weight).  Ties
-    break toward the lowest vertex index, or toward the lowest ``priority``
-    value when one is supplied, which makes the visit order deterministic
-    for a given graph.  Only ``neighbor_sets`` is read.  A heap holds one
-    integer key rank - weight * p per weight a vertex reaches, so the
-    smallest key is the next vertex and the key mod p is its rank; a
-    vertex's older keys sort after its newest and are skipped once it is
-    visited.
+    The next vertex has the most visited neighbours (its weight), ties
+    toward the lowest vertex index, so the visit order is deterministic for
+    a given graph; relabelling the graph gives other tie-breaks.  Only
+    ``neighbor_sets`` is read.  A heap holds one integer key
+    vertex - weight * p per weight a vertex reaches, so the smallest key is
+    the next vertex and the key mod p is that vertex; a vertex's older keys
+    sort after its newest and are skipped once it is visited.
     """
     p = g.p
-    if priority is None:
-        rank = vertex = range(p)
-    else:
-        if sorted(priority) != list(range(p)):
-            raise ValueError("priority must be a permutation of 0..p-1")
-        rank = priority
-        vertex = [0] * p
-        for v, r in enumerate(priority):
-            vertex[r] = v
     nbrs = g.neighbor_sets
     weight = [0] * p
     visited = [False] * p
-    heap = list(range(p))  # every rank at weight 0: already a heap
+    heap = list(range(p))  # every vertex at weight 0: already a heap
     order: list[int] = []
     earlier: list[list[int]] = []
     while len(order) < p:
-        z = vertex[heapq.heappop(heap) % p]
+        z = heapq.heappop(heap) % p
         if visited[z]:
             continue
         visited[z] = True
@@ -242,7 +216,7 @@ def _mcs_visit(
         for x in nbrs[z]:
             if not visited[x]:
                 weight[x] += 1
-                heapq.heappush(heap, rank[x] - weight[x] * p)
+                heapq.heappush(heap, x - weight[x] * p)
     return order, earlier
 
 
@@ -259,32 +233,27 @@ def is_decomposable(g: UndirectedGraph) -> bool:
     return _all_complete(g, earlier)
 
 
-def perfect_numbering(
-    g: UndirectedGraph, priority: Sequence[int] | None = None
-) -> tuple[list[int], list[list[int]]]:
+def perfect_numbering(g: UndirectedGraph) -> tuple[list[int], list[list[int]]]:
     """MCS visit order with each vertex's earlier neighbours, which form a
     clique: a perfect numbering of a decomposable graph.
 
-    Raises NotDecomposable when the graph is not chordal.  ``priority`` is
-    the MCS tie-break permutation, lowest vertex index by default.
+    Raises NotDecomposable when the graph is not chordal.
     """
-    order, earlier = _mcs_visit(g, priority)
+    order, earlier = _mcs_visit(g)
     if not _all_complete(g, earlier):
         raise NotDecomposable("graph is not chordal")
     return order, earlier
 
 
-def perfect_sequence(
-    g: UndirectedGraph, priority: Sequence[int] | None = None
-) -> PerfectSequence:
+def perfect_sequence(g: UndirectedGraph) -> PerfectSequence:
     """Maximal cliques in perfect order, with their separators.
 
-    Raises NotDecomposable when the graph is not chordal.  The default
-    ordering is the one induced by MCS with lowest-index tie-breaking, so it
-    is deterministic given the graph; ``priority`` substitutes a different
-    tie-break permutation, yielding another valid perfect sequence.
+    Raises NotDecomposable when the graph is not chordal.  The order is the
+    one induced by MCS with lowest-index tie-breaking, so it is
+    deterministic given the graph.  Another perfect sequence of g is that of
+    a relabelled copy of g, mapped back through the labels.
     """
-    order, earlier = perfect_numbering(g, priority)
+    order, earlier = perfect_numbering(g)
 
     # The i-th visited vertex closes a maximal clique iff the next vertex has
     # no more earlier neighbours than it has (Blair & Peyton 1993).
@@ -401,7 +370,9 @@ class GrowingGraph:
         different components or have a common neighbour, ascending (the
         row-major order of the pairs)."""
         if self.adj is None:
-            self.adj = _adjacency_matrix(self.p, self.edges)
+            self.adj = np.zeros((self.p, self.p), dtype=bool)
+            for u, v in self.edges:
+                self.adj[u, v] = self.adj[v, u] = True
             # float32 goes through BLAS and counts exactly below 2**24
             # vertices; a narrow integer type would wrap
             a = self.adj.astype(np.float32)
@@ -554,7 +525,8 @@ def read_edge_list(path: str, p: int | None = None) -> UndirectedGraph:
 
     Blank lines and ``#`` comments are ignored.  A header and an explicit
     ``p`` must agree when both are given.  Raises ValueError, naming the
-    line as written, for a line that is not two distinct vertices in 1..p.
+    line as written, for a header that is not ``p=<integer>``, for a second
+    header and for a line that is not two distinct vertices in 1..p.
     """
     header_p: int | None = None
     pairs: list[tuple[str, int, int]] = []
@@ -564,7 +536,12 @@ def read_edge_list(path: str, p: int | None = None) -> UndirectedGraph:
             if not line:
                 continue
             if line.startswith("p="):
-                header_p = int(line[2:])
+                if header_p is not None:
+                    raise ValueError(f"second header line {line!r}")
+                try:
+                    header_p = int(line[2:])
+                except ValueError:
+                    raise ValueError(f"malformed header line {line!r}") from None
                 continue
             try:
                 i, j = (int(v) for v in line.split())

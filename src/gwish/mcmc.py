@@ -46,7 +46,7 @@ from .model import (
     posterior_mean_precision,
 )
 from .numerics import make_rng
-from .search import _best_candidate
+from .search import threshold_init
 
 KERNELS = ("uniform", "exact")
 
@@ -203,15 +203,15 @@ def mh_step(
 
 
 def _resolve_init(config: ChainConfig, scorer: GraphScorer) -> UndirectedGraph:
-    # the threshold start is ``search.threshold_init``, ranked with the
-    # chain's own scorer so the chain reuses the walk's log determinants
+    # the threshold start is ranked with the chain's own scorer, so the
+    # chain reuses the walk's log determinants
     if isinstance(config.init, UndirectedGraph):
         if not is_decomposable(config.init):
             raise NotDecomposable("initial graph must be decomposable")
         return config.init
     if config.init == "empty":
         return UndirectedGraph.empty(scorer.data.p)
-    return _best_candidate(scorer, None)[0]
+    return threshold_init(scorer)[0]
 
 
 def run_chain(

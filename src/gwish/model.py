@@ -44,7 +44,6 @@ from .numerics import (
     cholesky_logdet,
     log_multigamma,
     spd_inverse,
-    submatrix,
     symmetrize,
 )
 
@@ -157,47 +156,6 @@ class GraphScore:
     @property
     def log_posterior(self) -> float:
         return self.log_marginal + self.log_prior
-
-
-def log_norm_const_complete(nu: float, scale: np.ndarray) -> float:
-    """Log normalising constant of W_q(nu, scale) on the complete graph.
-
-    ``scale`` is the q x q positive definite scale block; q = 0 returns 0
-    under the empty-product convention.  Requires nu > 2.
-    """
-    if not nu > 2.0:
-        raise ValueError(f"nu must exceed 2, got {nu}")
-    scale = np.asarray(scale, dtype=float)
-    q = scale.shape[0]
-    if q == 0:
-        return 0.0
-    _, logdet = cholesky_logdet(scale)
-    a = (nu + q - 1) / 2.0
-    return a * q * LOG_2 + log_multigamma(a, q) - a * logdet
-
-
-def log_norm_const(
-    g: UndirectedGraph,
-    nu: float,
-    a: np.ndarray,
-    seq: PerfectSequence | None = None,
-) -> float:
-    """Log normalising constant of W_G(nu, A) for decomposable G.
-
-    Clique terms minus separator terms over a perfect sequence; the value
-    does not depend on which perfect sequence is used.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (g.p, g.p):
-        raise DimensionMismatch(f"scale shape {a.shape} does not match p={g.p}")
-    if seq is None:
-        seq = perfect_sequence(g)
-    total = 0.0
-    for c in seq.cliques:
-        total += log_norm_const_complete(nu, submatrix(a, c))
-    for s in seq.separators:
-        total -= log_norm_const_complete(nu, submatrix(a, s))
-    return total
 
 
 def _log_binomial(m: int, k: int) -> float:
@@ -368,9 +326,13 @@ def log_posterior_ratio(
     g0: UndirectedGraph,
     hyper: Hyperparameters,
 ) -> float:
-    """Log posterior odds of g1 over g0 (Bayes factor plus prior ratio)."""
+    """Log posterior odds of g1 over g0 (Bayes factor plus prior ratio);
+    ValueError when both lie outside the prior support, where it is undefined."""
     bf = log_pairwise_bayes_factor(data, g1, g0, hyper)
-    return bf + log_graph_prior(g1, hyper) - log_graph_prior(g0, hyper)
+    lp1, lp0 = log_graph_prior(g1, hyper), log_graph_prior(g0, hyper)
+    if lp1 == lp0 == -math.inf:
+        raise ValueError("both graphs are outside the prior support")
+    return bf + lp1 - lp0
 
 
 def _clique_separator_sum(

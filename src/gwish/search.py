@@ -1,10 +1,11 @@
-"""Mode hunting: thresholded candidates, greedy repair and shotgun refinement."""
+"""Mode hunting on a caller's scorer: ``threshold_init`` screens thresholded
+candidates, ``shotgun_search`` climbs from a graph, ``hybrid_mode`` does both."""
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,15 +77,24 @@ def _ridge_edge_order(
 def _walk_candidates(
     scorer: GraphScorer, config: CandidateConfig
 ) -> Iterator[tuple[GrowingGraph, float]]:
-    """The walk behind ``candidate_graphs``: yields (walk, log posterior)
-    once per new candidate, in the order that ``candidate_graphs`` lists
-    them.  ``walk`` is the live ``GrowingGraph``: the caller reads it before
-    it draws the next item and never changes it.
+    """Decomposable candidates from ridge-inverse thresholding plus greedy
+    repair: yields (walk, log posterior under ``scorer``) once per new
+    candidate, where ``walk`` is the live ``GrowingGraph``, read by the
+    caller before the next item and never changed.
 
-    A candidate is known by its pair bitmask, a Python int with one bit per
-    vertex pair i < j, numbered in row-major order, set for each edge.  So
-    the deduplication keeps one int of at most p(p-1)/2 bits per candidate
-    and builds no edge set.
+    For each ridge value, each threshold keeps a prefix of the pairs sorted
+    by weight, and its candidate is that prefix walked in order, keeping
+    each edge whose addition preserves decomposability.  A longer prefix
+    only appends pairs, so one incremental walk per ridge value yields all
+    prefixes; its add-candidate filter decides most pairs from component
+    labels and common neighbours without a search.  Order is deterministic
+    and at most ``max_candidates`` candidates are yielded.
+
+    Duplicates are dropped by pair bitmask, a Python int with bit k set
+    when the k-th pair i < j in row-major order is an edge, looked up only
+    when the walk has grown since the last prefix.  A score is the empty
+    graph's score plus the deltas of the walk's additions, so a candidate
+    outside the support scores -inf, as does every later one of its walk.
     """
     data = scorer.data
     p = data.p
@@ -116,47 +126,18 @@ def _walk_candidates(
                     return
 
 
-def candidate_graphs(
+def threshold_init(
     scorer: GraphScorer, config: CandidateConfig | None = None
-) -> list[tuple[UndirectedGraph, float]]:
-    """Decomposable candidates from ridge-inverse thresholding plus repair,
-    each with its log posterior under ``scorer``.
-
-    For each ridge value, each threshold keeps a prefix of the pairs sorted
-    by weight, and the greedy repair of that prefix is a candidate: the
-    prefix walked in order, keeping each edge whose addition preserves
-    decomposability.  Since a longer prefix only appends pairs, one
-    incremental walk per ridge value yields all prefixes.  The walk grows a
-    ``GrowingGraph`` from the empty graph, whose add-candidate filter
-    decides most pairs from its component labels and common neighbours
-    without a search.  The walk looks a prefix's graph up among the earlier
-    candidates only when it has grown since the last prefix, by its pair
-    bitmask (one bit per vertex pair).  Duplicates are dropped, order is
-    deterministic, and at most ``max_candidates`` (graph, log posterior)
-    pairs are returned.  This list holds a frozen graph per candidate;
-    ``threshold_init`` and ``hybrid_mode`` rank the same walk as it runs
-    and keep only the best graph.
-
-    A score is the empty graph's score plus the move deltas of the additions
-    along the walk.  A candidate outside the support scores -inf, and so
-    does every later one of its walk, since the walk only adds edges.
-    """
-    p = scorer.data.p
-    return [
-        (UndirectedGraph._trusted(p, frozenset(walk.edges)), lp)
-        for walk, lp in _walk_candidates(scorer, config or CandidateConfig())
-    ]
-
-
-def _best_candidate(
-    scorer: GraphScorer, config: CandidateConfig | None
 ) -> tuple[UndirectedGraph, int]:
-    """Highest-scoring candidate of ``candidate_graphs`` (earliest on ties,
-    the empty graph when every candidate is outside the support) and the
-    number of candidates, ranked as the walk makes them: only a candidate
-    that beats the best so far is frozen.  ``scorer`` keeps the log
-    determinants of the walk, so a chain or search that goes on from the
-    candidate with the same scorer does not factorise them again."""
+    """Highest-scoring thresholded candidate and the number of candidates.
+
+    Ties go to the earliest candidate, and the empty graph is returned when
+    every candidate lies outside the support.  The candidates are ranked as
+    the walk makes them, so only a candidate that beats the best so far is
+    frozen.  ``scorer`` keeps the log determinants of the walk, so a chain
+    or search that goes on from the candidate with the same scorer does not
+    factorise them again.
+    """
     best_edges: frozenset[Edge] = frozenset()
     best_lp = -math.inf
     count = 0
@@ -167,29 +148,13 @@ def _best_candidate(
     return UndirectedGraph._trusted(scorer.data.p, best_edges), count
 
 
-def threshold_init(
-    data: Dataset,
-    hyper: Hyperparameters,
-    config: CandidateConfig | None = None,
-) -> UndirectedGraph:
-    """Highest-scoring thresholded candidate; ties go to the earliest.
-
-    Returns the empty graph when every candidate lies outside the support.
-    The candidates of ``candidate_graphs`` are ranked as the walk makes
-    them, deduplicated by their pair bitmasks, so only the best graph so
-    far is kept.
-    """
-    return _best_candidate(GraphScorer(data, hyper), config)[0]
-
-
 def shotgun_search(
     init: UndirectedGraph,
-    data: Dataset,
-    hyper: Hyperparameters,
+    scorer: GraphScorer,
     max_iters: int = 30,
     rng: np.random.Generator | None = None,
 ) -> ModeSearchResult:
-    """Greedy best-neighbour ascent with random restarts.
+    """Greedy best-neighbour ascent with random restarts, scored by ``scorer``.
 
     Each step scores every decomposable single-edge neighbour by its move
     delta and moves to the best when it improves the current score; at a
@@ -201,16 +166,6 @@ def shotgun_search(
     a full score.  The score trace records the incumbent after each step and
     never decreases.  Raises ValueError for a negative ``max_iters``.
     """
-    return _shotgun(init, GraphScorer(data, hyper), max_iters, rng)
-
-
-def _shotgun(
-    init: UndirectedGraph,
-    scorer: GraphScorer,
-    max_iters: int,
-    rng: np.random.Generator | None,
-) -> ModeSearchResult:
-    """The ascent of ``shotgun_search``, scoring with ``scorer``."""
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     current = init
@@ -270,19 +225,10 @@ def hybrid_mode(
     search_iters: int = 30,
     rng: np.random.Generator | None = None,
 ) -> ModeSearchResult:
-    """Score all candidates, then refine the best by shotgun search.
-
-    The candidates are ranked as the threshold walk makes them, as in
-    ``threshold_init``, and each counts once in ``visited``.  The walk and
-    the search share one scorer, so the search reuses the walk's log
-    determinants.
-    """
+    """``threshold_init``, then ``shotgun_search`` from its graph on the
+    same scorer, which reuses the walk's log determinants.  Each candidate
+    counts once in ``visited``."""
     scorer = GraphScorer(data, hyper)
-    start, n_candidates = _best_candidate(scorer, config)
-    refined = _shotgun(start, scorer, search_iters, rng)
-    return ModeSearchResult(
-        mode_graph=refined.mode_graph,
-        mode_score=refined.mode_score,
-        visited=refined.visited + n_candidates,
-        score_trace=refined.score_trace,
-    )
+    start, n_candidates = threshold_init(scorer, config)
+    refined = shotgun_search(start, scorer, search_iters, rng)
+    return replace(refined, visited=refined.visited + n_candidates)

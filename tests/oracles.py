@@ -1,13 +1,17 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately written from first principles (brute force
-where feasible) rather than by calling the code under test.  The exceptions
-are the former implementations at the end, kept as references for their
-faster replacements: the dense maximum cardinality search, the per-pair
-and per-move walks, which call the library's single-move test and move
-delta (both have oracle tests of their own), the per-vertex posterior
-precision sampler, the Monte Carlo reference for both closed-form
-estimators, and the Monte Carlo Stein-loss estimator built on it.
+where feasible) rather than by calling the code under test.  The full
+normalising constant of W_G(nu, A) for an arbitrary scale A
+(``log_norm_const``) is the oracle for the scorer's Gram-based clique and
+separator terms; it reads the library's perfect sequence and Cholesky log
+determinant.  The other exceptions are the former implementations at the
+end, kept as references for their faster replacements: the dense maximum
+cardinality search, the per-pair and per-move walks, which call the
+library's single-move test and move delta (both have oracle tests of their
+own), the per-vertex posterior precision sampler, the Monte Carlo
+reference for both closed-form estimators, and the Monte Carlo Stein-loss
+estimator built on it.
 """
 
 from __future__ import annotations
@@ -32,9 +36,18 @@ from gwish.graph import (
     is_decomposable,
     move_is_decomposable,
     perfect_numbering,
+    perfect_sequence,
 )
 from gwish.model import Dataset, Hyperparameters
-from gwish.numerics import cholesky_factor, spd_inverse, symmetrize
+from gwish.numerics import (
+    LOG_2,
+    cholesky_factor,
+    cholesky_logdet,
+    log_multigamma,
+    spd_inverse,
+    submatrix,
+    symmetrize,
+)
 
 
 def chordless_cycle_exists(p: int, edges: set[tuple[int, int]]) -> bool:
@@ -92,6 +105,29 @@ def relabel(g: UndirectedGraph, perm: list[int]) -> UndirectedGraph:
     return UndirectedGraph.from_edges(g.p, ((perm[i], perm[j]) for i, j in g.edges))
 
 
+def adjacency(g: UndirectedGraph) -> np.ndarray:
+    """Dense boolean adjacency matrix (no self loops)."""
+    a = np.zeros((g.p, g.p), dtype=bool)
+    for i, j in g.edges:
+        a[i, j] = a[j, i] = True
+    return a
+
+
+def relabelled_perfect_sequence(g: UndirectedGraph, perm: list[int]) -> PerfectSequence:
+    """Another perfect sequence of ``g``: that of ``relabel(g, perm)``, with
+    each clique and separator mapped back to the labels of ``g``.  It is the
+    sequence MCS gives when its ties go to the lowest ``perm`` value."""
+    inv = [0] * g.p
+    for v, r in enumerate(perm):
+        inv[r] = v
+
+    def back(subsets):
+        return tuple(frozenset(inv[r] for r in s) for s in subsets)
+
+    seq = perfect_sequence(relabel(g, perm))
+    return PerfectSequence(back(seq.cliques), back(seq.separators))
+
+
 def check_perfect_sequence(g: UndirectedGraph, seq: PerfectSequence) -> None:
     """Assert the defining properties of a perfect sequence of ``g``.
 
@@ -118,6 +154,47 @@ def check_perfect_sequence(g: UndirectedGraph, seq: PerfectSequence) -> None:
         assert any(s <= cliques[m] for m in range(l)), (
             "running intersection property violated"
         )
+
+
+def log_norm_const_complete(nu: float, scale: np.ndarray) -> float:
+    """Log normalising constant of W_q(nu, scale) on the complete graph.
+
+    ``scale`` is the q x q positive definite scale block; q = 0 returns 0
+    under the empty-product convention.  Requires nu > 2.
+    """
+    if not nu > 2.0:
+        raise ValueError(f"nu must exceed 2, got {nu}")
+    scale = np.asarray(scale, dtype=float)
+    q = scale.shape[0]
+    if q == 0:
+        return 0.0
+    _, logdet = cholesky_logdet(scale)
+    a = (nu + q - 1) / 2.0
+    return a * q * LOG_2 + log_multigamma(a, q) - a * logdet
+
+
+def log_norm_const(
+    g: UndirectedGraph,
+    nu: float,
+    a: np.ndarray,
+    seq: PerfectSequence | None = None,
+) -> float:
+    """Log normalising constant of W_G(nu, A) for decomposable G.
+
+    Clique terms minus separator terms over a perfect sequence; the value
+    does not depend on which perfect sequence is used.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.shape != (g.p, g.p):
+        raise DimensionMismatch(f"scale shape {a.shape} does not match p={g.p}")
+    if seq is None:
+        seq = perfect_sequence(g)
+    total = 0.0
+    for c in seq.cliques:
+        total += log_norm_const_complete(nu, submatrix(a, c))
+    for s in seq.separators:
+        total -= log_norm_const_complete(nu, submatrix(a, s))
+    return total
 
 
 def wishart_batch(
@@ -380,7 +457,7 @@ def _add_candidates_reference(g: UndirectedGraph) -> list[Edge]:
                         comp[x] = root
                         stack.append(x)
     labels = np.asarray(comp)
-    adj = g.adjacency
+    adj = adjacency(g)
     a = adj.astype(np.float32)
     mask = ~adj & (((a @ a) > 0) | (labels[:, None] != labels[None, :]))
     rows, cols = np.nonzero(np.triu(mask, 1))
@@ -430,7 +507,7 @@ def mcs_visit_reference(
     ascending order, ties toward the lowest vertex index or ``priority``
     value."""
     p = g.p
-    adj = g.adjacency
+    adj = adjacency(g)
     weights = np.zeros(p, dtype=np.int64)
     visited = np.zeros(p, dtype=bool)
     if priority is None:

@@ -282,6 +282,20 @@ class TestBayesFactor:
         assert run("bf", "--data", data_dir, "--g", 0.2, "--preset", "ratio",
                    "--graph1", gpath, "--graph0", gpath) == 2
 
+    def test_both_graphs_outside_support_exits_2(self, data_dir, tmp_path, capsys):
+        # at r_max = 0 both one-edge graphs have prior -inf; the ratio is
+        # undefined, so nothing is printed (NaN is not JSON) and nothing saved
+        g1 = tmp_path / "g1.edges"
+        g0 = tmp_path / "g0.edges"
+        write_edge_list(UndirectedGraph.from_edges(4, [(0, 1)]), str(g1))
+        write_edge_list(UndirectedGraph.from_edges(4, [(2, 3)]), str(g0))
+        assert run("bf", "--data", data_dir, "--g", 0.2, "--r-max", 0,
+                   "--graph1", g1, "--graph0", g0, "--out", tmp_path / "bf") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "both graphs are outside the prior support" in captured.err
+        assert not (tmp_path / "bf").exists()
+
     def test_oversized_clique_exits_3(self, tmp_path):
         gen = tmp_path / "tiny"
         assert run("gen-data", "--kind", "ar1", "--p", 4, "--n", 2,

@@ -25,6 +25,7 @@ from gwish.numerics import make_rng
 
 from conftest import chordal_graphs
 from oracles import (
+    adjacency,
     check_perfect_sequence,
     chordal_by_cycle_scan,
     decomposable_neighbors_reference,
@@ -32,11 +33,23 @@ from oracles import (
     random_decomposable_move_reference,
     reachable,
     relabel,
+    relabelled_perfect_sequence,
 )
 
 
 def all_graphs(p):
     return list(enumerate_graphs(p))
+
+
+def mcs_visit_relabelled(g, rank):
+    """``_mcs_visit`` of ``relabel(g, rank)`` mapped back to the labels of
+    ``g``, each earlier-neighbour list re-sorted: the search on ``g`` with
+    ties toward the lowest ``rank`` value."""
+    inv = [0] * g.p
+    for v, r in enumerate(rank):
+        inv[r] = v
+    order, earlier = _mcs_visit(relabel(g, rank))
+    return [inv[z] for z in order], [sorted(inv[x] for x in e) for e in earlier]
 
 
 @st.composite
@@ -160,9 +173,8 @@ class TestPerfectSequence:
             if not is_decomposable(g):
                 continue
             for _ in range(3):
-                priority = rng.permutation(4).tolist()
-                seq = perfect_sequence(g, priority=priority)
-                check_perfect_sequence(g, seq)
+                perm = rng.permutation(4).tolist()
+                check_perfect_sequence(g, relabelled_perfect_sequence(g, perm))
 
 
 class TestMcsVisit:
@@ -174,23 +186,15 @@ class TestMcsVisit:
         for g in all_graphs(p):
             assert _mcs_visit(g) == mcs_visit_reference(g)
             for _ in range(3):
-                priority = rng.permutation(p).tolist()
-                assert _mcs_visit(g, priority) == mcs_visit_reference(g, priority)
+                rank = rng.permutation(p).tolist()
+                assert mcs_visit_relabelled(g, rank) == mcs_visit_reference(g, rank)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(chordal_graphs, any_graphs()), st.data())
     def test_matches_reference_on_random_graphs(self, g, data):
-        priority = data.draw(st.permutations(range(g.p)))
+        rank = data.draw(st.permutations(range(g.p)))
         assert _mcs_visit(g) == mcs_visit_reference(g)
-        assert _mcs_visit(g, priority) == mcs_visit_reference(g, priority)
-
-    @pytest.mark.parametrize("priority", [[0, 0, 1], [0, 1], [1, 2, 3]])
-    def test_priority_must_be_a_permutation(self, priority):
-        g = UndirectedGraph.from_edges(3, [(0, 1)])
-        with pytest.raises(ValueError):
-            _mcs_visit(g, priority)
-        with pytest.raises(ValueError):
-            perfect_sequence(g, priority=priority)
+        assert mcs_visit_relabelled(g, rank) == mcs_visit_reference(g, rank)
 
 
 class TestMoves:
@@ -421,7 +425,7 @@ class TestGrowingGraph:
         state = grown_state(GrowingGraph(g))
         nbrs = g.neighbor_sets
         pairs = list(itertools.combinations(range(g.p), 2))
-        assert state["adjacency"] == g.adjacency.tolist()
+        assert state["adjacency"] == adjacency(g).tolist()
         assert state["shared"] == [
             [i != j and bool(nbrs[i] & nbrs[j]) for j in range(g.p)]
             for i in range(g.p)
@@ -524,3 +528,16 @@ class TestEdgeListIO:
         with pytest.raises(ValueError):
             read_edge_list(str(path))
         assert read_edge_list(str(path), p=2).size == 1
+
+    def test_malformed_header_names_the_line(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("p=five\n1 2\n")
+        with pytest.raises(ValueError, match="malformed header line 'p=five'"):
+            read_edge_list(str(path))
+
+    @pytest.mark.parametrize("second", ["p=4", "p=3"])
+    def test_second_header_is_an_error(self, tmp_path, second):
+        path = tmp_path / "g.edges"
+        path.write_text(f"p=3\n1 2\n{second}\n")
+        with pytest.raises(ValueError, match=f"second header line '{second}'"):
+            read_edge_list(str(path))

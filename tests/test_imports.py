@@ -67,10 +67,11 @@ def test_threshold_init_loads_no_masked_arrays():
     lines = run_probe(
         "import sys\n"
         "import numpy as np\n"
-        "from gwish.model import Dataset, Hyperparameters\n"
+        "from gwish.model import Dataset, GraphScorer, Hyperparameters\n"
         "from gwish.search import threshold_init\n"
         "x = np.random.default_rng(0).standard_normal((12, 5))\n"
-        "g = threshold_init(Dataset.from_matrix(x), Hyperparameters(g=0.3))\n"
+        "scorer = GraphScorer(Dataset.from_matrix(x), Hyperparameters(g=0.3))\n"
+        "g, _ = threshold_init(scorer)\n"
         "print(g.p)\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"

@@ -221,7 +221,7 @@ class TestRunChain:
         truth = build_truth(TrueModelSpec(kind="ar2", p=10))
         data = sample_dataset(truth, n=40, rng=make_rng(8))
         hyper = Hyperparameters(g=0.3)
-        start = threshold_init(data, hyper)
+        start, _ = threshold_init(GraphScorer(data, hyper))
         runs = {}
         built = []
         init = GraphScorer.__init__

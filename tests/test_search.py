@@ -25,8 +25,7 @@ from gwish.model import (
 from gwish.numerics import make_rng
 from gwish.search import (
     CandidateConfig,
-    _best_candidate,
-    candidate_graphs,
+    _walk_candidates,
     hybrid_mode,
     shotgun_search,
     threshold_init,
@@ -50,6 +49,14 @@ def ar2_data():
 
 def log_post(data, g, hyper):
     return GraphScorer(data, hyper).score(g).log_posterior
+
+
+def candidate_graphs(scorer, config=None):
+    """Every thresholded candidate with its log posterior, in walk order."""
+    return [
+        (UndirectedGraph(scorer.data.p, frozenset(walk.edges)), lp)
+        for walk, lp in _walk_candidates(scorer, config or CandidateConfig())
+    ]
 
 
 def graphs(data, config=None):
@@ -95,7 +102,7 @@ class TestCandidates:
     def test_threshold_init_is_argmax(self, ar1_data, ar2_data):
         for data, r_max in itertools.product((ar1_data, ar2_data), (None, 2)):
             hyper = Hyperparameters(g=0.2, r_max=r_max)
-            best = threshold_init(data, hyper)
+            best, _ = threshold_init(GraphScorer(data, hyper))
             cands = graphs(data)
             scores = [log_post(data, g, hyper) for g in cands]
             assert best == cands[int(np.argmax(scores))]
@@ -117,7 +124,8 @@ class TestCandidates:
         config = CandidateConfig(ridge_grid=(0.1,), threshold_grid=(0.0,))
         (cand,) = graphs(ar1_data, config)
         assert cand.size > 0
-        best = threshold_init(ar1_data, Hyperparameters(g=0.2, r_max=0), config)
+        scorer = GraphScorer(ar1_data, Hyperparameters(g=0.2, r_max=0))
+        best, _ = threshold_init(scorer, config)
         assert best == UndirectedGraph.empty(4)
 
 
@@ -179,7 +187,7 @@ class TestCandidateWalk:
         best, lp = max(scored, key=lambda c: c[1])  # the first maximum
         if lp == -math.inf:
             best = UndirectedGraph.empty(p)
-        assert _best_candidate(GraphScorer(data, hyper), config) == (best, len(scored))
+        assert threshold_init(GraphScorer(data, hyper), config) == (best, len(scored))
 
     def test_threshold_init_keeps_no_candidate_list(self):
         # A list of every candidate graph peaked at 6.6 MB here; the ranking
@@ -187,10 +195,11 @@ class TestCandidateWalk:
         truth = build_truth(TrueModelSpec(kind="ar2", p=60))
         data = sample_dataset(truth, n=150, rng=make_rng(11))
         hyper = Hyperparameters.preset("selection", 60)
-        threshold_init(data, hyper)  # lazy imports and caches outside the trace
+        # lazy imports and caches outside the trace
+        threshold_init(GraphScorer(data, hyper))
         tracemalloc.start()
         try:
-            threshold_init(data, hyper)
+            threshold_init(GraphScorer(data, hyper))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -213,7 +222,8 @@ class TestShotgun:
     def test_trace_never_decreases(self, ar1_data):
         hyper = Hyperparameters(g=0.2)
         res = shotgun_search(
-            UndirectedGraph.empty(4), ar1_data, hyper, max_iters=25, rng=make_rng(3)
+            UndirectedGraph.empty(4), GraphScorer(ar1_data, hyper), max_iters=25,
+            rng=make_rng(3),
         )
         trace = np.array(res.score_trace)
         assert np.all(np.diff(trace) >= 0.0)
@@ -221,7 +231,9 @@ class TestShotgun:
 
     def test_without_rng_stops_at_local_optimum(self, ar1_data):
         hyper = Hyperparameters(g=0.2)
-        res = shotgun_search(UndirectedGraph.empty(4), ar1_data, hyper, max_iters=50)
+        res = shotgun_search(
+            UndirectedGraph.empty(4), GraphScorer(ar1_data, hyper), max_iters=50
+        )
         mode, lp = res.mode_graph, res.mode_score.log_posterior
         for e in decomposable_neighbors(mode):
             assert log_post(ar1_data, mode.toggled(*e), hyper) <= lp
@@ -236,7 +248,8 @@ class TestShotgun:
         )
         assert exact_mode == ar1_data.truth.graph
         res = shotgun_search(
-            UndirectedGraph.empty(4), ar1_data, hyper, max_iters=40, rng=make_rng(8)
+            UndirectedGraph.empty(4), GraphScorer(ar1_data, hyper), max_iters=40,
+            rng=make_rng(8),
         )
         assert res.mode_graph == exact_mode
 
@@ -245,7 +258,7 @@ class TestShotgun:
         # the first step must still reach the best neighbour inside the cap
         hyper = Hyperparameters(g=0.2, r_max=2)
         start = UndirectedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        res = shotgun_search(start, ar1_data, hyper, max_iters=1)
+        res = shotgun_search(start, GraphScorer(ar1_data, hyper), max_iters=1)
         best = max(
             (start.toggled(*e) for e in start.edges),
             key=lambda g: log_post(ar1_data, g, hyper),
@@ -257,7 +270,7 @@ class TestShotgun:
         # one vertex has no pair to jitter, so each restart keeps the graph
         data = Dataset.from_matrix(np.random.default_rng(2).standard_normal((10, 1)))
         res = shotgun_search(
-            UndirectedGraph.empty(1), data, Hyperparameters(), max_iters=3,
+            UndirectedGraph.empty(1), GraphScorer(data, Hyperparameters()), max_iters=3,
             rng=make_rng(0),
         )
         assert res.mode_graph == UndirectedGraph.empty(1)
@@ -265,12 +278,13 @@ class TestShotgun:
 
     def test_negative_iterations_raise(self, ar1_data):
         with pytest.raises(ValueError, match="max_iters"):
-            shotgun_search(UndirectedGraph.empty(4), ar1_data, Hyperparameters(),
-                           max_iters=-2)
+            shotgun_search(UndirectedGraph.empty(4),
+                           GraphScorer(ar1_data, Hyperparameters()), max_iters=-2)
 
     def test_visited_counts_work(self, ar1_data):
         res = shotgun_search(
-            UndirectedGraph.empty(4), ar1_data, Hyperparameters(g=0.2), max_iters=5
+            UndirectedGraph.empty(4), GraphScorer(ar1_data, Hyperparameters(g=0.2)),
+            max_iters=5,
         )
         assert res.visited > 5
 
@@ -278,7 +292,7 @@ class TestShotgun:
 class TestHybrid:
     def test_refinement_never_hurts(self, ar1_data):
         hyper = Hyperparameters(g=0.2)
-        start = threshold_init(ar1_data, hyper)
+        start, _ = threshold_init(GraphScorer(ar1_data, hyper))
         res = hybrid_mode(ar1_data, hyper, search_iters=15, rng=make_rng(4))
         assert res.mode_score.log_posterior >= log_post(ar1_data, start, hyper)
         assert is_decomposable(res.mode_graph)
@@ -288,9 +302,10 @@ class TestHybrid:
         # determinants; cached terms are the same bits, so the result is
         # that of a cold scorer started from the threshold graph
         hyper = Hyperparameters(g=0.2)
-        start = threshold_init(ar2_data, hyper)
-        n_candidates = _best_candidate(GraphScorer(ar2_data, hyper), None)[1]
-        cold = shotgun_search(start, ar2_data, hyper, max_iters=8, rng=make_rng(5))
+        start, n_candidates = threshold_init(GraphScorer(ar2_data, hyper))
+        cold = shotgun_search(
+            start, GraphScorer(ar2_data, hyper), max_iters=8, rng=make_rng(5)
+        )
         built = []
         init = GraphScorer.__init__
 

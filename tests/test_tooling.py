@@ -1,7 +1,8 @@
 """The test tooling itself: a failing property test is reported as a
 failure, not as a crash of the test run, the benchmark's layer tracer
-still finds every name it wraps, and the CLI still parses every command
-the benchmark runs and every example in the README.
+still finds every name it wraps and sees the search's work, the CLI still
+parses every command the benchmark runs and every example in the README,
+and every name the package exports is used by the library or the README.
 
 When a ``@given`` test fails, Hypothesis imports ``hypothesis.extra._patching``,
 whose import emits mypy_extensions' TypedDict DeprecationWarning.  Under the
@@ -9,22 +10,27 @@ repository's ``filterwarnings = ["error"]`` that warning, unless ignored,
 aborts pytest with INTERNALERROR and exit code 3, hiding the FAILED line.
 """
 
+import ast
 import importlib.util
 import re
 import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gwish.cli  # imports every layer the tracer wraps
 from gwish.graph import UndirectedGraph
+from gwish.model import Dataset, Hyperparameters
+from gwish.search import hybrid_mode
 
 pytest_plugins = ["pytester"]
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 BENCH = PYPROJECT.parent / "bench"
 README = PYPROJECT.parent / "README.md"
+PACKAGE = PYPROJECT.parent / "src" / "gwish"
 
 FAILING = """
 from hypothesis import given, settings
@@ -48,23 +54,64 @@ def test_failing_property_test_is_a_failure_not_a_crash(pytester):
     assert not any("INTERNALERROR" in line for line in result.outlines)
 
 
+def load_layertrace():
+    spec = importlib.util.spec_from_file_location("layertrace", BENCH / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    return layertrace
+
+
 def test_layer_tracer_installs_and_uninstalls():
     """The benchmark's layer tracer finds every function and method it
     wraps, so renaming a traced name fails here rather than in a traced
     benchmark run."""
-    path = BENCH / "layertrace.py"
-    spec = importlib.util.spec_from_file_location("layertrace", path)
-    layertrace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layertrace)
-
     search = UndirectedGraph.connected
-    tracer = layertrace.Tracer()
+    tracer = load_layertrace().Tracer()
     tracer.install()
     try:
         assert UndirectedGraph.connected.__wrapped__ is search
     finally:
         tracer.uninstall()
     assert UndirectedGraph.connected is search
+
+
+def test_layer_tracer_sees_the_shotgun_search():
+    """The tracer wraps public names only, so the ascent that ``hybrid_mode``
+    runs is timed and its visits counted only under a public name."""
+    x = np.random.default_rng(0).standard_normal((30, 5))
+    tracer = load_layertrace().Tracer()
+    tracer.install()
+    try:
+        hybrid_mode(Dataset.from_matrix(x), Hyperparameters(g=0.3), search_iters=3)
+    finally:
+        tracer.uninstall()
+    assert tracer.stats["search.shotgun_search"][0] == 1
+    assert tracer.counters["search.visited"] > 0
+
+
+def test_every_export_is_used():
+    """Each name that ``gwish/__init__`` imports from a module is referenced
+    by code in another module of the package, or named in the README, so
+    a function that only the tests call is not public."""
+    modules = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    exported = {
+        alias.asname or alias.name
+        for node in modules.pop("__init__").body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    readme = README.read_text()
+    unused = sorted(
+        name for name in exported - used
+        if not re.search(rf"\b{re.escape(name)}\b", readme)
+    )
+    assert unused == [], f"exported but used only by tests: {unused}"
 
 
 def test_cli_parses_every_benchmark_command(monkeypatch):
