@@ -55,11 +55,18 @@ class UsageError(Exception):
     pass
 
 
+def _csv_rows(m: np.ndarray) -> str:
+    """The rows of a 2-d float array as ``%.17g`` comma-separated lines: the
+    bytes ``np.savetxt(..., delimiter=",", fmt="%.17g")`` writes."""
+    row = ",".join(["%.17g"] * m.shape[1]) + "\n"
+    return "".join([row % tuple(r) for r in m.tolist()])
+
+
 def _write_matrix(path: Path, m: np.ndarray, header: list[str] | None = None) -> None:
     with open(path, "w") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        np.savetxt(fh, np.atleast_2d(m), delimiter=",", fmt="%.17g")
+        fh.write(_csv_rows(np.atleast_2d(m)))
 
 
 def _read_matrix(path: str) -> np.ndarray:
@@ -205,7 +212,7 @@ def _cmd_mcmc(args) -> int:
     )
     with open(out / "trace.csv", "w") as fh:
         fh.write("iteration,log_posterior,size,accepted\n")
-        np.savetxt(fh, trace, delimiter=",", fmt="%.17g")
+        fh.write(_csv_rows(trace))
     meta = {
         "command": "mcmc",
         "n": data.n,
@@ -297,10 +304,16 @@ def _cmd_bf(args) -> int:
         "n": data.n,
         "p": data.p,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    if abs(log_ratio) == float("inf"):
+        # exactly one graph has prior -inf (both raise above), and JSON has
+        # no infinity: the ratio is null and the key names that graph
+        payload["log_posterior_ratio"] = None
+        payload["outside_support"] = "graph1" if log_ratio < 0 else "graph0"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    print(text)
     if args.out:
         out = _outdir(args)
-        _write_json(out / "bf.json", payload)
+        (out / "bf.json").write_text(text + "\n")
         _write_meta(out, {"command": "bf", **payload})
     return 0
 

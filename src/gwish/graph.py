@@ -4,19 +4,25 @@ Decomposability is detected with maximum cardinality search (MCS): a graph
 is chordal iff, visiting vertices in MCS order, every vertex's already
 visited neighbourhood is complete (Tarjan & Yannakakis 1984).  Maximal
 cliques and a perfect sequence with the running intersection property are
-read off the same visit order following Blair & Peyton (1993).  MCS reads
-the neighbour sets only and picks each next vertex from a heap of integer
-keys, so no dense adjacency is built for it.
+read off the same visit order following Blair & Peyton (1993).
+
+Vertex sets are Python-int bitmasks: bit j of ``neighbor_masks[i]`` is set
+iff ij is an edge, and a set of vertices is the OR of their bits.  A common
+neighbourhood is one AND, a separator search is a frontier BFS over the
+masks, and MCS reads each vertex's earlier neighbours as one AND with the
+visited mask and keeps the unvisited vertices in one mask per weight; no
+dense adjacency is built for any of them.
 
 A single-edge move is named by its edge alone: it deletes (u, v) when the
 graph has that edge and adds it otherwise (``UndirectedGraph.toggled``).
 Moves on a decomposable graph are tested locally, without re-running MCS
 (Giudici & Green 1999): with S = N(u) & N(v), adding (u, v) keeps the graph
 decomposable iff S separates u from v, and deleting it does iff S is
-complete.  Component labels with a cycle flag per component decide most
-additions without that separator search: a graph computes them once, and a
-run of additions grows one mutable ``GrowingGraph`` that keeps them up to
-date.
+complete.  ``toggled`` derives the new graph's masks from the old ones by
+flipping two bits.  Component labels with a cycle flag per component decide
+most additions without that separator search: a graph computes them once,
+and a run of additions grows one mutable ``GrowingGraph`` that keeps them up
+to date.
 
 ``random_decomposable_move`` draws one such move of a requested kind, and
 makes the other kind when the graph has no pair of the requested one (an
@@ -29,8 +35,6 @@ additions, one or a run of them (``random_decomposable_additions``), are
 from __future__ import annotations
 
 import functools
-import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -47,12 +51,23 @@ def _normalize_edge(i: int, j: int) -> Edge:
     return (i, j) if i < j else (j, i)
 
 
+def _bits(mask: int) -> list[int]:
+    """The vertices of a vertex mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class UndirectedGraph:
     """Simple undirected graph on vertices 0..p-1 with an immutable edge set.
 
     Edges are stored as (i, j) pairs with i < j.  Instances hash and compare
-    by (p, edges), so they can key caches and sets.
+    by (p, edges), so they can key caches and sets.  The neighbour masks
+    and component labels are computed once per graph, on first use.
     """
 
     p: int
@@ -101,12 +116,13 @@ class UndirectedGraph:
         return tuple(sorted(self.edges))
 
     @functools.cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.p)]
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Bit j of entry i is set iff ij is an edge."""
+        nbrs = [0] * self.p
         for i, j in self.edges:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-        return tuple(frozenset(s) for s in nbrs)
+            nbrs[i] |= 1 << j
+            nbrs[j] |= 1 << i
+        return tuple(nbrs)
 
     @functools.cached_property
     def _components(self) -> tuple[list[int], list[bool]]:
@@ -116,19 +132,27 @@ class UndirectedGraph:
         that label only: a connected component has a cycle iff it has at
         least as many edges as vertices.
         """
-        nbrs = self.neighbor_sets
+        nbrs = self.neighbor_masks
         labels = [-1] * self.p
         cyclic = [False] * self.p
         for s in range(self.p):
-            if labels[s] < 0:
-                labels[s] = s
-                comp = [s]
-                for w in comp:
-                    for x in nbrs[w]:
-                        if labels[x] < 0:
-                            labels[x] = s
-                            comp.append(x)
-                cyclic[s] = sum(len(nbrs[w]) for w in comp) >= 2 * len(comp)
+            if labels[s] >= 0:
+                continue
+            comp = frontier = 1 << s
+            size = degrees = 0
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    w = low.bit_length() - 1
+                    labels[w] = s
+                    reach |= nbrs[w]
+                    degrees += nbrs[w].bit_count()
+                    size += 1
+                frontier = reach & ~comp
+                comp |= frontier
+            cyclic[s] = degrees >= 2 * size
         return labels, cyclic
 
     def has_edge(self, i: int, j: int) -> bool:
@@ -139,31 +163,50 @@ class UndirectedGraph:
         u, v = _normalize_edge(i, j)
         if not (0 <= u and v < self.p):
             raise IndexOutOfRange(f"edge ({u},{v}) invalid for p={self.p}")
-        return UndirectedGraph._trusted(self.p, self.edges ^ {(u, v)})
+        g = UndirectedGraph._trusted(self.p, self.edges ^ {(u, v)})
+        # the parent's cached reads, changed in one edge, are the child's
+        known = self.__dict__
+        if "neighbor_masks" in known:
+            nbrs = list(known["neighbor_masks"])
+            nbrs[u] ^= 1 << v
+            nbrs[v] ^= 1 << u
+            g.__dict__["neighbor_masks"] = tuple(nbrs)
+        if "sorted_edges" in known:
+            old = known["sorted_edges"]
+            if (u, v) in self.edges:
+                k = old.index((u, v))
+                g.__dict__["sorted_edges"] = old[:k] + old[k + 1:]
+            else:  # one insertion into a sorted run: a linear merge
+                g.__dict__["sorted_edges"] = tuple(sorted(old + ((u, v),)))
+        return g
 
-    def connected(self, u: int, v: int, blocked: Iterable[int] = ()) -> bool:
+    def connected(self, u: int, v: int, blocked: int = 0) -> bool:
         """Breadth-first reachability between u and v avoiding ``blocked``.
 
-        The ``blocked`` vertices are treated as removed from the graph; u and
-        v must not be among them.  Blocking S = N(u) & N(v) turns this into
-        the separator test for adding the edge (u, v) to a decomposable graph
-        (Giudici & Green 1999); see ``_addition_is_decomposable``.  Only
-        ``neighbor_sets`` is read, so the rule also runs it on a
-        ``GrowingGraph``.
+        ``blocked`` is a vertex mask whose vertices are treated as removed
+        from the graph; u and v must not be among them.  Blocking
+        S = N(u) & N(v) turns this into the separator test for adding the
+        edge (u, v) to a decomposable graph (Giudici & Green 1999); see
+        ``_addition_is_decomposable``.  Each round ORs the neighbour masks
+        of the frontier.  Only ``neighbor_masks`` is read, so the rule also
+        runs it on a ``GrowingGraph``.
         """
         if u == v:
             return True
-        nbrs = self.neighbor_sets
-        seen = {u, *blocked}
-        queue = deque([u])
-        while queue:
-            w = queue.popleft()
-            for x in nbrs[w]:
-                if x == v:
-                    return True
-                if x not in seen:
-                    seen.add(x)
-                    queue.append(x)
+        nbrs = self.neighbor_masks
+        target = 1 << v
+        seen = blocked | 1 << u
+        frontier = 1 << u
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= nbrs[low.bit_length() - 1]
+                frontier ^= low
+            if reach & target:
+                return True
+            frontier = reach & ~seen
+            seen |= frontier
         return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -187,42 +230,60 @@ class PerfectSequence:
             raise ValueError("need exactly one separator per clique after the first")
 
 
-def _mcs_visit(g: UndirectedGraph) -> tuple[list[int], list[list[int]]]:
-    """Maximum cardinality search visit order plus earlier-neighbour lists,
-    each list in ascending vertex order.
+def _mcs_visit(g: UndirectedGraph) -> tuple[list[int], list[int]]:
+    """Maximum cardinality search visit order plus the mask of each visited
+    vertex's earlier neighbours.
 
     The next vertex has the most visited neighbours (its weight), ties
     toward the lowest vertex index, so the visit order is deterministic for
     a given graph; relabelling the graph gives other tie-breaks.  Only
-    ``neighbor_sets`` is read.  A heap holds one integer key
-    vertex - weight * p per weight a vertex reaches, so the smallest key is
-    the next vertex and the key mod p is that vertex; a vertex's older keys
-    sort after its newest and are skipped once it is visited.
+    ``neighbor_masks`` is read.  ``buckets[w]`` is the mask of the
+    unvisited vertices of weight w, so the next vertex is the lowest bit of
+    the highest non-empty bucket, and a visit moves its unvisited
+    neighbours up one bucket with one AND per weight, highest first.
     """
     p = g.p
-    nbrs = g.neighbor_sets
-    weight = [0] * p
-    visited = [False] * p
-    heap = list(range(p))  # every vertex at weight 0: already a heap
+    nbrs = g.neighbor_masks
+    buckets = [0] * (p + 1)
+    buckets[0] = (1 << p) - 1
+    top = 0  # the highest weight an unvisited vertex may have
+    visited = 0
     order: list[int] = []
-    earlier: list[list[int]] = []
-    while len(order) < p:
-        z = heapq.heappop(heap) % p
-        if visited[z]:
-            continue
-        visited[z] = True
+    earlier: list[int] = []
+    for _ in range(p):
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        buckets[top] ^= low
+        z = low.bit_length() - 1
+        earlier.append(nbrs[z] & visited)
+        visited |= low
         order.append(z)
-        earlier.append(sorted([x for x in nbrs[z] if visited[x]]))
-        for x in nbrs[z]:
-            if not visited[x]:
-                weight[x] += 1
-                heapq.heappush(heap, x - weight[x] * p)
+        fresh = nbrs[z] & ~visited
+        w = top
+        while fresh:
+            moved = buckets[w] & fresh
+            if moved:
+                buckets[w] ^= moved
+                buckets[w + 1] |= moved
+                fresh ^= moved
+            w -= 1
+        if buckets[top + 1]:
+            top += 1
     return order, earlier
 
 
-def _all_complete(g: UndirectedGraph, sets: Iterable[Sequence[int]]) -> bool:
-    nbrs = g.neighbor_sets
-    return all(nbrs[a].issuperset(s[k + 1:]) for s in sets for k, a in enumerate(s))
+def _all_complete(g: UndirectedGraph, masks: Iterable[int]) -> bool:
+    """Is each vertex mask a clique: is every vertex of it adjacent to all
+    its higher vertices?"""
+    nbrs = g.neighbor_masks
+    for s in masks:
+        while s:
+            low = s & -s
+            s ^= low
+            if s & ~nbrs[low.bit_length() - 1]:
+                return False
+    return True
 
 
 def is_decomposable(g: UndirectedGraph) -> bool:
@@ -233,16 +294,23 @@ def is_decomposable(g: UndirectedGraph) -> bool:
     return _all_complete(g, earlier)
 
 
-def perfect_numbering(g: UndirectedGraph) -> tuple[list[int], list[list[int]]]:
-    """MCS visit order with each vertex's earlier neighbours, which form a
-    clique: a perfect numbering of a decomposable graph.
-
-    Raises NotDecomposable when the graph is not chordal.
-    """
+def _perfect_masks(g: UndirectedGraph) -> tuple[list[int], list[int]]:
+    """MCS visit order and earlier-neighbour masks of a chordal graph;
+    raises NotDecomposable when the graph is not chordal."""
     order, earlier = _mcs_visit(g)
     if not _all_complete(g, earlier):
         raise NotDecomposable("graph is not chordal")
     return order, earlier
+
+
+def perfect_numbering(g: UndirectedGraph) -> tuple[list[int], list[list[int]]]:
+    """MCS visit order with each vertex's earlier neighbours, ascending,
+    which form a clique: a perfect numbering of a decomposable graph.
+
+    Raises NotDecomposable when the graph is not chordal.
+    """
+    order, earlier = _perfect_masks(g)
+    return order, [_bits(m) for m in earlier]
 
 
 def perfect_sequence(g: UndirectedGraph) -> PerfectSequence:
@@ -253,23 +321,27 @@ def perfect_sequence(g: UndirectedGraph) -> PerfectSequence:
     deterministic given the graph.  Another perfect sequence of g is that of
     a relabelled copy of g, mapped back through the labels.
     """
-    order, earlier = perfect_numbering(g)
+    order, earlier = _perfect_masks(g)
+    sizes = [m.bit_count() for m in earlier]
 
     # The i-th visited vertex closes a maximal clique iff the next vertex has
     # no more earlier neighbours than it has (Blair & Peyton 1993).
     keep = [
-        frozenset(earlier[i]) | {order[i]}
+        earlier[i] | 1 << order[i]
         for i in range(g.p)
-        if i == g.p - 1 or len(earlier[i + 1]) <= len(earlier[i])
+        if i == g.p - 1 or sizes[i + 1] <= sizes[i]
     ]
 
-    seps: list[frozenset[int]] = []
-    seen: set[int] = set()
+    seps: list[int] = []
+    seen = 0
     for l, cl in enumerate(keep):
         if l > 0:
             seps.append(cl & seen)
         seen |= cl
-    return PerfectSequence(tuple(keep), tuple(seps))
+    return PerfectSequence(
+        tuple(frozenset(_bits(m)) for m in keep),
+        tuple(frozenset(_bits(m)) for m in seps),
+    )
 
 
 def _addition_is_decomposable(
@@ -294,7 +366,7 @@ def _addition_is_decomposable(
     """
     if not joined:
         return True
-    nbrs = g.neighbor_sets
+    nbrs = g.neighbor_masks
     sep = nbrs[u] & nbrs[v]
     if not sep:
         return False
@@ -305,7 +377,7 @@ class GrowingGraph:
     """A decomposable graph grown by single-edge additions, for greedy
     passes and random growth that test many additions in a row.
 
-    It keeps mutable neighbour sets and the edge set, and one component
+    It keeps mutable neighbour masks and the edge set, and one component
     labelling with a flag per component that records whether it has a
     cycle, copied from the graph it is built from.  So the add-candidate
     filter of ``_addition_is_decomposable`` runs no search for pairs in
@@ -320,12 +392,12 @@ class GrowingGraph:
     relabels v's component as u's.  It
     offers the reads that the rule, ``UndirectedGraph.connected`` and
     ``GraphScorer.log_posterior_delta`` make: ``p``, ``size``,
-    ``neighbor_sets`` and ``has_edge``.
+    ``neighbor_masks`` and ``has_edge``.
     """
 
     def __init__(self, g: UndirectedGraph):
         self.p = g.p
-        self.neighbor_sets: list[set[int]] = [set(s) for s in g.neighbor_sets]
+        self.neighbor_masks: list[int] = list(g.neighbor_masks)
         self.edges: set[Edge] = set(g.edges)
         labels, cyclic = g._components
         self.labels = list(labels)
@@ -351,8 +423,8 @@ class GrowingGraph:
 
     def add(self, u: int, v: int) -> None:
         """Add the edge (u, v) with u < v, which ``can_add`` has accepted."""
-        self.neighbor_sets[u].add(v)
-        self.neighbor_sets[v].add(u)
+        self.neighbor_masks[u] |= 1 << v
+        self.neighbor_masks[v] |= 1 << u
         self.edges.add((u, v))
         if self.adj is not None:
             for a, b in ((u, v), (v, u)):
@@ -424,9 +496,9 @@ def move_is_decomposable(g: UndirectedGraph, edge: Edge) -> bool:
     only for a pair with a common neighbour in a component with a cycle.
     """
     u, v = _normalize_edge(*edge)
-    if (u, v) in g.edges:
-        sep = g.neighbor_sets[u] & g.neighbor_sets[v]
-        return _all_complete(g, [tuple(sep)])
+    nbrs = g.neighbor_masks
+    if nbrs[u] >> v & 1:
+        return _all_complete(g, (nbrs[u] & nbrs[v],))
     labels, cyclic = g._components
     lu = labels[u]
     return _addition_is_decomposable(g, u, v, lu == labels[v], not cyclic[lu])

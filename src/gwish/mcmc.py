@@ -145,13 +145,15 @@ def _propose_uniform(
         if k == 0:
             return None
         e = g.sorted_edges[int(rng.integers(k))]
-        lqr = math.log(k) - math.log(m - k + 1)
-    else:
-        if k == m:
+        if not move_is_decomposable(g, e):
             return None
-        e = _uniform_absent_pair(g, rng)
-        lqr = math.log(m - k) - math.log(k + 1)
-    return (e, lqr) if move_is_decomposable(g, e) else None
+        return e, math.log(k) - math.log(m - k + 1)
+    if k == m:
+        return None
+    e = _uniform_absent_pair(g, rng)
+    if not move_is_decomposable(g, e):
+        return None
+    return e, math.log(m - k) - math.log(k + 1)
 
 
 def _propose_exact(

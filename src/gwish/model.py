@@ -25,27 +25,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import CliqueTooLarge, DimensionMismatch
+from .errors import CliqueTooLarge, DimensionMismatch, NotPositiveDefinite
 from .graph import (
     Edge,
     GrowingGraph,
     PerfectSequence,
     UndirectedGraph,
+    _bits,
     is_decomposable,
     perfect_sequence,
 )
-from .numerics import (
-    LOG_2,
-    LOG_2PI,
-    cholesky_logdet,
-    log_multigamma,
-    spd_inverse,
-    symmetrize,
-)
+from .numerics import LOG_2, LOG_2PI, log_multigamma, spd_inverse, symmetrize
 
 # Named hyperparameter presets: g as a power law in the dimension.  The
 # "ratio" preset uses g = 0.1 / delta * p^(-2.5 - delta) with delta = 0.01;
@@ -188,28 +182,49 @@ class GraphScorer:
     """Scores graphs against one dataset and hyperparameter setting.
 
     Clique and separator contributions depend on the vertex subset only, so
-    their Gram log determinants are cached across calls; the cache is
-    deterministic, making scores safe to reuse across chains.  A single-edge
-    move changes only four of these terms (``move_delta``), so moves are
-    scored without rebuilding a perfect sequence.
+    they are cached across calls, keyed by vertex mask (bit v set for each
+    vertex v); the cache is deterministic, making scores safe to reuse
+    across chains.  A single-edge move changes only four of these terms
+    (``move_delta``), so moves are scored without rebuilding a perfect
+    sequence, and a run of additions can have its Gram blocks factorised
+    together, one stacked Cholesky per block size (``_factorise``).
     """
 
     def __init__(self, data: Dataset, hyper: Hyperparameters):
         self.data = data
         self.hyper = hyper
-        self._logdet: dict[frozenset[int], float] = {}
+        self._terms: dict[int, float] = {0: 0.0}  # the empty set's term is 0
         self._scalar: dict[int, float] = {}
+        self._size_priors: dict[int, float] = {}
 
-    def _gram_logdet(self, subset: frozenset[int]) -> float:
-        cached = self._logdet.get(subset)
-        if cached is not None:
-            return cached
-        # a subset of distinct vertices 0..p-1, so the Gram block is indexed
-        # directly, in sorted order, without ``submatrix``'s checks
-        idx = np.array(sorted(subset))
-        _, val = cholesky_logdet(self.data.gram[idx[:, None], idx])
-        self._logdet[subset] = val
-        return val
+    def _factorise(self, masks: Iterable[int]) -> None:
+        """Cache the terms of the masks not yet cached, with one stacked
+        Cholesky of their Gram blocks per block size.
+
+        A factor of a stack is computed matrix by matrix, as a lone call
+        computes it, and each log determinant sums the logs of one row of
+        diagonals, so every term has the bits of a one-block factorisation.
+        Raises CliqueTooLarge for a mask of more than n vertices and
+        NotPositiveDefinite when a block's factorisation fails.
+        """
+        n = self.data.n
+        by_size: dict[int, dict[int, None]] = {}
+        for m in masks:
+            if m not in self._terms:
+                by_size.setdefault(m.bit_count(), {})[m] = None
+        for q, group in by_size.items():
+            if q > n:
+                raise CliqueTooLarge(q, n)
+            idx = np.array([_bits(m) for m in group])
+            blocks = self.data.gram[idx[:, :, None], idx[:, None, :]]
+            try:
+                lower = np.linalg.cholesky(blocks)
+            except np.linalg.LinAlgError as exc:
+                raise NotPositiveDefinite(str(exc)) from exc
+            logdets = 2.0 * np.log(np.diagonal(lower, axis1=1, axis2=2)).sum(axis=1)
+            scalar = self._scalar_term(q)
+            for m, logdet in zip(group, logdets.tolist()):
+                self._terms[m] = scalar - n / 2.0 * logdet
 
     def _scalar_term(self, q: int) -> float:
         # size-only part of a clique contribution
@@ -226,14 +241,24 @@ class GraphScorer:
         self._scalar[q] = val
         return val
 
-    def clique_term(self, subset: frozenset[int]) -> float:
-        """log I_C(n+nu, (1+g) Gram_C) - log I_C(nu, g Gram_C) for one subset."""
-        q = len(subset)
-        if q == 0:
-            return 0.0
-        if q > self.data.n:
-            raise CliqueTooLarge(q, self.data.n)
-        return self._scalar_term(q) - self.data.n / 2.0 * self._gram_logdet(subset)
+    def _size_prior(self, k: int) -> float:
+        # _log_size_prior at this dimension, memoised per edge count
+        cached = self._size_priors.get(k)
+        if cached is None:
+            cached = self._size_priors[k] = _log_size_prior(self.data.p, k, self.hyper)
+        return cached
+
+    def clique_term(self, subset: Iterable[int]) -> float:
+        """log I_C(n+nu, (1+g) Gram_C) - log I_C(nu, g Gram_C) for one subset
+        of distinct vertices."""
+        mask = 0
+        for v in subset:
+            mask |= 1 << v
+        term = self._terms.get(mask)
+        if term is None:
+            self._factorise((mask,))
+            term = self._terms[mask]
+        return term
 
     def log_marginal_core(
         self, g: UndirectedGraph, seq: PerfectSequence | None = None
@@ -265,6 +290,17 @@ class GraphScorer:
             seq = perfect_sequence(g)
         return GraphScore(log_marginal=self.log_marginal(g, seq), log_prior=log_prior)
 
+    def _move_delta(self, u: int, v: int, sep: int, adding: bool) -> float:
+        # the four terms of move_delta, for the common-neighbour mask sep;
+        # a miss factorises the four blocks together
+        bu, bv = 1 << u, 1 << v
+        masks = (sep | bu | bv, sep | bu, sep | bv, sep)
+        terms = self._terms
+        if not all([m in terms for m in masks]):
+            self._factorise(masks)
+        delta = terms[masks[0]] - terms[masks[1]] - terms[masks[2]] + terms[masks[3]]
+        return delta if adding else -delta
+
     def move_delta(self, g: UndirectedGraph | GrowingGraph, edge: Edge) -> float:
         """log_marginal_core(g') - log_marginal_core(g) for the move on ``edge``.
 
@@ -276,15 +312,39 @@ class GraphScorer:
         addition, negated for a deletion.
         """
         u, v = edge
-        # frozen, so that the four subsets below can key the log-det cache
-        sep = frozenset(g.neighbor_sets[u] & g.neighbor_sets[v])
-        delta = (
-            self.clique_term(sep | {u, v})
-            - self.clique_term(sep | {u})
-            - self.clique_term(sep | {v})
-            + self.clique_term(sep)
-        )
-        return -delta if g.has_edge(u, v) else delta
+        nbrs = g.neighbor_masks
+        return self._move_delta(u, v, nbrs[u] & nbrs[v], not nbrs[u] >> v & 1)
+
+    def _support_prior(self, sep: int, k: int, adding: bool) -> float:
+        """Log size prior of the k-edge graph a move leads to, or -inf when
+        that graph lies outside the support: more than r_max edges, or an
+        addition whose new clique S | {u, v} has more than n vertices."""
+        if adding and sep.bit_count() + 2 > self.data.n:
+            return -math.inf
+        return self._size_prior(k)
+
+    def _delta(self, u: int, v: int, sep: int, size: int, adding: bool) -> float:
+        # log_posterior_delta of the move on (u, v) in a graph with ``size``
+        # edges and common-neighbour mask ``sep``
+        log_prior = self._support_prior(sep, size + 1 if adding else size - 1, adding)
+        if log_prior == -math.inf:
+            return -math.inf
+        prior_delta = log_prior - self._size_prior(size)
+        return self._move_delta(u, v, sep, adding) + prior_delta
+
+    def _factorise_walks(self, walks: Iterable[list[tuple[int, int, int]]]) -> None:
+        """Factorise, stacked, the blocks of runs of additions from the
+        empty graph, each addition given as (u, v, S): in each run, those of
+        every addition up to the first whose graph lies outside the
+        support, since its delta makes every later score -inf."""
+        masks: list[int] = []
+        for walk in walks:
+            for k, (u, v, sep) in enumerate(walk):
+                if self._support_prior(sep, k + 1, True) == -math.inf:
+                    break
+                bu, bv = 1 << u, 1 << v
+                masks += (sep | bu | bv, sep | bu, sep | bv, sep)
+        self._factorise(masks)
 
     def log_posterior_delta(
         self, g: UndirectedGraph | GrowingGraph, edge: Edge
@@ -294,19 +354,11 @@ class GraphScorer:
         The size-prior change plus ``move_delta``.  -inf when g' lies outside
         the support: more than r_max edges (the marginal is then never
         evaluated), or an addition whose new clique S | {u, v} has more
-        vertices than the sample size.  ``g`` may also be a ``GrowingGraph``,
-        which the thresholded-candidate walk scores as it grows.
+        vertices than the sample size.  ``g`` may also be a ``GrowingGraph``.
         """
         u, v = edge
-        adding = not g.has_edge(u, v)
-        k = g.size + 1 if adding else g.size - 1
-        log_prior = _log_size_prior(g.p, k, self.hyper)
-        if log_prior == -math.inf:
-            return -math.inf
-        if adding and len(g.neighbor_sets[u] & g.neighbor_sets[v]) + 2 > self.data.n:
-            return -math.inf
-        prior_delta = log_prior - _log_size_prior(g.p, g.size, self.hyper)
-        return self.move_delta(g, edge) + prior_delta
+        nbrs = g.neighbor_masks
+        return self._delta(u, v, nbrs[u] & nbrs[v], g.size, not nbrs[u] >> v & 1)
 
 
 def log_pairwise_bayes_factor(

@@ -76,11 +76,11 @@ def _ridge_edge_order(
 
 def _walk_candidates(
     scorer: GraphScorer, config: CandidateConfig
-) -> Iterator[tuple[GrowingGraph, float]]:
+) -> Iterator[tuple[list[Edge], int, float]]:
     """Decomposable candidates from ridge-inverse thresholding plus greedy
-    repair: yields (walk, log posterior under ``scorer``) once per new
-    candidate, where ``walk`` is the live ``GrowingGraph``, read by the
-    caller before the next item and never changed.
+    repair: yields (edges, count, log posterior under ``scorer``) once per
+    new candidate, where the candidate's edges are ``edges[:count]`` and
+    ``edges`` is a list that only grows.
 
     For each ridge value, each threshold keeps a prefix of the pairs sorted
     by weight, and its candidate is that prefix walked in order, keeping
@@ -95,23 +95,33 @@ def _walk_candidates(
     when the walk has grown since the last prefix.  A score is the empty
     graph's score plus the deltas of the walk's additions, so a candidate
     outside the support scores -inf, as does every later one of its walk.
+
+    The walks run in two passes.  The first tests and makes the additions
+    of every walk, recording each one's common-neighbour mask S, and the
+    candidates; the scorer then factorises the Gram blocks of every scored
+    addition, one stacked Cholesky per block size
+    (``GraphScorer._factorise_walks``), and the second pass adds up the
+    deltas from its cache.
     """
     data = scorer.data
     p = data.p
     seen: set[int] = set()
     empty_lp = scorer.score(UndirectedGraph.empty(p)).log_posterior
+    walks: list[tuple[list[tuple[int, int, int]], list[int]]] = []
     for lam in config.ridge_grid:
         pairs, lengths = _ridge_edge_order(data, lam, config.threshold_grid)
         walk = GrowingGraph(UndirectedGraph.empty(p))
-        lp = empty_lp
+        nbrs = walk.neighbor_masks
+        added: list[tuple[int, int, int]] = []  # (u, v, S) per addition
+        ends: list[int] = []  # len(added) at each new candidate
+        walks.append((added, ends))
         key = 0
         consumed = 0
         tested_size = -1  # the walk's size when its key was last looked up
         for length in lengths:
             for i, j in pairs[consumed:length]:
                 if walk.can_add(i, j):
-                    if lp > -math.inf:
-                        lp += scorer.log_posterior_delta(walk, (i, j))
+                    added.append((i, j, nbrs[i] & nbrs[j]))
                     walk.add(i, j)
                     # bit k for the k-th pair i < j in row-major order
                     key |= 1 << (i * (2 * p - i - 3) // 2 + j - 1)
@@ -121,9 +131,22 @@ def _walk_candidates(
             tested_size = walk.size
             if key not in seen:
                 seen.add(key)
-                yield walk, lp
+                ends.append(len(added))
                 if len(seen) >= config.max_candidates:
-                    return
+                    break
+        if len(seen) >= config.max_candidates:
+            break
+    scorer._factorise_walks(added for added, _ in walks)
+    for added, ends in walks:
+        edges = [(i, j) for i, j, _ in added]
+        lp = empty_lp
+        scored = 0
+        for end in ends:
+            while scored < end and lp > -math.inf:
+                i, j, sep = added[scored]
+                lp += scorer._delta(i, j, sep, scored, True)
+                scored += 1
+            yield edges, end, lp
 
 
 def threshold_init(
@@ -141,10 +164,10 @@ def threshold_init(
     best_edges: frozenset[Edge] = frozenset()
     best_lp = -math.inf
     count = 0
-    for walk, lp in _walk_candidates(scorer, config or CandidateConfig()):
+    for edges, end, lp in _walk_candidates(scorer, config or CandidateConfig()):
         count += 1
         if lp > best_lp:
-            best_edges, best_lp = frozenset(walk.edges), lp
+            best_edges, best_lp = frozenset(edges[:end]), lp
     return UndirectedGraph._trusted(scorer.data.p, best_edges), count
 
 

@@ -445,15 +445,16 @@ def _add_candidates_reference(g: UndirectedGraph) -> list[Edge]:
     """The add-candidate filter rebuilt from a whole graph: the absent pairs
     in different components or with a common neighbour, in row-major order,
     from one depth-first labelling and one two-step adjacency product."""
-    nbrs = g.neighbor_sets
+    nbrs = g.neighbor_masks
     comp = [-1] * g.p
     for root in range(g.p):
         if comp[root] < 0:
             comp[root] = root
             stack = [root]
             while stack:
-                for x in nbrs[stack.pop()]:
-                    if comp[x] < 0:
+                w = stack.pop()
+                for x in range(g.p):
+                    if nbrs[w] >> x & 1 and comp[x] < 0:
                         comp[x] = root
                         stack.append(x)
     labels = np.asarray(comp)

@@ -296,6 +296,30 @@ class TestBayesFactor:
         assert "both graphs are outside the prior support" in captured.err
         assert not (tmp_path / "bf").exists()
 
+    def test_one_graph_outside_support_is_valid_json(self, data_dir, tmp_path, capsys):
+        # at r_max = 0 only the empty graph is in the support, so the ratio
+        # is -inf: written as null with the graph outside named, never as
+        # the non-JSON token -Infinity
+        def strict(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        g1 = tmp_path / "g1.edges"
+        g0 = tmp_path / "g0.edges"
+        write_edge_list(UndirectedGraph.from_edges(4, [(0, 1)]), str(g1))
+        write_edge_list(UndirectedGraph.empty(4), str(g0))
+        assert run("bf", "--data", data_dir, "--g", 0.2, "--r-max", 0,
+                   "--graph1", g1, "--graph0", g0, "--out", tmp_path / "bf") == 0
+        printed = json.loads(capsys.readouterr().out, parse_constant=strict)
+        saved = json.loads((tmp_path / "bf/bf.json").read_text(), parse_constant=strict)
+        for payload in (printed, saved):
+            assert payload["log_posterior_ratio"] is None
+            assert payload["outside_support"] == "graph1"
+            assert math.isfinite(payload["log_bayes_factor"])
+        assert run("bf", "--data", data_dir, "--g", 0.2, "--r-max", 0,
+                   "--graph1", g0, "--graph0", g1) == 0
+        swapped = json.loads(capsys.readouterr().out, parse_constant=strict)
+        assert swapped["outside_support"] == "graph0"
+
     def test_oversized_clique_exits_3(self, tmp_path):
         gen = tmp_path / "tiny"
         assert run("gen-data", "--kind", "ar1", "--p", 4, "--n", 2,

@@ -41,6 +41,17 @@ def all_graphs(p):
     return list(enumerate_graphs(p))
 
 
+def members(mask, p):
+    """The vertices of a vertex mask, ascending."""
+    return [x for x in range(p) if mask >> x & 1]
+
+
+def mcs_visit(g):
+    """``_mcs_visit`` with each earlier-neighbour mask as an ascending list."""
+    order, earlier = _mcs_visit(g)
+    return order, [members(m, g.p) for m in earlier]
+
+
 def mcs_visit_relabelled(g, rank):
     """``_mcs_visit`` of ``relabel(g, rank)`` mapped back to the labels of
     ``g``, each earlier-neighbour list re-sorted: the search on ``g`` with
@@ -48,7 +59,7 @@ def mcs_visit_relabelled(g, rank):
     inv = [0] * g.p
     for v, r in enumerate(rank):
         inv[r] = v
-    order, earlier = _mcs_visit(relabel(g, rank))
+    order, earlier = mcs_visit(relabel(g, rank))
     return [inv[z] for z in order], [sorted(inv[x] for x in e) for e in earlier]
 
 
@@ -102,6 +113,22 @@ class TestBasics:
             g.toggled(0, 3)
         with pytest.raises(IndexOutOfRange):
             g.toggled(-1, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(any_graphs(), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                                  max_size=8))
+    def test_toggled_derives_the_reads_of_a_fresh_graph(self, g, moves):
+        # a child built by toggled carries masks and sorted edges derived from
+        # its parent's; they must be those the same edge set builds afresh
+        g.neighbor_masks, g.sorted_edges
+        for i, j in moves:
+            i, j = i % g.p, j % g.p
+            if i == j:
+                continue
+            g = g.toggled(i, j)
+            fresh = UndirectedGraph(g.p, g.edges)
+            assert g.neighbor_masks == fresh.neighbor_masks
+            assert g.sorted_edges == fresh.sorted_edges
 
 
 class TestChordalityOracle:
@@ -178,13 +205,13 @@ class TestPerfectSequence:
 
 
 class TestMcsVisit:
-    """The heap-driven search against the dense argmax search it replaced."""
+    """The bucket-mask search against the dense argmax search it replaced."""
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_matches_reference_on_every_small_graph(self, p):
         rng = np.random.default_rng(p)
         for g in all_graphs(p):
-            assert _mcs_visit(g) == mcs_visit_reference(g)
+            assert mcs_visit(g) == mcs_visit_reference(g)
             for _ in range(3):
                 rank = rng.permutation(p).tolist()
                 assert mcs_visit_relabelled(g, rank) == mcs_visit_reference(g, rank)
@@ -193,7 +220,7 @@ class TestMcsVisit:
     @given(st.one_of(chordal_graphs, any_graphs()), st.data())
     def test_matches_reference_on_random_graphs(self, g, data):
         rank = data.draw(st.permutations(range(g.p)))
-        assert _mcs_visit(g) == mcs_visit_reference(g)
+        assert mcs_visit(g) == mcs_visit_reference(g)
         assert mcs_visit_relabelled(g, rank) == mcs_visit_reference(g, rank)
 
 
@@ -296,7 +323,7 @@ class TestLocalMoveRules:
     @settings(max_examples=150, deadline=None)
     @given(chordal_graphs)
     def test_add_candidates_match_per_pair_bfs(self, g):
-        nbrs = g.neighbor_sets
+        nbrs = g.neighbor_masks
         expected = [
             (i, j)
             for i in range(g.p)
@@ -376,7 +403,7 @@ def grown_state(grown):
         blocks.setdefault(label, set()).add(x)
     return {
         "edges": grown.edges,
-        "neighbor_sets": grown.neighbor_sets,
+        "neighbor_masks": grown.neighbor_masks,
         "adjacency": grown.adj.tolist(),
         "shared": grown.shared.tolist(),
         "components": {frozenset(b): grown._cyclic[k] for k, b in blocks.items()},
@@ -423,7 +450,7 @@ class TestGrowingGraph:
     @given(chordal_graphs)
     def test_built_state_matches_definitions(self, g):
         state = grown_state(GrowingGraph(g))
-        nbrs = g.neighbor_sets
+        nbrs = g.neighbor_masks
         pairs = list(itertools.combinations(range(g.p), 2))
         assert state["adjacency"] == adjacency(g).tolist()
         assert state["shared"] == [

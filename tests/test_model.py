@@ -30,7 +30,7 @@ from gwish.model import (
     posterior_mean_precision,
     theory_r_max,
 )
-from gwish.numerics import make_rng
+from gwish.numerics import cholesky_logdet, make_rng
 
 from conftest import chordal_graphs, random_chordal_graph
 from oracles import (
@@ -287,6 +287,38 @@ class TestScorer:
         again = scorer.log_marginal(g)
         fresh = GraphScorer(data, Hyperparameters(g=0.2)).log_marginal(g)
         assert first == again == fresh
+
+
+    def test_stacked_factors_equal_single_factors(self):
+        # The threshold walk factorises its Gram blocks in one stacked
+        # Cholesky per block size, while a lone miss (and every score before
+        # the stacking) factorises one block.  Candidate scores decide the
+        # chain's start and the goldens pin its trace to the bit, so each
+        # stacked log determinant must equal the lone factorisation's.
+        p = 16
+        data = random_dataset(40, p, seed=13)
+        scorer = GraphScorer(data, Hyperparameters(g=0.2))
+        rng = np.random.default_rng(13)
+        masks = [
+            sum(1 << int(v) for v in rng.choice(p, q, replace=False))
+            for q in range(1, 13)
+            for _ in range(8)
+        ]
+        scorer._factorise(masks)
+        for m in masks:
+            idx = [v for v in range(p) if m >> v & 1]
+            _, logdet = cholesky_logdet(data.gram[np.ix_(idx, idx)])
+            single = scorer._scalar_term(len(idx)) - data.n / 2.0 * logdet
+            assert scorer.clique_term(idx) == single
+
+    def test_failing_block_in_a_stack_raises(self):
+        # two equal columns of ones: their 2 x 2 Gram block [[4, 4], [4, 4]]
+        # has a zero pivot, so the stack holding it cannot be factorised
+        x = np.random.default_rng(14).standard_normal((4, 4))
+        x[:, 2:] = 1.0
+        scorer = GraphScorer(Dataset.from_matrix(x), Hyperparameters(g=0.2))
+        with pytest.raises(NotPositiveDefinite):
+            scorer._factorise([0b0011, 0b1100])
 
 
 class TestHyperparameters:

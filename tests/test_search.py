@@ -54,8 +54,8 @@ def log_post(data, g, hyper):
 def candidate_graphs(scorer, config=None):
     """Every thresholded candidate with its log posterior, in walk order."""
     return [
-        (UndirectedGraph(scorer.data.p, frozenset(walk.edges)), lp)
-        for walk, lp in _walk_candidates(scorer, config or CandidateConfig())
+        (UndirectedGraph(scorer.data.p, frozenset(edges[:end])), lp)
+        for edges, end, lp in _walk_candidates(scorer, config or CandidateConfig())
     ]
 
 
@@ -156,6 +156,17 @@ class TestCandidateWalk:
 
     @settings(max_examples=150, deadline=None)
     @given(**WALK_CASES)
+    # the first ridge value's walk yields six candidates, the second five:
+    # cuts after the third and the eighth fall inside a walk, so its blocks
+    # are factorised only up to the cut
+    @example(p=10, n=30, seed=5, r_max=None, ridge=[0.1, 1.0],
+             thresholds=[0.0, 0.05, 0.1, 0.2, 0.3, 0.4], max_candidates=3)
+    @example(p=10, n=30, seed=5, r_max=None, ridge=[0.1, 1.0],
+             thresholds=[0.0, 0.05, 0.1, 0.2, 0.3, 0.4], max_candidates=8)
+    # r_max = 3 is below every candidate of the first walk (16 edges and
+    # more) and leaves the second walk after its one-edge candidate
+    @example(p=10, n=30, seed=5, r_max=3, ridge=[0.1, 1.0],
+             thresholds=[0.0, 0.05, 0.1, 0.2, 0.3, 0.4], max_candidates=40)
     def test_same_graphs_and_scores_as_reference(
         self, p, n, seed, r_max, ridge, thresholds, max_candidates
     ):

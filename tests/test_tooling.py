@@ -22,7 +22,9 @@ import pytest
 
 import gwish.cli  # imports every layer the tracer wraps
 from gwish.graph import UndirectedGraph
+from gwish.mcmc import ChainConfig, run_chain
 from gwish.model import Dataset, Hyperparameters
+from gwish.numerics import make_rng
 from gwish.search import hybrid_mode
 
 pytest_plugins = ["pytester"]
@@ -87,6 +89,36 @@ def test_layer_tracer_sees_the_shotgun_search():
         tracer.uninstall()
     assert tracer.stats["search.shotgun_search"][0] == 1
     assert tracer.counters["search.visited"] > 0
+
+
+def test_layer_tracer_runs_the_chain_and_the_search_unchanged():
+    """Under the tracer, a threshold-started chain and ``hybrid_mode`` give
+    the untraced results, and full scores reach ``clique_term`` as vertex
+    subsets: the tracer sorts each subset to tag it, so a vertex mask
+    passed there would raise."""
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((40, 8)) @ (np.eye(8) + 0.4 * rng.standard_normal((8, 8)))
+    data, hyper = Dataset.from_matrix(x), Hyperparameters(g=0.3)
+    config = ChainConfig(iterations=150, burn_in=50, seed=3, init="threshold")
+
+    def run_both():
+        chain = run_chain(config, data, hyper)
+        mode = hybrid_mode(data, hyper, search_iters=3, rng=make_rng(5))
+        return chain, mode
+
+    plain_chain, plain_mode = run_both()
+    tracer = load_layertrace().Tracer()
+    tracer.install()
+    try:
+        chain, mode = run_both()
+    finally:
+        tracer.uninstall()
+    assert tracer.tagged["model.clique_term.hit"][0] > 0
+    assert tracer.tagged["model.clique_term.miss"][0] > 0
+    assert mode == plain_mode
+    assert chain.best_graph == plain_chain.best_graph
+    for field in ("log_posterior_trace", "size_trace", "accepted_trace", "inclusion"):
+        assert np.array_equal(getattr(chain, field), getattr(plain_chain, field))
 
 
 def test_every_export_is_used():
