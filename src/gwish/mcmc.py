@@ -256,13 +256,17 @@ def run_chain(
             mean = posterior_mean_precision(data, run_graph, hyper)
             prec_sum[...] += run_length * mean
 
+    lp, size = state.score.log_posterior, state.graph.size
     for it in range(total):
         state, accepted = mh_step(state, scorer, config.kernel, rng)
-        log_post[it] = state.score.log_posterior
-        sizes[it] = state.graph.size
-        accepts[it] = accepted
-        if state.score.log_posterior > best_score.log_posterior:
-            best_graph, best_score = state.graph, state.score
+        if accepted:
+            # a rejected step keeps the state, so its score, size and the best
+            lp, size = state.score.log_posterior, state.graph.size
+            accepts[it] = True
+            if lp > best_score.log_posterior:
+                best_graph, best_score = state.graph, state.score
+        log_post[it] = lp
+        sizes[it] = size
         if it < config.burn_in:
             continue
         if accepted and run_length:

@@ -293,12 +293,11 @@ class GraphScorer:
     def _move_delta(self, u: int, v: int, sep: int, adding: bool) -> float:
         # the four terms of move_delta, for the common-neighbour mask sep;
         # a miss factorises the four blocks together
-        bu, bv = 1 << u, 1 << v
-        masks = (sep | bu | bv, sep | bu, sep | bv, sep)
+        m0, m1, m2 = sep | 1 << u | 1 << v, sep | 1 << u, sep | 1 << v
         terms = self._terms
-        if not all([m in terms for m in masks]):
-            self._factorise(masks)
-        delta = terms[masks[0]] - terms[masks[1]] - terms[masks[2]] + terms[masks[3]]
+        if m0 not in terms or m1 not in terms or m2 not in terms or sep not in terms:
+            self._factorise((m0, m1, m2, sep))
+        delta = terms[m0] - terms[m1] - terms[m2] + terms[sep]
         return delta if adding else -delta
 
     def move_delta(self, g: UndirectedGraph | GrowingGraph, edge: Edge) -> float:
