@@ -348,29 +348,29 @@ def _addition_is_decomposable(
     g: "UndirectedGraph | GrowingGraph",
     u: int,
     v: int,
-    joined: bool,
-    acyclic: bool,
+    labels: list[int],
+    cyclic: list[bool],
 ) -> bool:
     """Would adding the absent edge (u, v) keep the decomposable ``g``
     decomposable?  It does iff S = N(u) & N(v) separates u from v.
 
     This is the add-candidate filter plus the separator BFS.  The caller
-    knows the components, which decide most pairs without a search:
-    ``joined`` is false for u and v in different components (no path, so
-    valid), and ``acyclic`` marks a shared component that is a tree (its
-    one u-v path runs through the common neighbour, so valid when S is
-    non-empty).  A joined pair without a common neighbour is invalid: a
-    shortest path plus the edge is a chordless cycle.  Only a joined pair
-    with a common neighbour in a component with a cycle runs one BFS
-    avoiding S.
+    passes the component labels of ``g`` and the cycle flags, read at a
+    label, which decide most pairs without a search: u and v in different
+    components are valid (no path), and so are two vertices of a tree with
+    a common neighbour (their one path runs through it).  A pair in one
+    component without a common neighbour is invalid: a shortest path plus
+    the edge is a chordless cycle.  Only a pair with a common neighbour in
+    a component with a cycle runs one BFS avoiding S.
     """
-    if not joined:
+    lu = labels[u]
+    if lu != labels[v]:
         return True
     nbrs = g.neighbor_masks
     sep = nbrs[u] & nbrs[v]
     if not sep:
         return False
-    return acyclic or not UndirectedGraph.connected(g, u, v, blocked=sep)
+    return not cyclic[lu] or not UndirectedGraph.connected(g, u, v, blocked=sep)
 
 
 class GrowingGraph:
@@ -416,10 +416,7 @@ class GrowingGraph:
 
     def can_add(self, u: int, v: int) -> bool:
         """Would adding the absent pair (u, v) keep the graph decomposable?"""
-        lu = self.labels[u]
-        return _addition_is_decomposable(
-            self, u, v, lu == self.labels[v], not self._cyclic[lu]
-        )
+        return _addition_is_decomposable(self, u, v, self.labels, self._cyclic)
 
     def add(self, u: int, v: int) -> None:
         """Add the edge (u, v) with u < v, which ``can_add`` has accepted."""
@@ -499,9 +496,7 @@ def move_is_decomposable(g: UndirectedGraph, edge: Edge) -> bool:
     nbrs = g.neighbor_masks
     if nbrs[u] >> v & 1:
         return _all_complete(g, (nbrs[u] & nbrs[v],))
-    labels, cyclic = g._components
-    lu = labels[u]
-    return _addition_is_decomposable(g, u, v, lu == labels[v], not cyclic[lu])
+    return _addition_is_decomposable(g, u, v, *g._components)
 
 
 def decomposable_neighbors(g: UndirectedGraph) -> list[Edge]:

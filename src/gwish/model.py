@@ -331,18 +331,17 @@ class GraphScorer:
         prior_delta = log_prior - self._size_prior(size)
         return self._move_delta(u, v, sep, adding) + prior_delta
 
-    def _factorise_walks(self, walks: Iterable[list[tuple[int, int, int]]]) -> None:
-        """Factorise, stacked, the blocks of runs of additions from the
-        empty graph, each addition given as (u, v, S): in each run, those of
-        every addition up to the first whose graph lies outside the
-        support, since its delta makes every later score -inf."""
+    def _factorise_walk(self, walk: list[tuple[int, int, int]]) -> None:
+        """Factorise, stacked, the blocks of a run of additions from the
+        empty graph, each given as (u, v, S): those of every addition up to
+        the first whose graph lies outside the support, since its delta
+        makes every later score -inf."""
         masks: list[int] = []
-        for walk in walks:
-            for k, (u, v, sep) in enumerate(walk):
-                if self._support_prior(sep, k + 1, True) == -math.inf:
-                    break
-                bu, bv = 1 << u, 1 << v
-                masks += (sep | bu | bv, sep | bu, sep | bv, sep)
+        for k, (u, v, sep) in enumerate(walk):
+            if self._support_prior(sep, k + 1, True) == -math.inf:
+                break
+            bu, bv = 1 << u, 1 << v
+            masks += (sep | bu | bv, sep | bu, sep | bv, sep)
         self._factorise(masks)
 
     def log_posterior_delta(

@@ -96,25 +96,23 @@ def _walk_candidates(
     graph's score plus the deltas of the walk's additions, so a candidate
     outside the support scores -inf, as does every later one of its walk.
 
-    The walks run in two passes.  The first tests and makes the additions
-    of every walk, recording each one's common-neighbour mask S, and the
+    Each ridge value's walk runs in two passes.  The first tests and makes
+    the additions, recording each one's common-neighbour mask S, and the
     candidates; the scorer then factorises the Gram blocks of every scored
     addition, one stacked Cholesky per block size
-    (``GraphScorer._factorise_walks``), and the second pass adds up the
+    (``GraphScorer._factorise_walk``), and the second pass adds up the
     deltas from its cache.
     """
     data = scorer.data
     p = data.p
     seen: set[int] = set()
     empty_lp = scorer.score(UndirectedGraph.empty(p)).log_posterior
-    walks: list[tuple[list[tuple[int, int, int]], list[int]]] = []
     for lam in config.ridge_grid:
         pairs, lengths = _ridge_edge_order(data, lam, config.threshold_grid)
         walk = GrowingGraph(UndirectedGraph.empty(p))
         nbrs = walk.neighbor_masks
         added: list[tuple[int, int, int]] = []  # (u, v, S) per addition
         ends: list[int] = []  # len(added) at each new candidate
-        walks.append((added, ends))
         key = 0
         consumed = 0
         tested_size = -1  # the walk's size when its key was last looked up
@@ -134,10 +132,7 @@ def _walk_candidates(
                 ends.append(len(added))
                 if len(seen) >= config.max_candidates:
                     break
-        if len(seen) >= config.max_candidates:
-            break
-    scorer._factorise_walks(added for added, _ in walks)
-    for added, ends in walks:
+        scorer._factorise_walk(added)
         edges = [(i, j) for i, j, _ in added]
         lp = empty_lp
         scored = 0
@@ -147,6 +142,8 @@ def _walk_candidates(
                 lp += scorer._delta(i, j, sep, scored, True)
                 scored += 1
             yield edges, end, lp
+        if len(seen) >= config.max_candidates:
+            return
 
 
 def threshold_init(
