@@ -389,10 +389,9 @@ class GrowingGraph:
     common neighbours, so ``add`` updates the labels, and the dense state
     once it is built, in O(p) without a rebuild: the new edge (u, v) gives
     v a common neighbour with every neighbour of u and vice versa, and
-    relabels v's component as u's.  It
-    offers the reads that the rule, ``UndirectedGraph.connected`` and
-    ``GraphScorer.log_posterior_delta`` make: ``p``, ``size``,
-    ``neighbor_masks`` and ``has_edge``.
+    relabels v's component as u's.  It offers the reads that the rule and
+    ``UndirectedGraph.connected`` make: ``neighbor_masks``, ``labels`` and
+    the cycle flags.
     """
 
     def __init__(self, g: UndirectedGraph):

@@ -32,7 +32,6 @@ import numpy as np
 from .errors import CliqueTooLarge, DimensionMismatch, NotPositiveDefinite
 from .graph import (
     Edge,
-    GrowingGraph,
     PerfectSequence,
     UndirectedGraph,
     _bits,
@@ -300,7 +299,7 @@ class GraphScorer:
         delta = terms[m0] - terms[m1] - terms[m2] + terms[sep]
         return delta if adding else -delta
 
-    def move_delta(self, g: UndirectedGraph | GrowingGraph, edge: Edge) -> float:
+    def move_delta(self, g: UndirectedGraph, edge: Edge) -> float:
         """log_marginal_core(g') - log_marginal_core(g) for the move on ``edge``.
 
         g' is ``g.toggled(*edge)``: ``edge`` deleted if ``g`` has it, added
@@ -344,15 +343,13 @@ class GraphScorer:
             masks += (sep | bu | bv, sep | bu, sep | bv, sep)
         self._factorise(masks)
 
-    def log_posterior_delta(
-        self, g: UndirectedGraph | GrowingGraph, edge: Edge
-    ) -> float:
+    def log_posterior_delta(self, g: UndirectedGraph, edge: Edge) -> float:
         """Log posterior of g' minus that of ``g`` for the move on ``edge``.
 
         The size-prior change plus ``move_delta``.  -inf when g' lies outside
         the support: more than r_max edges (the marginal is then never
         evaluated), or an addition whose new clique S | {u, v} has more
-        vertices than the sample size.  ``g`` may also be a ``GrowingGraph``.
+        vertices than the sample size.
         """
         u, v = edge
         nbrs = g.neighbor_masks
