@@ -14,12 +14,10 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .graph import (
-    PerfectSequence,
     UndirectedGraph,
     decomposable_neighbors,
     is_decomposable,
     move_is_decomposable,
-    perfect_sequence,
     read_edge_list,
     write_edge_list,
 )

@@ -3,15 +3,18 @@
 Decomposability is detected with maximum cardinality search (MCS): a graph
 is chordal iff, visiting vertices in MCS order, every vertex's already
 visited neighbourhood is complete (Tarjan & Yannakakis 1984).  Maximal
-cliques and a perfect sequence with the running intersection property are
-read off the same visit order following Blair & Peyton (1993).
+cliques in perfect order and their separators, which have the running
+intersection property, are read off the same visit order following Blair &
+Peyton (1993) by ``_clique_masks``, the one clique routine that full
+scores, the estimators and the exact posterior read.
 
 Vertex sets are Python-int bitmasks: bit j of ``neighbor_masks[i]`` is set
 iff ij is an edge, and a set of vertices is the OR of their bits.  A common
 neighbourhood is one AND, a separator search is a frontier BFS over the
-masks, and MCS reads each vertex's earlier neighbours as one AND with the
-visited mask and keeps the unvisited vertices in one mask per weight; no
-dense adjacency is built for any of them.
+masks, MCS reads each vertex's earlier neighbours as one AND with the
+visited mask and keeps the unvisited vertices in one mask per weight, and
+cliques and separators are masks too; no dense adjacency is built for any
+of them.
 
 A single-edge move is named by its edge alone: it deletes (u, v) when the
 graph has that edge and adds it otherwise (``UndirectedGraph.toggled``).
@@ -213,23 +216,6 @@ class UndirectedGraph:
         return f"UndirectedGraph(p={self.p}, edges={sorted(self.edges)})"
 
 
-@dataclass(frozen=True)
-class PerfectSequence:
-    """Cliques P_1..P_h and separators S_2..S_h of a decomposable graph.
-
-    separators[l] pairs with cliques[l+1]; the leading clique has none.  The
-    running intersection property holds: each separator is contained in some
-    earlier clique.
-    """
-
-    cliques: tuple[frozenset[int], ...]
-    separators: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.separators) != len(self.cliques) - 1:
-            raise ValueError("need exactly one separator per clique after the first")
-
-
 def _mcs_visit(g: UndirectedGraph) -> tuple[list[int], list[int]]:
     """Maximum cardinality search visit order plus the mask of each visited
     vertex's earlier neighbours.
@@ -294,54 +280,35 @@ def is_decomposable(g: UndirectedGraph) -> bool:
     return _all_complete(g, earlier)
 
 
-def _perfect_masks(g: UndirectedGraph) -> tuple[list[int], list[int]]:
-    """MCS visit order and earlier-neighbour masks of a chordal graph;
-    raises NotDecomposable when the graph is not chordal."""
-    order, earlier = _mcs_visit(g)
-    if not _all_complete(g, earlier):
-        raise NotDecomposable("graph is not chordal")
-    return order, earlier
-
-
-def perfect_numbering(g: UndirectedGraph) -> tuple[list[int], list[list[int]]]:
-    """MCS visit order with each vertex's earlier neighbours, ascending,
-    which form a clique: a perfect numbering of a decomposable graph.
-
-    Raises NotDecomposable when the graph is not chordal.
-    """
-    order, earlier = _perfect_masks(g)
-    return order, [_bits(m) for m in earlier]
-
-
-def perfect_sequence(g: UndirectedGraph) -> PerfectSequence:
-    """Maximal cliques in perfect order, with their separators.
+def _clique_masks(g: UndirectedGraph) -> tuple[list[int], list[int]]:
+    """Maximal cliques in perfect order, with their separators, as vertex
+    masks: separators[l] pairs with cliques[l + 1], and the leading clique
+    has none.  Each separator is its clique's intersection with the
+    earlier cliques and lies inside one of them (running intersection).
 
     Raises NotDecomposable when the graph is not chordal.  The order is the
     one induced by MCS with lowest-index tie-breaking, so it is
-    deterministic given the graph.  Another perfect sequence of g is that of
-    a relabelled copy of g, mapped back through the labels.
+    deterministic given the graph.
     """
-    order, earlier = _perfect_masks(g)
+    order, earlier = _mcs_visit(g)
+    if not _all_complete(g, earlier):
+        raise NotDecomposable("graph is not chordal")
     sizes = [m.bit_count() for m in earlier]
 
     # The i-th visited vertex closes a maximal clique iff the next vertex has
     # no more earlier neighbours than it has (Blair & Peyton 1993).
-    keep = [
+    cliques = [
         earlier[i] | 1 << order[i]
         for i in range(g.p)
         if i == g.p - 1 or sizes[i + 1] <= sizes[i]
     ]
 
     seps: list[int] = []
-    seen = 0
-    for l, cl in enumerate(keep):
-        if l > 0:
-            seps.append(cl & seen)
+    seen = cliques[0]
+    for cl in cliques[1:]:
+        seps.append(cl & seen)
         seen |= cl
-    return PerfectSequence(
-        tuple(frozenset(_bits(m)) for m in keep),
-        tuple(frozenset(_bits(m)) for m in seps),
-    )
+    return cliques, seps
 
 
 def _addition_is_decomposable(

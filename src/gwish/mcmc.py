@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotDecomposable
+from .errors import CliqueTooLarge, NotDecomposable
 from .graph import (
     Edge,
     UndirectedGraph,
@@ -36,7 +36,6 @@ from .graph import (
     enumerate_decomposable_graphs,
     is_decomposable,
     move_is_decomposable,
-    perfect_sequence,
 )
 from .model import (
     Dataset,
@@ -325,15 +324,16 @@ def exact_posterior(
 
     Scores every decomposable graph on data.p vertices and normalises with
     a log-sum-exp.  Graphs outside the support are dropped: more than r_max
-    edges, or a clique with more vertices than the sample size.
+    edges, which score -inf, or a clique with more vertices than the sample
+    size, whose score raises CliqueTooLarge before any block is factorised.
     """
     scorer = GraphScorer(data, hyper)
     scored: list[tuple[UndirectedGraph, float]] = []
     for g in enumerate_decomposable_graphs(data.p):
-        seq = perfect_sequence(g)
-        if max(len(c) for c in seq.cliques) > data.n:
+        try:
+            lp = scorer.score(g).log_posterior
+        except CliqueTooLarge:
             continue
-        lp = scorer.score(g, seq).log_posterior
         if lp > -math.inf:
             scored.append((g, lp))
     top = max(lp for _, lp in scored)

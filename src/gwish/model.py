@@ -30,14 +30,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import CliqueTooLarge, DimensionMismatch, NotPositiveDefinite
-from .graph import (
-    Edge,
-    PerfectSequence,
-    UndirectedGraph,
-    _bits,
-    is_decomposable,
-    perfect_sequence,
-)
+from .graph import Edge, UndirectedGraph, _bits, _clique_masks, is_decomposable
 from .numerics import LOG_2, LOG_2PI, log_multigamma, spd_inverse, symmetrize
 
 # Named hyperparameter presets: g as a power law in the dimension.  The
@@ -183,10 +176,12 @@ class GraphScorer:
     Clique and separator contributions depend on the vertex subset only, so
     they are cached across calls, keyed by vertex mask (bit v set for each
     vertex v); the cache is deterministic, making scores safe to reuse
-    across chains.  A single-edge move changes only four of these terms
-    (``move_delta``), so moves are scored without rebuilding a perfect
-    sequence, and a run of additions can have its Gram blocks factorised
-    together, one stacked Cholesky per block size (``_factorise``).
+    across chains.  A full score reads the graph's cliques and separators
+    as masks (``graph._clique_masks``) and factorises the Gram blocks of the
+    missing terms together, one stacked Cholesky per block size
+    (``_factorise``).  A single-edge move changes only four of these terms
+    (``move_delta``), so moves are scored without finding any clique, and a
+    run of additions has its blocks factorised together in the same way.
     """
 
     def __init__(self, data: Dataset, hyper: Hyperparameters):
@@ -203,17 +198,19 @@ class GraphScorer:
         A factor of a stack is computed matrix by matrix, as a lone call
         computes it, and each log determinant sums the logs of one row of
         diagonals, so every term has the bits of a one-block factorisation.
-        Raises CliqueTooLarge for a mask of more than n vertices and
-        NotPositiveDefinite when a block's factorisation fails.
+        Raises CliqueTooLarge for a mask of more than n vertices before any
+        block is factorised, and NotPositiveDefinite when a block's
+        factorisation fails.
         """
         n = self.data.n
         by_size: dict[int, dict[int, None]] = {}
         for m in masks:
             if m not in self._terms:
                 by_size.setdefault(m.bit_count(), {})[m] = None
-        for q, group in by_size.items():
+        for q in by_size:
             if q > n:
                 raise CliqueTooLarge(q, n)
+        for q, group in by_size.items():
             idx = np.array([_bits(m) for m in group])
             blocks = self.data.gram[idx[:, :, None], idx[:, None, :]]
             try:
@@ -249,7 +246,7 @@ class GraphScorer:
 
     def clique_term(self, subset: Iterable[int]) -> float:
         """log I_C(n+nu, (1+g) Gram_C) - log I_C(nu, g Gram_C) for one subset
-        of distinct vertices."""
+        of distinct vertices, read from the term cache or factorised alone."""
         mask = 0
         for v in subset:
             mask |= 1 << v
@@ -259,35 +256,41 @@ class GraphScorer:
             term = self._terms[mask]
         return term
 
-    def log_marginal_core(
-        self, g: UndirectedGraph, seq: PerfectSequence | None = None
-    ) -> float:
-        """Log marginal likelihood without the -np/2 log(2 pi) constant."""
+    def _check_p(self, g: UndirectedGraph) -> None:
         if g.p != self.data.p:
             raise DimensionMismatch(f"graph p={g.p} does not match data p={self.data.p}")
-        if seq is None:
-            seq = perfect_sequence(g)
+
+    def log_marginal_core(self, g: UndirectedGraph) -> float:
+        """Log marginal likelihood without the -np/2 log(2 pi) constant.
+
+        The clique terms are added and the separator terms subtracted one at
+        a time, in perfect order.  Raises NotDecomposable for a non-chordal
+        graph and CliqueTooLarge when a clique has more than n vertices.
+        """
+        self._check_p(g)
+        cliques, separators = _clique_masks(g)
+        self._factorise(cliques + separators)
+        terms = self._terms
         total = 0.0
-        for c in seq.cliques:
-            total += self.clique_term(c)
-        for s in seq.separators:
-            total -= self.clique_term(s)
+        for c in cliques:
+            total += terms[c]
+        for s in separators:
+            total -= terms[s]
         return total
 
-    def log_marginal(self, g: UndirectedGraph, seq: PerfectSequence | None = None) -> float:
+    def log_marginal(self, g: UndirectedGraph) -> float:
         n, p = self.data.n, self.data.p
-        return self.log_marginal_core(g, seq) - n * p / 2.0 * LOG_2PI
+        return self.log_marginal_core(g) - n * p / 2.0 * LOG_2PI
 
-    def score(self, g: UndirectedGraph, seq: PerfectSequence | None = None) -> GraphScore:
-        log_prior = _log_size_prior(g.p, g.size, self.hyper)
+    def score(self, g: UndirectedGraph) -> GraphScore:
+        self._check_p(g)
+        log_prior = self._size_prior(g.size)
         if log_prior == -math.inf:
             # outside the prior support; marginal never evaluated
             return GraphScore(log_marginal=-math.inf, log_prior=-math.inf)
-        # perfect_sequence raises NotDecomposable, so the prior can skip its
-        # own chordality test once a sequence is in hand
-        if seq is None:
-            seq = perfect_sequence(g)
-        return GraphScore(log_marginal=self.log_marginal(g, seq), log_prior=log_prior)
+        # the marginal's clique search raises NotDecomposable, so the prior
+        # needs no chordality test of its own
+        return GraphScore(log_marginal=self.log_marginal(g), log_prior=log_prior)
 
     def _move_delta(self, u: int, v: int, sep: int, adding: bool) -> float:
         # the four terms of move_delta, for the common-neighbour mask sep;
@@ -395,18 +398,19 @@ def _clique_separator_sum(
     """
     if g.p != data.p:
         raise DimensionMismatch(f"graph p={g.p} does not match data p={data.p}")
-    seq = perfect_sequence(g)
+    cliques, separators = _clique_masks(g)
     n = data.n
-    for c in seq.cliques:
-        if len(c) > n:
-            raise CliqueTooLarge(len(c), n)
+    for c in cliques:
+        if c.bit_count() > n:
+            raise CliqueTooLarge(c.bit_count(), n)
     out = np.zeros((data.p, data.p))
-    for subsets, sign in ((seq.cliques, 1.0), (seq.separators, -1.0)):
-        for s in subsets:
-            if not s:
+    for masks, sign in ((cliques, 1.0), (separators, -1.0)):
+        for m in masks:
+            if not m:
                 continue
-            ix = np.ix_(sorted(s), sorted(s))
-            out[ix] += sign * weight(len(s)) * spd_inverse(data.gram[ix])
+            idx = _bits(m)
+            ix = np.ix_(idx, idx)
+            out[ix] += sign * weight(m.bit_count()) * spd_inverse(data.gram[ix])
     return out
 
 

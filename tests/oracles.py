@@ -1,23 +1,29 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately written from first principles (brute force
-where feasible) rather than by calling the code under test.  The full
+where feasible) rather than by calling the code under test.  The exceptions
+come first.  ``perfect_sequence`` and ``perfect_numbering`` hand out the
+library's clique masks and MCS visit order as frozensets and sorted lists,
+so the properties tested on them hold for ``graph._clique_masks``.  The full
 normalising constant of W_G(nu, A) for an arbitrary scale A
 (``log_norm_const``) is the oracle for the scorer's Gram-based clique and
-separator terms; it reads the library's perfect sequence and Cholesky log
-determinant.  The other exceptions are the former implementations at the
+separator terms; it reads that perfect sequence and the library's Cholesky
+log determinant.  The other exceptions are the former implementations at the
 end, kept as references for their faster replacements: the dense maximum
 cardinality search, the per-pair and per-move walks, which call the
 library's single-move test and move delta (both have oracle tests of their
 own), the per-vertex posterior precision sampler, the Monte Carlo
-reference for both closed-form estimators, and the Monte Carlo Stein-loss
-estimator built on it.
+reference for both closed-form estimators, the Monte Carlo Stein-loss
+estimator built on it, and the frozenset-based clique/separator sum of the
+closed-form estimators.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -31,12 +37,13 @@ from gwish.errors import (
 )
 from gwish.graph import (
     Edge,
-    PerfectSequence,
     UndirectedGraph,
+    _all_complete,
+    _bits,
+    _clique_masks,
+    _mcs_visit,
     is_decomposable,
     move_is_decomposable,
-    perfect_numbering,
-    perfect_sequence,
 )
 from gwish.model import Dataset, Hyperparameters
 from gwish.numerics import (
@@ -48,6 +55,52 @@ from gwish.numerics import (
     submatrix,
     symmetrize,
 )
+
+
+@dataclass(frozen=True)
+class PerfectSequence:
+    """Cliques P_1..P_h and separators S_2..S_h of a decomposable graph.
+
+    separators[l] pairs with cliques[l+1]; the leading clique has none.  The
+    running intersection property holds: each separator is contained in some
+    earlier clique.
+    """
+
+    cliques: tuple[frozenset[int], ...]
+    separators: tuple[frozenset[int], ...]
+
+    def __post_init__(self) -> None:
+        if len(self.separators) != len(self.cliques) - 1:
+            raise ValueError("need exactly one separator per clique after the first")
+
+
+def perfect_sequence(g: UndirectedGraph) -> PerfectSequence:
+    """The maximal cliques in perfect order, with their separators: the
+    masks of ``graph._clique_masks`` as frozensets.
+
+    Raises NotDecomposable when the graph is not chordal.  The order is the
+    one induced by MCS with lowest-index tie-breaking, so it is
+    deterministic given the graph.  Another perfect sequence of g is that of
+    a relabelled copy of g, mapped back through the labels
+    (``relabelled_perfect_sequence``).
+    """
+    cliques, separators = _clique_masks(g)
+    return PerfectSequence(
+        tuple(frozenset(_bits(m)) for m in cliques),
+        tuple(frozenset(_bits(m)) for m in separators),
+    )
+
+
+def perfect_numbering(g: UndirectedGraph) -> tuple[list[int], list[list[int]]]:
+    """MCS visit order with each vertex's earlier neighbours, ascending,
+    which form a clique: a perfect numbering of a decomposable graph.
+
+    Raises NotDecomposable when the graph is not chordal.
+    """
+    order, earlier = _mcs_visit(g)
+    if not _all_complete(g, earlier):
+        raise NotDecomposable("graph is not chordal")
+    return order, [_bits(m) for m in earlier]
 
 
 def chordless_cycle_exists(p: int, edges: set[tuple[int, int]]) -> bool:
@@ -602,6 +655,30 @@ class PrecisionSampler:
             a[v, pa] = -(mean + factor @ z[block] / math.sqrt(lam[v]))
         root = np.sqrt(lam)[:, None] * a
         return symmetrize(root.T @ root)
+
+
+def clique_separator_sum_reference(
+    data: Dataset, g: UndirectedGraph, weight: Callable[[int], float]
+) -> np.ndarray:
+    """The former ``model._clique_separator_sum``, over the frozensets of
+    ``perfect_sequence``: weight(|C|) * inv(Gram_C) summed over the cliques,
+    each padded with zeros to p x p, minus the same sum over the separators.
+    Raises CliqueTooLarge when a clique has more than n vertices."""
+    if g.p != data.p:
+        raise DimensionMismatch(f"graph p={g.p} does not match data p={data.p}")
+    seq = perfect_sequence(g)
+    n = data.n
+    for c in seq.cliques:
+        if len(c) > n:
+            raise CliqueTooLarge(len(c), n)
+    out = np.zeros((data.p, data.p))
+    for subsets, sign in ((seq.cliques, 1.0), (seq.separators, -1.0)):
+        for s in subsets:
+            if not s:
+                continue
+            ix = np.ix_(sorted(s), sorted(s))
+            out[ix] += sign * weight(len(s)) * spd_inverse(data.gram[ix])
+    return out
 
 
 def posterior_mean_covariance_mc(

@@ -21,7 +21,6 @@ from gwish.graph import (
     enumerate_decomposable_graphs,
     enumerate_graphs,
     is_decomposable,
-    perfect_sequence,
 )
 from gwish.mcmc import (
     ChainConfig,
@@ -56,6 +55,7 @@ from oracles import (
     gwishart_prior_batch,
     log_norm_const,
     log_norm_const_complete,
+    perfect_sequence,
     relabelled_perfect_sequence,
 )
 

@@ -6,12 +6,10 @@ import pytest
 
 from gwish import cli
 from gwish.cli import main
-from gwish.graph import (
-    UndirectedGraph,
-    perfect_sequence,
-    read_edge_list,
-    write_edge_list,
-)
+from gwish.graph import UndirectedGraph, read_edge_list, write_edge_list
+from gwish.model import theory_r_max
+
+from oracles import perfect_sequence
 
 
 def run(*argv):
@@ -131,6 +129,21 @@ class TestMcmc:
                    "--out", out) == 0
         best = read_edge_list(str(out / "best_graph.edges"))
         assert max(len(c) for c in perfect_sequence(best).cliques) <= 3
+
+    def test_r_theory_sets_the_theory_edge_cap(self, data_dir, tmp_path):
+        out = tmp_path / "chain"
+        assert run("mcmc", "--data", data_dir, "--g", 0.2, "--r-theory",
+                   "--iterations", 20, "--burn-in", 0, "--out", out) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["hyper"]["r_max"] == theory_r_max(40, 4)
+
+    def test_r_theory_and_r_max_are_exclusive(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "chain"
+        assert run("mcmc", "--data", data_dir, "--g", 0.2, "--r-theory",
+                   "--r-max", 3, "--iterations", 20, "--burn-in", 0,
+                   "--out", out) == 2
+        assert "mutually exclusive" in capsys.readouterr().err
+        assert not (out / "meta.json").exists()
 
     def test_init_graph_must_match_data_p(self, data_dir, tmp_path, capsys):
         wrong = tmp_path / "p5.edges"

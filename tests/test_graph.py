@@ -15,7 +15,6 @@ from gwish.graph import (
     enumerate_graphs,
     is_decomposable,
     move_is_decomposable,
-    perfect_sequence,
     random_decomposable_move,
     read_edge_list,
     write_edge_list,
@@ -30,6 +29,7 @@ from oracles import (
     chordal_by_cycle_scan,
     decomposable_neighbors_reference,
     mcs_visit_reference,
+    perfect_sequence,
     random_decomposable_move_reference,
     reachable,
     relabel,

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from gwish.errors import NotDecomposable
-from gwish.graph import UndirectedGraph, decomposable_neighbors
+from gwish.graph import (
+    UndirectedGraph,
+    decomposable_neighbors,
+    enumerate_decomposable_graphs,
+)
 from gwish.mcmc import (
     ChainConfig,
     ChainResult,
@@ -22,6 +26,8 @@ from gwish.model import GraphScorer, Hyperparameters, posterior_mean_precision
 from gwish.numerics import make_rng
 from gwish.search import threshold_init
 from gwish.simulate import TrueModelSpec, build_truth, sample_dataset
+
+from oracles import perfect_sequence
 
 
 class FakeRng:
@@ -390,6 +396,26 @@ class TestPosteriorSummaries:
         assert len(post) == 60
         assert UndirectedGraph.complete(4) not in post
         assert sum(post.values()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("r_max", [None, 4])
+    def test_exact_posterior_matches_the_clique_size_filter(self, r_max):
+        # the former enumeration: a graph whose largest clique has more than
+        # n vertices is dropped before it is scored
+        truth = build_truth(TrueModelSpec(kind="ar1", p=4))
+        data = sample_dataset(truth, n=3, rng=make_rng(1))
+        hyper = Hyperparameters(g=0.2, r_max=r_max)
+        scorer = GraphScorer(data, hyper)
+        scored = []
+        for g in enumerate_decomposable_graphs(4):
+            if max(len(c) for c in perfect_sequence(g).cliques) > data.n:
+                continue
+            lp = scorer.score(g).log_posterior
+            if lp > -math.inf:
+                scored.append((g, lp))
+        top = max(lp for _, lp in scored)
+        weights = [(g, math.exp(lp - top)) for g, lp in scored]
+        z = sum(w for _, w in weights)
+        assert exact_posterior(data, hyper) == {g: w / z for g, w in weights}
 
     def test_tv_distance_extremes(self):
         a = UndirectedGraph.empty(2)

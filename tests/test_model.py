@@ -13,11 +13,7 @@ from gwish.errors import (
     NotDecomposable,
     NotPositiveDefinite,
 )
-from gwish.graph import (
-    UndirectedGraph,
-    enumerate_decomposable_graphs,
-    perfect_sequence,
-)
+from gwish.graph import UndirectedGraph, enumerate_decomposable_graphs
 from gwish.model import (
     PRESETS,
     Dataset,
@@ -30,14 +26,16 @@ from gwish.model import (
     posterior_mean_precision,
     theory_r_max,
 )
-from gwish.numerics import cholesky_logdet, make_rng
+from gwish.numerics import LOG_2PI, cholesky_logdet, make_rng
 
 from conftest import chordal_graphs, random_chordal_graph
 from oracles import (
     PrecisionSampler,
     adjacency,
+    clique_separator_sum_reference,
     log_norm_const,
     log_norm_const_complete,
+    perfect_sequence,
     posterior_mean_covariance_mc,
     relabel,
     relabelled_perfect_sequence,
@@ -245,11 +243,17 @@ class TestScorer:
 
     def test_score_beyond_cap_is_minus_inf(self):
         data = random_dataset(12, 4, seed=10)
-        sc = GraphScorer(data, Hyperparameters(r_max=2)).score(
-            UndirectedGraph.complete(3)
-        )
+        path = UndirectedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        sc = GraphScorer(data, Hyperparameters(r_max=2)).score(path)
         # 3 edges > cap 2
         assert sc.log_posterior == -math.inf
+
+    def test_score_checks_the_dimension_before_the_cap(self):
+        # a graph on the wrong number of vertices is an error even when its
+        # edge count alone would put it outside the support
+        data = random_dataset(12, 4, seed=10)
+        with pytest.raises(DimensionMismatch):
+            GraphScorer(data, Hyperparameters(r_max=2)).score(UndirectedGraph.complete(3))
 
     def test_score_raises_on_non_decomposable(self):
         data = random_dataset(12, 4, seed=10)
@@ -319,6 +323,111 @@ class TestScorer:
         scorer = GraphScorer(Dataset.from_matrix(x), Hyperparameters(g=0.2))
         with pytest.raises(NotPositiveDefinite):
             scorer._factorise([0b0011, 0b1100])
+
+    def test_clique_above_n_raises_before_any_factorisation(self):
+        # exact_posterior skips a graph whose score raises CliqueTooLarge, so
+        # that error must win over a singular block earlier in perfect order:
+        # here the clique {0, 1} of two columns of ones, then a 5-clique, n=4
+        x = np.random.default_rng(14).standard_normal((4, 7))
+        x[:, :2] = 1.0
+        k5 = [(i, j) for i in range(2, 7) for j in range(i + 1, 7)]
+        g = UndirectedGraph.from_edges(7, [(0, 1)] + k5)
+        assert perfect_sequence(g).cliques == (frozenset({0, 1}), frozenset(range(2, 7)))
+        scorer = GraphScorer(Dataset.from_matrix(x), Hyperparameters(g=0.2))
+        with pytest.raises(CliqueTooLarge):
+            scorer.score(g)
+
+
+def per_clique_log_marginal(data, hyper, g):
+    """The former full score: ``clique_term`` of each clique of the oracle
+    perfect sequence added, then each separator's subtracted, one at a time
+    in perfect order, on a scorer of its own."""
+    scorer = GraphScorer(data, hyper)
+    seq = perfect_sequence(g)
+    total = 0.0
+    for c in seq.cliques:
+        total += scorer.clique_term(c)
+    for s in seq.separators:
+        total -= scorer.clique_term(s)
+    return total - data.n * data.p / 2.0 * LOG_2PI
+
+
+class TestFullScoreReadsCliqueMasks:
+    """A full score reads the cliques and separators as masks and
+    factorises its missing terms together; its value has the bits of the
+    per-clique sum, on a cold or a warm scorer."""
+
+    def test_every_small_decomposable_graph(self):
+        hyper = Hyperparameters(g=0.3)
+        for p in range(1, 6):
+            data = random_dataset(8, p, seed=20 + p)
+            scorer = GraphScorer(data, hyper)
+            for g in enumerate_decomposable_graphs(p):
+                sc = scorer.score(g)
+                assert sc.log_marginal == per_clique_log_marginal(data, hyper, g)
+                assert sc.log_prior == log_graph_prior(g, hyper)
+
+    @given(chordal_graphs)
+    def test_random_chordal_graphs(self, g):
+        hyper = Hyperparameters(g=0.3)
+        data = random_dataset(14, g.p, seed=g.p)
+        sc = GraphScorer(data, hyper).score(g)
+        assert sc.log_marginal == per_clique_log_marginal(data, hyper, g)
+
+    def test_one_stacked_cholesky_per_block_size(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        hyper = Hyperparameters(g=0.3)
+        data = random_dataset(20, 12, seed=15)
+        g = random_chordal_graph(12, seed=15, steps=40)
+        seq = perfect_sequence(g)
+        blocks = {s for s in seq.cliques + seq.separators if s}
+        sizes = {len(s) for s in blocks}
+        assert len(sizes) > 2, "the test graph needs several block sizes"
+        scorer = GraphScorer(data, hyper)
+        scorer.score(g)
+        # one stack per size, holding each distinct block of that size once
+        assert sorted(q for _, q, _ in calls) == sorted(sizes)
+        for k, q, _ in calls:
+            assert k == sum(1 for s in blocks if len(s) == q)
+        scorer.score(g)
+        assert len(calls) == len(sizes)  # a warm score factorises nothing
+
+
+class TestEstimatorsReadCliqueMasks:
+    """Both estimators equal the frozenset-based clique/separator sum of
+    the oracles, weighted as each estimator weighs a block."""
+
+    @staticmethod
+    def check(data, g, hyper):
+        nu_post = data.n + hyper.nu
+        shrink = 1.0 / (1.0 + hyper.g)
+        stein = (data.n + hyper.nu - 2.0) / (1.0 + hyper.g)
+        assert np.array_equal(
+            posterior_mean_precision(data, g, hyper),
+            clique_separator_sum_reference(data, g, lambda q: (nu_post + q - 1) * shrink),
+        )
+        assert np.array_equal(
+            bayes_estimator_l1_stein(data, g, hyper),
+            clique_separator_sum_reference(data, g, lambda q: stein),
+        )
+
+    def test_every_small_decomposable_graph(self):
+        hyper = Hyperparameters(g=0.3)
+        for p in range(1, 6):
+            data = random_dataset(8, p, seed=30 + p)
+            for g in enumerate_decomposable_graphs(p):
+                self.check(data, g, hyper)
+
+    @given(chordal_graphs)
+    def test_random_chordal_graphs(self, g):
+        self.check(random_dataset(14, g.p, seed=g.p), g, Hyperparameters(g=0.3))
 
 
 class TestHyperparameters:

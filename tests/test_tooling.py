@@ -12,8 +12,10 @@ aborts pytest with INTERNALERROR and exit code 3, hiding the FAILED line.
 
 import ast
 import importlib.util
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,7 +25,7 @@ import pytest
 import gwish.cli  # imports every layer the tracer wraps
 from gwish.graph import UndirectedGraph
 from gwish.mcmc import ChainConfig, run_chain
-from gwish.model import Dataset, Hyperparameters
+from gwish.model import Dataset, GraphScorer, Hyperparameters
 from gwish.numerics import make_rng
 from gwish.search import hybrid_mode
 
@@ -77,6 +79,30 @@ def test_layer_tracer_installs_and_uninstalls():
     assert UndirectedGraph.connected is search
 
 
+def test_layer_tracer_installs_after_importing_the_cli_alone():
+    """A traced benchmark run imports ``gwish.cli`` in its own process and
+    then installs the tracer, which looks up every layer it wraps.  The
+    test above runs after the test modules have imported every layer, so
+    this one repeats the install in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent), str(BENCH), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    code = (
+        "import gwish.cli\n"
+        "from layertrace import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "tracer.uninstall()\n"
+        "print('ok')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["ok"]
+
+
 def test_layer_tracer_sees_the_shotgun_search():
     """The tracer wraps public names only, so the ascent that ``hybrid_mode``
     runs is timed and its visits counted only under a public name."""
@@ -93,9 +119,11 @@ def test_layer_tracer_sees_the_shotgun_search():
 
 def test_layer_tracer_runs_the_chain_and_the_search_unchanged():
     """Under the tracer, a threshold-started chain and ``hybrid_mode`` give
-    the untraced results, and full scores reach ``clique_term`` as vertex
-    subsets: the tracer sorts each subset to tag it, so a vertex mask
-    passed there would raise."""
+    the untraced results, and their full scores are timed.  Full scores
+    read the term cache without ``clique_term``, so one cold and one warm
+    call of it check the tracer's hit and miss tagging: the tracer sorts
+    each vertex subset to tag it, so a vertex mask passed there would
+    raise."""
     rng = np.random.default_rng(4)
     x = rng.standard_normal((40, 8)) @ (np.eye(8) + 0.4 * rng.standard_normal((8, 8)))
     data, hyper = Dataset.from_matrix(x), Hyperparameters(g=0.3)
@@ -111,10 +139,14 @@ def test_layer_tracer_runs_the_chain_and_the_search_unchanged():
     tracer.install()
     try:
         chain, mode = run_both()
+        scorer = GraphScorer(data, hyper)
+        cold, warm = scorer.clique_term([0, 2]), scorer.clique_term([2, 0])
     finally:
         tracer.uninstall()
-    assert tracer.tagged["model.clique_term.hit"][0] > 0
-    assert tracer.tagged["model.clique_term.miss"][0] > 0
+    assert tracer.stats["model.GraphScorer.score"][0] > 0
+    assert tracer.tagged["model.clique_term.miss"][0] == 1
+    assert tracer.tagged["model.clique_term.hit"][0] == 1
+    assert cold == warm
     assert mode == plain_mode
     assert chain.best_graph == plain_chain.best_graph
     for field in ("log_posterior_trace", "size_trace", "accepted_trace", "inclusion"):
