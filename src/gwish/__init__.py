@@ -43,13 +43,11 @@ from .model import (
     GroundTruth,
     Hyperparameters,
     bayes_estimator_l1_stein,
-    log_graph_prior,
     log_pairwise_bayes_factor,
     log_posterior_ratio,
     posterior_mean_precision,
 )
 from .numerics import (
-    cholesky_logdet,
     log_multigamma,
     make_rng,
     sample_mvn,

@@ -21,6 +21,7 @@ from . import __version__
 from .errors import GwishError, NotPositiveDefinite
 from .graph import UndirectedGraph, is_decomposable, read_edge_list, write_edge_list
 from .mcmc import (
+    KERNELS,
     ChainConfig,
     exact_posterior,
     median_probability_graph,
@@ -33,6 +34,7 @@ from .model import (
     Dataset,
     Hyperparameters,
     PRESETS,
+    _check_finite,
     bayes_estimator_l1_stein,
     log_pairwise_bayes_factor,
     log_posterior_ratio,
@@ -55,18 +57,16 @@ class UsageError(Exception):
     pass
 
 
-def _csv_rows(m: np.ndarray) -> str:
-    """The rows of a 2-d float array as ``%.17g`` comma-separated lines: the
-    bytes ``np.savetxt(..., delimiter=",", fmt="%.17g")`` writes."""
-    row = ",".join(["%.17g"] * m.shape[1]) + "\n"
-    return "".join([row % tuple(r) for r in m.tolist()])
-
-
 def _write_matrix(path: Path, m: np.ndarray, header: list[str] | None = None) -> None:
+    """The rows of a float array as ``%.17g`` comma-separated lines, after an
+    optional header: the bytes ``np.savetxt(..., delimiter=",", fmt="%.17g")``
+    writes."""
+    m = np.atleast_2d(m)
+    row = ",".join(["%.17g"] * m.shape[1]) + "\n"
     with open(path, "w") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        fh.write(_csv_rows(np.atleast_2d(m)))
+        fh.write("".join([row % tuple(r) for r in m.tolist()]))
 
 
 def _read_matrix(path: str) -> np.ndarray:
@@ -96,7 +96,9 @@ def _outdir(args) -> Path:
     return out
 
 
-def _add_hyper_flags(sp: argparse.ArgumentParser) -> None:
+def _add_model_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--data", default=None, help="directory from gen-data")
+    sp.add_argument("--x", default=None, help="data matrix CSV")
     sp.add_argument("--nu", type=float, default=3.0, help="Wishart df (> 2)")
     sp.add_argument("--g", type=float, default=None, help="prior scale multiplier")
     sp.add_argument(
@@ -114,32 +116,27 @@ def _add_hyper_flags(sp: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_hyper(args, n: int, p: int) -> Hyperparameters:
+def _load_model(args) -> tuple[Dataset, Hyperparameters]:
+    if args.data:
+        xpath = Path(args.data) / "X.csv"
+        if not xpath.exists():
+            raise UsageError(f"no X.csv under {args.data}")
+        data = Dataset.from_matrix(_read_matrix(str(xpath)))
+    elif args.x:
+        data = Dataset.from_matrix(_read_matrix(args.x))
+    else:
+        raise UsageError("supply --data DIR or --x FILE")
     if args.g is not None and args.preset is not None:
         raise UsageError("--g and --preset are mutually exclusive")
-    if args.g is not None:
-        g = args.g
-    elif args.preset is not None:
-        g = PRESETS[args.preset](p)
-    else:
-        g = PRESETS["selection"](p)
     r_max = args.r_max
     if args.r_theory:
         if r_max is not None:
             raise UsageError("--r-max and --r-theory are mutually exclusive")
-        r_max = theory_r_max(n, p)
-    return Hyperparameters(nu=args.nu, g=g, c_tau=args.c_tau, r_max=r_max)
-
-
-def _load_dataset(args) -> Dataset:
-    if getattr(args, "data", None):
-        xpath = Path(args.data) / "X.csv"
-        if not xpath.exists():
-            raise UsageError(f"no X.csv under {args.data}")
-        return Dataset.from_matrix(_read_matrix(str(xpath)))
-    if getattr(args, "x", None):
-        return Dataset.from_matrix(_read_matrix(args.x))
-    raise UsageError("supply --data DIR or --x FILE")
+        r_max = theory_r_max(data.n, data.p)
+    fields = {"nu": args.nu, "c_tau": args.c_tau, "r_max": r_max}
+    if args.g is not None:
+        return data, Hyperparameters(g=args.g, **fields)
+    return data, Hyperparameters.preset(args.preset or "selection", data.p, **fields)
 
 
 def _cmd_gen_data(args) -> int:
@@ -148,11 +145,9 @@ def _cmd_gen_data(args) -> int:
         spec = TrueModelSpec(kind=args.kind, p=args.p)
         truth = build_truth(spec)
     except (ValueError, NotPositiveDefinite) as exc:
-        print(f"gen-data: invalid model spec: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"invalid model spec: {exc}") from exc
     if args.n < 2:
-        print("gen-data: n must be at least 2", file=sys.stderr)
-        return 2
+        raise UsageError("n must be at least 2")
     rng = make_rng(args.seed, args.stream)
     data = sample_dataset(truth, args.n, rng)
     header = [f"x{i + 1}" for i in range(args.p)] if args.header else None
@@ -177,8 +172,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_mcmc(args) -> int:
-    data = _load_dataset(args)
-    hyper = _resolve_hyper(args, data.n, data.p)
+    data, hyper = _load_model(args)
     init: UndirectedGraph | str = args.init or "empty"
     if args.init_graph:
         if args.init is not None:
@@ -210,9 +204,8 @@ def _cmd_mcmc(args) -> int:
             result.accepted_trace.astype(int),
         ]
     )
-    with open(out / "trace.csv", "w") as fh:
-        fh.write("iteration,log_posterior,size,accepted\n")
-        fh.write(_csv_rows(trace))
+    header = ["iteration", "log_posterior", "size", "accepted"]
+    _write_matrix(out / "trace.csv", trace, header)
     meta = {
         "command": "mcmc",
         "n": data.n,
@@ -241,8 +234,7 @@ def _cmd_mcmc(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    data = _load_dataset(args)
-    hyper = _resolve_hyper(args, data.n, data.p)
+    data, hyper = _load_model(args)
     kwargs = {}
     if args.ridge_grid:
         kwargs["ridge_grid"] = tuple(float(v) for v in args.ridge_grid.split(","))
@@ -291,8 +283,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_bf(args) -> int:
-    data = _load_dataset(args)
-    hyper = _resolve_hyper(args, data.n, data.p)
+    data, hyper = _load_model(args)
     g1 = read_edge_list(args.graph1, p=data.p)
     g0 = read_edge_list(args.graph0, p=data.p)
     log_bf = log_pairwise_bayes_factor(data, g1, g0, hyper)
@@ -350,8 +341,7 @@ def _cmd_ratio_experiment(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    data = _load_dataset(args)
-    hyper = _resolve_hyper(args, data.n, data.p)
+    data, hyper = _load_model(args)
     graph = read_edge_list(args.graph, p=data.p)
     if args.estimator == "l2":
         omega = posterior_mean_precision(data, graph, hyper)
@@ -389,6 +379,8 @@ def _cmd_metrics(args) -> int:
     if args.omega:
         est_m = _read_matrix(args.omega)
         tru_m = _read_matrix(args.omega0)
+        _check_finite(est_m, args.omega)
+        _check_finite(tru_m, args.omega0)
         if est_m.shape != tru_m.shape:
             raise UsageError(
                 f"--omega has shape {est_m.shape} but --omega0 has shape {tru_m.shape}"
@@ -445,14 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_gen_data)
 
     sp = sub.add_parser("mcmc", help="sample graphs from the posterior")
-    sp.add_argument("--data", default=None, help="directory from gen-data")
-    sp.add_argument("--x", default=None, help="data matrix CSV")
-    _add_hyper_flags(sp)
+    _add_model_flags(sp)
     sp.add_argument("--iterations", type=int, default=3000)
     sp.add_argument("--burn-in", type=int, default=3000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--stream", type=int, default=0)
-    sp.add_argument("--kernel", choices=("uniform", "exact"), default="uniform")
+    sp.add_argument("--kernel", choices=KERNELS, default="uniform")
     sp.add_argument("--init", choices=("empty", "threshold"), help="default: empty")
     sp.add_argument("--init-graph", default=None, help="edge-list file to start from")
     sp.add_argument(
@@ -469,9 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_mcmc)
 
     sp = sub.add_parser("search", help="hunt for the posterior mode graph")
-    sp.add_argument("--data", default=None)
-    sp.add_argument("--x", default=None)
-    _add_hyper_flags(sp)
+    _add_model_flags(sp)
     sp.add_argument("--ridge-grid", default=None, help="comma-separated ridge values")
     sp.add_argument("--threshold-grid", default=None, help="comma-separated thresholds")
     sp.add_argument("--max-candidates", type=int, default=None)
@@ -482,9 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_search)
 
     sp = sub.add_parser("bf", help="log Bayes factor between two graphs")
-    sp.add_argument("--data", default=None)
-    sp.add_argument("--x", default=None)
-    _add_hyper_flags(sp)
+    _add_model_flags(sp)
     sp.add_argument("--graph1", required=True)
     sp.add_argument("--graph0", required=True)
     sp.add_argument("--out", default=None)
@@ -498,14 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=150)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--replicates", type=int, default=1)
-    sp.add_argument("--preset", choices=("ratio", "selection"), default=None)
+    sp.add_argument("--preset", choices=sorted(PRESETS), default=None)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_ratio_experiment)
 
     sp = sub.add_parser("estimate", help="precision matrix estimate given a graph")
-    sp.add_argument("--data", default=None)
-    sp.add_argument("--x", default=None)
-    _add_hyper_flags(sp)
+    _add_model_flags(sp)
     sp.add_argument("--estimator", choices=("l2", "l1-stein"), required=True)
     sp.add_argument("--graph", required=True, help="edge list of the graph")
     sp.add_argument(

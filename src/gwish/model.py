@@ -29,9 +29,16 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import CliqueTooLarge, DimensionMismatch, NotPositiveDefinite
-from .graph import Edge, UndirectedGraph, _bits, _clique_masks, is_decomposable
-from .numerics import LOG_2, LOG_2PI, log_multigamma, spd_inverse, symmetrize
+from .errors import CliqueTooLarge, DimensionMismatch
+from .graph import Edge, UndirectedGraph, _bits, _clique_masks
+from .numerics import (
+    LOG_2,
+    LOG_2PI,
+    cholesky_factor,
+    log_multigamma,
+    spd_inverse,
+    symmetrize,
+)
 
 # Named hyperparameter presets: g as a power law in the dimension.  The
 # "ratio" preset uses g = 0.1 / delta * p^(-2.5 - delta) with delta = 0.01;
@@ -94,6 +101,17 @@ class GroundTruth:
     graph: UndirectedGraph
 
 
+def _check_finite(m: np.ndarray, name: str) -> None:
+    """ValueError naming the first NaN or infinite entry of a 2-d array."""
+    bad = np.argwhere(~np.isfinite(m))
+    if len(bad):
+        row, col = bad[0]
+        raise ValueError(
+            f"{name} has {len(bad)} non-finite entries (NaN or inf); the "
+            f"first is at row {row}, column {col} (0-based)"
+        )
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An n x p data matrix with its Gram matrix X'X cached.
@@ -114,13 +132,7 @@ class Dataset:
             raise DimensionMismatch(f"data must be 2-d, got shape {x.shape}")
         if x.shape[0] < 2:
             raise ValueError(f"data needs at least 2 rows, got {x.shape[0]}")
-        bad = np.argwhere(~np.isfinite(x))
-        if len(bad):
-            row, col = bad[0]
-            raise ValueError(
-                f"data has {len(bad)} non-finite entries (NaN or inf); the "
-                f"first is at row {row}, column {col} (0-based)"
-            )
+        _check_finite(x, "data")
         return cls(x=x, gram=symmetrize(x.T @ x), truth=truth)
 
     @property
@@ -144,34 +156,14 @@ class GraphScore:
         return self.log_marginal + self.log_prior
 
 
-def _log_binomial(m: int, k: int) -> float:
-    return math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
-
-
-def _log_size_prior(p: int, k: int, hyper: Hyperparameters) -> float:
-    # the prior of log_graph_prior for a decomposable graph with k edges
-    m = p * (p - 1) // 2
-    r = hyper.r_max if hyper.r_max is not None else m
-    if k > r:
-        return -math.inf
-    return -_log_binomial(m, k) - k * hyper.c_tau * math.log(p)
-
-
-def log_graph_prior(g: UndirectedGraph, hyper: Hyperparameters) -> float:
-    """Log prior of a graph, up to the common normalising constant.
-
-    pi(G) is proportional to ``1 / binom(m, |G|) * exp(-|G| c_tau log p)``
-    over decomposable graphs with at most r_max edges (m = p(p-1)/2);
-    anything outside that support gets -inf.
-    """
-    log_prior = _log_size_prior(g.p, g.size, hyper)
-    if log_prior == -math.inf or not is_decomposable(g):
-        return -math.inf
-    return log_prior
+def _check_p(g: UndirectedGraph, data: Dataset) -> None:
+    if g.p != data.p:
+        raise DimensionMismatch(f"graph p={g.p} does not match data p={data.p}")
 
 
 class GraphScorer:
-    """Scores graphs against one dataset and hyperparameter setting.
+    """Scores graphs against one dataset and hyperparameter setting, under
+    the graph prior of ``_size_prior``.
 
     Clique and separator contributions depend on the vertex subset only, so
     they are cached across calls, keyed by vertex mask (bit v set for each
@@ -180,7 +172,7 @@ class GraphScorer:
     as masks (``graph._clique_masks``) and factorises the Gram blocks of the
     missing terms together, one stacked Cholesky per block size
     (``_factorise``).  A single-edge move changes only four of these terms
-    (``move_delta``), so moves are scored without finding any clique, and a
+    (``_move_delta``), so moves are scored without finding any clique, and a
     run of additions has its blocks factorised together in the same way.
     """
 
@@ -212,11 +204,7 @@ class GraphScorer:
                 raise CliqueTooLarge(q, n)
         for q, group in by_size.items():
             idx = np.array([_bits(m) for m in group])
-            blocks = self.data.gram[idx[:, :, None], idx[:, None, :]]
-            try:
-                lower = np.linalg.cholesky(blocks)
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefinite(str(exc)) from exc
+            lower = cholesky_factor(self.data.gram[idx[:, :, None], idx[:, None, :]])
             logdets = 2.0 * np.log(np.diagonal(lower, axis1=1, axis2=2)).sum(axis=1)
             scalar = self._scalar_term(q)
             for m, logdet in zip(group, logdets.tolist()):
@@ -238,10 +226,21 @@ class GraphScorer:
         return val
 
     def _size_prior(self, k: int) -> float:
-        # _log_size_prior at this dimension, memoised per edge count
+        """Log prior of a decomposable graph with k edges, up to the common
+        normalising constant, memoised per edge count: pi(G) is proportional
+        to ``1 / binom(m, |G|) * exp(-|G| c_tau log p)`` over decomposable
+        graphs with at most r_max edges (m = p(p-1)/2), -inf past r_max.
+        Chordality is tested by the marginal's clique search, not here."""
         cached = self._size_priors.get(k)
         if cached is None:
-            cached = self._size_priors[k] = _log_size_prior(self.data.p, k, self.hyper)
+            p, hyper, lg = self.data.p, self.hyper, math.lgamma
+            m = p * (p - 1) // 2
+            if k > (m if hyper.r_max is None else hyper.r_max):
+                cached = -math.inf
+            else:
+                log_binomial = lg(m + 1) - lg(k + 1) - lg(m - k + 1)
+                cached = -log_binomial - k * hyper.c_tau * math.log(p)
+            self._size_priors[k] = cached
         return cached
 
     def clique_term(self, subset: Iterable[int]) -> float:
@@ -256,10 +255,6 @@ class GraphScorer:
             term = self._terms[mask]
         return term
 
-    def _check_p(self, g: UndirectedGraph) -> None:
-        if g.p != self.data.p:
-            raise DimensionMismatch(f"graph p={g.p} does not match data p={self.data.p}")
-
     def log_marginal_core(self, g: UndirectedGraph) -> float:
         """Log marginal likelihood without the -np/2 log(2 pi) constant.
 
@@ -267,7 +262,7 @@ class GraphScorer:
         a time, in perfect order.  Raises NotDecomposable for a non-chordal
         graph and CliqueTooLarge when a clique has more than n vertices.
         """
-        self._check_p(g)
+        _check_p(g, self.data)
         cliques, separators = _clique_masks(g)
         self._factorise(cliques + separators)
         terms = self._terms
@@ -283,38 +278,29 @@ class GraphScorer:
         return self.log_marginal_core(g) - n * p / 2.0 * LOG_2PI
 
     def score(self, g: UndirectedGraph) -> GraphScore:
-        self._check_p(g)
+        _check_p(g, self.data)
         log_prior = self._size_prior(g.size)
         if log_prior == -math.inf:
             # outside the prior support; marginal never evaluated
             return GraphScore(log_marginal=-math.inf, log_prior=-math.inf)
-        # the marginal's clique search raises NotDecomposable, so the prior
-        # needs no chordality test of its own
+        # the marginal's clique search raises NotDecomposable: this is the
+        # prior's one chordality test
         return GraphScore(log_marginal=self.log_marginal(g), log_prior=log_prior)
 
     def _move_delta(self, u: int, v: int, sep: int, adding: bool) -> float:
-        # the four terms of move_delta, for the common-neighbour mask sep;
-        # a miss factorises the four blocks together
+        """log_marginal_core(g') - log_marginal_core(g) for adding (or deleting)
+        the edge (u, v), with ``sep`` = S = N(u) & N(v); g and g' decomposable.
+
+        The move merges or splits the cliques S | {u} and S | {v} around the
+        clique S | {u, v}, so only four terms change (Giudici & Green 1999):
+        ``term(S | uv) - term(S | u) - term(S | v) + term(S)`` for an
+        addition, negated for a deletion.  A miss factorises all four."""
         m0, m1, m2 = sep | 1 << u | 1 << v, sep | 1 << u, sep | 1 << v
         terms = self._terms
         if m0 not in terms or m1 not in terms or m2 not in terms or sep not in terms:
             self._factorise((m0, m1, m2, sep))
         delta = terms[m0] - terms[m1] - terms[m2] + terms[sep]
         return delta if adding else -delta
-
-    def move_delta(self, g: UndirectedGraph, edge: Edge) -> float:
-        """log_marginal_core(g') - log_marginal_core(g) for the move on ``edge``.
-
-        g' is ``g.toggled(*edge)``: ``edge`` deleted if ``g`` has it, added
-        otherwise; both must be decomposable.  With S = N(u) & N(v), the move
-        merges or splits the cliques S | {u} and S | {v} around the clique
-        S | {u, v}, so only four terms change (Giudici & Green 1999):
-        ``term(S | uv) - term(S | u) - term(S | v) + term(S)`` for an
-        addition, negated for a deletion.
-        """
-        u, v = edge
-        nbrs = g.neighbor_masks
-        return self._move_delta(u, v, nbrs[u] & nbrs[v], not nbrs[u] >> v & 1)
 
     def _support_prior(self, sep: int, k: int, adding: bool) -> float:
         """Log size prior of the k-edge graph a move leads to, or -inf when
@@ -349,7 +335,7 @@ class GraphScorer:
     def log_posterior_delta(self, g: UndirectedGraph, edge: Edge) -> float:
         """Log posterior of g' minus that of ``g`` for the move on ``edge``.
 
-        The size-prior change plus ``move_delta``.  -inf when g' lies outside
+        The size-prior change plus ``_move_delta``.  -inf when g' lies outside
         the support: more than r_max edges (the marginal is then never
         evaluated), or an addition whose new clique S | {u, v} has more
         vertices than the sample size.
@@ -376,10 +362,12 @@ def log_posterior_ratio(
     g0: UndirectedGraph,
     hyper: Hyperparameters,
 ) -> float:
-    """Log posterior odds of g1 over g0 (Bayes factor plus prior ratio);
-    ValueError when both lie outside the prior support, where it is undefined."""
-    bf = log_pairwise_bayes_factor(data, g1, g0, hyper)
-    lp1, lp0 = log_graph_prior(g1, hyper), log_graph_prior(g0, hyper)
+    """Log posterior odds of g1 over g0: the Bayes factor plus the prior ratio,
+    both from one scorer, whose clique search raises NotDecomposable for a
+    non-chordal graph.  ValueError when both lie outside the prior support."""
+    scorer = GraphScorer(data, hyper)
+    bf = scorer.log_marginal_core(g1) - scorer.log_marginal_core(g0)
+    lp1, lp0 = scorer._size_prior(g1.size), scorer._size_prior(g0.size)
     if lp1 == lp0 == -math.inf:
         raise ValueError("both graphs are outside the prior support")
     return bf + lp1 - lp0
@@ -396,8 +384,7 @@ def _clique_separator_sum(
     NotDecomposable for a non-chordal graph and CliqueTooLarge when a clique
     has more than n vertices, since its Gram block is then singular.
     """
-    if g.p != data.p:
-        raise DimensionMismatch(f"graph p={g.p} does not match data p={data.p}")
+    _check_p(g, data)
     cliques, separators = _clique_masks(g)
     n = data.n
     for c in cliques:

@@ -39,23 +39,12 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def cholesky_logdet(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor and log determinant of a positive definite matrix.
-
-    Raises NotPositiveDefinite when the factorisation fails.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    lower = cholesky_factor(m)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
-    return lower, logdet
-
-
 def cholesky_factor(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a square float positive definite matrix.
+    """Lower Cholesky factor of a square float positive definite matrix, or
+    of each matrix of a stack.
 
-    Raises NotPositiveDefinite when the factorisation fails.
+    Raises NotPositiveDefinite when the factorisation fails; this is the
+    library's one conversion of numpy's LinAlgError.
     """
     try:
         return np.linalg.cholesky(m)
@@ -108,6 +97,8 @@ def sample_mvn(
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     sigma = np.asarray(sigma, dtype=float)
-    lower, _ = cholesky_logdet(sigma)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {sigma.shape}")
+    lower = cholesky_factor(sigma)
     z = rng.standard_normal((n, sigma.shape[0]))
     return z @ lower.T

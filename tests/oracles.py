@@ -7,12 +7,14 @@ library's clique masks and MCS visit order as frozensets and sorted lists,
 so the properties tested on them hold for ``graph._clique_masks``.  The full
 normalising constant of W_G(nu, A) for an arbitrary scale A
 (``log_norm_const``) is the oracle for the scorer's Gram-based clique and
-separator terms; it reads that perfect sequence and the library's Cholesky
-log determinant.  The other exceptions are the former implementations at the
-end, kept as references for their faster replacements: the dense maximum
-cardinality search, the per-pair and per-move walks, which call the
-library's single-move test and move delta (both have oracle tests of their
-own), the per-vertex posterior precision sampler, the Monte Carlo
+separator terms; it reads that perfect sequence and ``cholesky_logdet``,
+the log determinant of one ``cholesky_factor``.  ``log_graph_prior`` states
+the graph prior on its own, with its own chordality test, as the reference
+for the scorer's size prior.  The other exceptions are the former
+implementations at the end, kept as references for their faster
+replacements: the dense maximum cardinality search, the per-pair and
+per-move walks, which call the library's single-move test and posterior
+delta (both have oracle tests of their own), the per-vertex posterior precision sampler, the Monte Carlo
 reference for both closed-form estimators, the Monte Carlo Stein-loss
 estimator built on it, and the frozenset-based clique/separator sum of the
 closed-form estimators.
@@ -49,7 +51,6 @@ from gwish.model import Dataset, Hyperparameters
 from gwish.numerics import (
     LOG_2,
     cholesky_factor,
-    cholesky_logdet,
     log_multigamma,
     spd_inverse,
     submatrix,
@@ -207,6 +208,45 @@ def check_perfect_sequence(g: UndirectedGraph, seq: PerfectSequence) -> None:
         assert any(s <= cliques[m] for m in range(l)), (
             "running intersection property violated"
         )
+
+
+def cholesky_logdet(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor and log determinant of a positive definite matrix.
+
+    Raises NotPositiveDefinite when the factorisation fails.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    lower = cholesky_factor(m)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
+    return lower, logdet
+
+
+def _log_binomial(m: int, k: int) -> float:
+    return math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
+
+
+def _log_size_prior(p: int, k: int, hyper: Hyperparameters) -> float:
+    # the prior of log_graph_prior for a decomposable graph with k edges
+    m = p * (p - 1) // 2
+    r = hyper.r_max if hyper.r_max is not None else m
+    if k > r:
+        return -math.inf
+    return -_log_binomial(m, k) - k * hyper.c_tau * math.log(p)
+
+
+def log_graph_prior(g: UndirectedGraph, hyper: Hyperparameters) -> float:
+    """Log prior of a graph, up to the common normalising constant.
+
+    pi(G) is proportional to ``1 / binom(m, |G|) * exp(-|G| c_tau log p)``
+    over decomposable graphs with at most r_max edges (m = p(p-1)/2);
+    anything outside that support gets -inf.
+    """
+    log_prior = _log_size_prior(g.p, g.size, hyper)
+    if log_prior == -math.inf or not is_decomposable(g):
+        return -math.inf
+    return log_prior
 
 
 def log_norm_const_complete(nu: float, scale: np.ndarray) -> float:

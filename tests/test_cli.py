@@ -48,13 +48,16 @@ class TestGenData:
         assert run(*base, "--stream", 5, "--out", tmp_path / "b") == 0
         assert (tmp_path / "a/X.csv").read_bytes() != (tmp_path / "b/X.csv").read_bytes()
 
-    def test_invalid_specs_exit_2(self, tmp_path):
+    def test_invalid_specs_exit_2(self, tmp_path, capsys):
         assert run("gen-data", "--kind", "ar4", "--p", 4, "--n", 10,
                    "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err.startswith("gen-data: invalid model spec: ")
         assert run("gen-data", "--kind", "star", "--p", 30, "--n", 10,
                    "--out", tmp_path / "y") == 2
+        assert capsys.readouterr().err.startswith("gen-data: invalid model spec: ")
         assert run("gen-data", "--kind", "ar1", "--p", 4, "--n", 0,
                    "--out", tmp_path / "z") == 2
+        assert capsys.readouterr().err == "gen-data: n must be at least 2\n"
 
     def test_header_and_conditions(self, tmp_path):
         out = tmp_path / "h"
@@ -508,6 +511,26 @@ class TestMetrics:
         out = tmp_path / "m"
         assert run("metrics", "--graph", bad, "--truth", good, "--out", out) == 2
         assert repr(line) in capsys.readouterr().err
+        assert not (out / "meta.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--omega", "--omega0"])
+    def test_non_finite_matrix_exits_2(self, tmp_path, capsys, flag, value):
+        # inf once printed "frobenius": Infinity, which is not JSON, and
+        # exited 0; nan failed inside the SVD
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        np.savetxt(good, np.eye(3), delimiter=",")
+        m = np.eye(3)
+        m[1, 2] = float(value)
+        np.savetxt(bad, m, delimiter=",")
+        files = {"--omega": good, "--omega0": good, flag: bad}
+        out = tmp_path / "m"
+        assert run("metrics", *[a for kv in files.items() for a in kv],
+                   "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"metrics: {bad} has 1 non-finite entries" in captured.err
+        assert "row 1, column 2" in captured.err
         assert not (out / "meta.json").exists()
 
     @pytest.mark.parametrize("pair", ["graphs", "matrices"])

@@ -506,7 +506,10 @@ class TestMoveDelta:
         base = scorer.log_marginal_core(g)
         for e in decomposable_neighbors(g):
             full = scorer.log_marginal_core(g.toggled(*e)) - base
-            assert abs(scorer.move_delta(g, e) - full) <= 1e-9
+            u, v = e
+            sep = g.neighbor_masks[u] & g.neighbor_masks[v]
+            delta = scorer._move_delta(u, v, sep, not g.has_edge(u, v))
+            assert abs(delta - full) <= 1e-9
 
     @settings(max_examples=150, deadline=None)
     @given(chordal_graphs, st.integers(0, 2), st.integers(0, 2))

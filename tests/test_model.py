@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
+import gwish.graph
 from gwish.errors import (
     CliqueTooLarge,
     DimensionMismatch,
@@ -20,19 +21,20 @@ from gwish.model import (
     GraphScorer,
     Hyperparameters,
     bayes_estimator_l1_stein,
-    log_graph_prior,
     log_pairwise_bayes_factor,
     log_posterior_ratio,
     posterior_mean_precision,
     theory_r_max,
 )
-from gwish.numerics import LOG_2PI, cholesky_logdet, make_rng
+from gwish.numerics import LOG_2PI, make_rng
 
 from conftest import chordal_graphs, random_chordal_graph
 from oracles import (
     PrecisionSampler,
     adjacency,
+    cholesky_logdet,
     clique_separator_sum_reference,
+    log_graph_prior,
     log_norm_const,
     log_norm_const_complete,
     perfect_sequence,
@@ -204,6 +206,12 @@ class TestMarginalLikelihood:
         assert log_pairwise_bayes_factor(data, g1, g1, hyper) == 0.0
 
 
+def scored_prior(g, hyper):
+    """The graph prior as the scorer states it: ``score(g).log_prior``.  A
+    non-chordal graph raises (``test_score_raises_on_non_decomposable``)."""
+    return GraphScorer(random_dataset(12, g.p), hyper).score(g).log_prior
+
+
 class TestGraphPrior:
     def test_frozen_difference(self):
         hyper = Hyperparameters(c_tau=0.5)
@@ -211,23 +219,19 @@ class TestGraphPrior:
             10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
         )
         g5 = UndirectedGraph.from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
-        diff = log_graph_prior(g6, hyper) - log_graph_prior(g5, hyper)
+        diff = scored_prior(g6, hyper) - scored_prior(g5, hyper)
         assert diff == pytest.approx(-3.0484125313829042, abs=1e-10)
-
-    def test_non_decomposable_is_excluded(self):
-        c4 = UndirectedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        assert log_graph_prior(c4, Hyperparameters()) == -math.inf
 
     def test_edge_cap(self):
         hyper = Hyperparameters(r_max=1)
         g2 = UndirectedGraph.from_edges(4, [(0, 1), (1, 2)])
-        assert log_graph_prior(g2, hyper) == -math.inf
+        assert scored_prior(g2, hyper) == -math.inf
         g1 = UndirectedGraph.from_edges(4, [(0, 1)])
-        assert math.isfinite(log_graph_prior(g1, hyper))
+        assert math.isfinite(scored_prior(g1, hyper))
 
     def test_empty_graph_prior_is_zero(self):
         # binom(m, 0) = 1 and the size penalty vanishes
-        assert log_graph_prior(UndirectedGraph.empty(6), Hyperparameters()) == 0.0
+        assert scored_prior(UndirectedGraph.empty(6), Hyperparameters()) == 0.0
 
 
 class TestScorer:
@@ -270,6 +274,23 @@ class TestScorer:
         scorer = GraphScorer(data, hyper)
         s1, s0 = scorer.score(g1), scorer.score(g0)
         assert ratio == pytest.approx(s1.log_posterior - s0.log_posterior, rel=1e-10)
+
+    def test_ratio_makes_one_clique_search_per_graph(self, monkeypatch):
+        # the Bayes factor's clique searches have already found both graphs
+        # chordal, so the priors add no chordality test of their own
+        calls = []
+        visit = gwish.graph._mcs_visit
+
+        def counted(g):
+            calls.append(g)
+            return visit(g)
+
+        monkeypatch.setattr(gwish.graph, "_mcs_visit", counted)
+        data = random_dataset(14, 5, seed=11)
+        g1 = UndirectedGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        g0 = UndirectedGraph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+        log_posterior_ratio(data, g1, g0, Hyperparameters(g=0.25))
+        assert calls == [g1, g0]
 
     def test_ratio_of_two_graphs_outside_support_raises(self):
         # at r_max = 0 every one-edge graph has prior -inf, and -inf - -inf

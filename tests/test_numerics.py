@@ -11,7 +11,6 @@ from gwish.graph import UndirectedGraph
 from gwish.model import Dataset, Hyperparameters
 from gwish.numerics import (
     cholesky_factor,
-    cholesky_logdet,
     log_multigamma,
     make_rng,
     sample_mvn,
@@ -20,7 +19,7 @@ from gwish.numerics import (
     symmetrize,
 )
 
-from oracles import PrecisionSampler
+from oracles import PrecisionSampler, cholesky_logdet
 
 
 class TestCholesky:
@@ -207,6 +206,10 @@ class TestMvn:
     def test_zero_rows(self):
         x = sample_mvn(0, np.eye(3), make_rng(0))
         assert x.shape == (0, 3)
+
+    def test_rejects_non_square_sigma(self):
+        with pytest.raises(DimensionMismatch, match=r"got shape \(2, 3\)"):
+            sample_mvn(4, np.ones((2, 3)), make_rng(0))
 
 
 class TestRng:
