@@ -15,7 +15,6 @@ from .errors import (
 )
 from .graph import (
     UndirectedGraph,
-    decomposable_neighbors,
     is_decomposable,
     move_is_decomposable,
     read_edge_list,

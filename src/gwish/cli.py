@@ -35,9 +35,8 @@ from .model import (
     Hyperparameters,
     PRESETS,
     _check_finite,
+    _log_bayes_factor_and_ratio,
     bayes_estimator_l1_stein,
-    log_pairwise_bayes_factor,
-    log_posterior_ratio,
     posterior_mean_precision,
     theory_r_max,
 )
@@ -286,8 +285,7 @@ def _cmd_bf(args) -> int:
     data, hyper = _load_model(args)
     g1 = read_edge_list(args.graph1, p=data.p)
     g0 = read_edge_list(args.graph0, p=data.p)
-    log_bf = log_pairwise_bayes_factor(data, g1, g0, hyper)
-    log_ratio = log_posterior_ratio(data, g1, g0, hyper)
+    log_bf, log_ratio = _log_bayes_factor_and_ratio(data, g1, g0, hyper)
     payload = {
         "log_bayes_factor": log_bf,
         "log_posterior_ratio": log_ratio,

@@ -17,22 +17,20 @@ cliques and separators are masks too; no dense adjacency is built for any
 of them.
 
 A single-edge move is named by its edge alone: it deletes (u, v) when the
-graph has that edge and adds it otherwise (``UndirectedGraph.toggled``).
-Moves on a decomposable graph are tested locally, without re-running MCS
-(Giudici & Green 1999): with S = N(u) & N(v), adding (u, v) keeps the graph
-decomposable iff S separates u from v, and deleting it does iff S is
-complete.  ``toggled`` derives the new graph's masks from the old ones by
-flipping two bits.  Component labels with a cycle flag per component decide
-most additions without that separator search: a graph computes them once,
-and a run of additions grows one mutable ``GrowingGraph`` that keeps them up
-to date.
+graph has that edge and adds it otherwise (``UndirectedGraph.toggled``,
+which flips two bits of the masks).  Moves on a decomposable graph are
+tested locally, without re-running MCS (Giudici & Green 1999): with
+S = N(u) & N(v), adding (u, v) keeps the graph decomposable iff S
+separates u from v, and deleting it does iff S is complete.  Component
+labels with a cycle flag per component decide most additions without that
+separator search; a run of additions grows one mutable ``GrowingGraph``
+that keeps them up to date.  ``_move_table`` lists a graph's decomposable
+neighbourhood with each move's S, which the exact MCMC kernel and the
+shotgun search score.
 
-``random_decomposable_move`` draws one such move of a requested kind, and
-makes the other kind when the graph has no pair of the requested one (an
-empty graph cannot lose an edge, a complete one cannot gain one); it raises
-NoValidMove only at p = 1, where there is no pair to move.  Random
-additions, one or a run of them (``random_decomposable_additions``), are
-``GrowingGraph.draw`` calls on one ``GrowingGraph``.
+``random_decomposable_move`` draws one such move of a requested kind, or of
+the other kind when the graph has no pair of the requested one; random
+additions are ``GrowingGraph.draw`` calls.
 """
 
 from __future__ import annotations
@@ -344,21 +342,16 @@ class GrowingGraph:
     """A decomposable graph grown by single-edge additions, for greedy
     passes and random growth that test many additions in a row.
 
-    It keeps mutable neighbour masks and the edge set, and one component
-    labelling with a flag per component that records whether it has a
-    cycle, copied from the graph it is built from.  So the add-candidate
-    filter of ``_addition_is_decomposable`` runs no search for pairs in
-    different components or in one tree, and rejects joined pairs without
-    a common neighbour outright.  ``candidates`` also needs a dense
-    adjacency and a matrix marking the pairs with a common neighbour; they
-    are built on its first call, so a walk that only tests and adds pairs
-    never pays for them.  Additions only ever join components and create
-    common neighbours, so ``add`` updates the labels, and the dense state
-    once it is built, in O(p) without a rebuild: the new edge (u, v) gives
-    v a common neighbour with every neighbour of u and vice versa, and
-    relabels v's component as u's.  It offers the reads that the rule and
-    ``UndirectedGraph.connected`` make: ``neighbor_masks``, ``labels`` and
-    the cycle flags.
+    It keeps mutable neighbour masks, the edge set, and the component labels
+    and cycle flags of the graph it is built from: the reads that
+    ``_addition_is_decomposable`` and ``UndirectedGraph.connected`` make.
+    Only ``draw`` calls ``candidates``, which also needs a dense adjacency
+    and a matrix marking the pairs with a common neighbour, built on its
+    first call, so a walk that only tests and adds pairs never pays for
+    them.  Additions only join components and create common neighbours, so
+    ``add`` updates the labels, and the dense state once built, in O(p): the
+    new edge (u, v) gives v a common neighbour with every neighbour of u and
+    vice versa, and relabels v's component as u's.
     """
 
     def __init__(self, g: UndirectedGraph):
@@ -441,22 +434,14 @@ class GrowingGraph:
 
 
 def move_is_decomposable(g: UndirectedGraph, edge: Edge) -> bool:
-    """Would the move on ``edge`` leave the graph decomposable?
+    """Would the move on ``edge`` leave the decomposable ``g`` decomposable?
 
-    The move deletes ``edge`` if ``g`` has it and adds it otherwise; ``g``
-    itself must be decomposable.  Both answers are local in
-    S = N(u) & N(v) (Giudici & Green 1999):
-
-    - adding (u, v) is valid iff v is unreachable from u once S is removed,
-      which covers u and v in different components (S empty, no path) and
-      connected without a common neighbour (S empty, a path; the shortest
-      path plus the new edge is a chordless cycle);
-    - deleting (u, v) is valid iff S is complete, i.e. the edge lies in
-      exactly one maximal clique.
-
-    An addition reads the graph's component labels and cycle flags, built
-    once per graph, so ``_addition_is_decomposable`` runs the separator BFS
-    only for a pair with a common neighbour in a component with a cycle.
+    The move deletes ``edge`` if ``g`` has it and adds it otherwise.  Both
+    answers are local in S = N(u) & N(v) (Giudici & Green 1999): adding
+    (u, v) is valid iff S separates u from v (``_addition_is_decomposable``,
+    which reads the graph's component labels and cycle flags, built once per
+    graph), and deleting it iff S is complete, i.e. the edge lies in exactly
+    one maximal clique.
     """
     u, v = _normalize_edge(*edge)
     nbrs = g.neighbor_masks
@@ -465,26 +450,30 @@ def move_is_decomposable(g: UndirectedGraph, edge: Edge) -> bool:
     return _addition_is_decomposable(g, u, v, *g._components)
 
 
-def decomposable_neighbors(g: UndirectedGraph) -> list[Edge]:
-    """The edges whose single-edge move keeps the graph decomposable.
-
-    Returned in lexicographic order; an edge of ``g`` names a deletion, any
-    other pair an addition.  The additions are the candidates of a
-    ``GrowingGraph`` built once for ``g`` that pass its ``can_add``: pairs
-    in different components, and pairs with a common neighbour in a tree,
-    are added with no search, and only the rest run the separator BFS.
-    Raises NotDecomposable if ``g`` is not decomposable.
-    """
-    if not is_decomposable(g):
-        raise NotDecomposable("neighbourhood is defined for decomposable graphs only")
-    grown = GrowingGraph(g)
-    moves = [e for e in g.sorted_edges if move_is_decomposable(g, e)]
-    for k in grown.candidates().tolist():
-        u, v = divmod(k, g.p)
-        if grown.can_add(u, v):
-            moves.append((u, v))
-    moves.sort()
-    return moves
+def _move_table(g: UndirectedGraph) -> list[tuple[int, int, int]]:
+    """The moves that keep the decomposable ``g`` decomposable, as (u, v, S)
+    with u < v and S = N(u) & N(v), in lexicographic order.  Only the v > u
+    that are neighbours of u, two steps away or in another component are
+    tested (adding any other pair closes a chordless cycle), by the rules of
+    ``move_is_decomposable``; no chordality pass runs."""
+    nbrs = g.neighbor_masks
+    labels, cyclic = g._components
+    comps = dict.fromkeys(labels, 0)
+    for w, label in enumerate(labels):
+        comps[label] |= 1 << w
+    everyone = (1 << g.p) - 1
+    table = []
+    for u in range(g.p):
+        near = nbrs[u]
+        reach = near | everyone ^ comps[labels[u]]
+        for w in _bits(near):
+            reach |= nbrs[w]
+        for v in _bits(reach >> u + 1 << u + 1):
+            sep = near & nbrs[v]
+            if (_all_complete(g, (sep,)) if near >> v & 1
+                    else _addition_is_decomposable(g, u, v, labels, cyclic)):
+                table.append((u, v, sep))
+    return table
 
 
 def random_decomposable_additions(

@@ -3,9 +3,9 @@
 A proposal is one edge: the move deletes it from the current graph if
 present and adds it otherwise.  The ``uniform`` kernel flips a fair coin
 and draws one existing edge (delete) or one absent pair (add), uniformly.
-The ``exact`` kernel draws uniformly from the decomposable single-edge
-neighbourhood and corrects by the neighbourhood sizes.  Both leave the
-graph posterior invariant.
+The ``exact`` kernel draws uniformly from the table of decomposable moves
+with their S = N(u) & N(v) (``graph._move_table``) and corrects by the
+table sizes.  Both leave the graph posterior invariant.
 
 The support is the decomposable graphs with at most r_max edges and no
 clique larger than n; a proposal outside it is a rejected step, never an
@@ -32,7 +32,7 @@ from .errors import CliqueTooLarge, NotDecomposable
 from .graph import (
     Edge,
     UndirectedGraph,
-    decomposable_neighbors,
+    _move_table,
     enumerate_decomposable_graphs,
     is_decomposable,
     move_is_decomposable,
@@ -86,11 +86,11 @@ class ChainConfig:
 @dataclass
 class ChainState:
     """Current graph with its cached score; ``neighbors`` memoises the
-    decomposable neighbourhood for the exact kernel."""
+    exact kernel's move table, (u, v, S) per move (``graph._move_table``)."""
 
     graph: UndirectedGraph
     score: GraphScore
-    neighbors: list[Edge] | None = None
+    neighbors: list[tuple[int, int, int]] | None = None
 
 
 @dataclass
@@ -156,14 +156,14 @@ def _propose_uniform(
 
 
 def _propose_exact(
-    g: UndirectedGraph, rng: np.random.Generator, neighbors: list[Edge]
-) -> tuple[Edge, float, list[Edge]]:
-    """The proposed edge, its log Hastings ratio and the neighbourhood of
-    the graph it leads to."""
-    e = neighbors[int(rng.integers(len(neighbors)))]
-    neighbors_new = decomposable_neighbors(g.toggled(*e))
+    g: UndirectedGraph, rng: np.random.Generator, neighbors: list[tuple[int, int, int]]
+) -> tuple[tuple[int, int, int], float, list[tuple[int, int, int]]]:
+    """The proposed move (u, v, S), its log Hastings ratio and the move
+    table of the graph it leads to."""
+    move = neighbors[int(rng.integers(len(neighbors)))]
+    neighbors_new = _move_table(g.toggled(move[0], move[1]))
     lqr = math.log(len(neighbors)) - math.log(len(neighbors_new))
-    return e, lqr, neighbors_new
+    return move, lqr, neighbors_new
 
 
 def mh_step(
@@ -188,14 +188,17 @@ def mh_step(
     if kernel == "exact":
         if state.neighbors is None:
             # memoised so a rejected step does not recompute it next time
-            state.neighbors = decomposable_neighbors(state.graph)
-        edge, lqr, nbrs_new = _propose_exact(state.graph, rng, state.neighbors)
+            state.neighbors = _move_table(state.graph)
+        (i, j, sep), lqr, nbrs_new = _propose_exact(state.graph, rng, state.neighbors)
+        edge, adding = (i, j), not state.graph.neighbor_masks[i] >> j & 1
+        # the delta of log_posterior_delta, from the table's S
+        log_alpha = scorer._delta(i, j, sep, state.graph.size, adding) + lqr
     else:
         proposal = _propose_uniform(state.graph, rng)
         if proposal is None:
             return state, False
         (edge, lqr), nbrs_new = proposal, None
-    log_alpha = scorer.log_posterior_delta(state.graph, edge) + lqr
+        log_alpha = scorer.log_posterior_delta(state.graph, edge) + lqr
     u = rng.random()
     if math.log(u) < log_alpha:
         g_new = state.graph.toggled(*edge)

@@ -365,12 +365,19 @@ def log_posterior_ratio(
     """Log posterior odds of g1 over g0: the Bayes factor plus the prior ratio,
     both from one scorer, whose clique search raises NotDecomposable for a
     non-chordal graph.  ValueError when both lie outside the prior support."""
+    return _log_bayes_factor_and_ratio(data, g1, g0, hyper)[1]
+
+
+def _log_bayes_factor_and_ratio(
+    data: Dataset, g1: UndirectedGraph, g0: UndirectedGraph, hyper: Hyperparameters
+) -> tuple[float, float]:
+    # the two functions above on one scorer: one clique search per graph
     scorer = GraphScorer(data, hyper)
     bf = scorer.log_marginal_core(g1) - scorer.log_marginal_core(g0)
     lp1, lp0 = scorer._size_prior(g1.size), scorer._size_prior(g0.size)
     if lp1 == lp0 == -math.inf:
         raise ValueError("both graphs are outside the prior support")
-    return bf + lp1 - lp0
+    return bf, bf + lp1 - lp0
 
 
 def _clique_separator_sum(

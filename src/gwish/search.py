@@ -13,12 +13,13 @@ from .graph import (
     Edge,
     GrowingGraph,
     UndirectedGraph,
-    decomposable_neighbors,
+    _move_table,
+    is_decomposable,
     random_decomposable_move,
 )
 from .model import Dataset, GraphScore, GraphScorer, Hyperparameters
 from .numerics import spd_inverse
-from .errors import CliqueTooLarge, NoValidMove
+from .errors import CliqueTooLarge, NotDecomposable, NoValidMove
 
 # random moves that perturb the incumbent before a shotgun restart
 _RESTART_JITTER = 2
@@ -179,15 +180,17 @@ def shotgun_search(
     Each step scores every decomposable single-edge neighbour by its move
     delta and moves to the best when it improves the current score; at a
     local optimum the search restarts from the incumbent best perturbed by
-    two random decomposability-preserving moves (skipped when no rng is
-    given, in which case the search stops there).  Neighbours with a clique
-    larger than n are skipped, and a restart whose jitter creates one starts
-    from the unperturbed incumbent.  Only the states the search moves to get
-    a full score.  The score trace records the incumbent after each step and
-    never decreases.  Raises ValueError for a negative ``max_iters``.
+    two random decomposability-preserving moves, or stops there when no rng
+    is given.  Neighbours with a clique larger than n are skipped, and a
+    restart whose jitter creates one starts from the unperturbed incumbent.
+    Only the states moved to get a full score.  The score trace records the
+    incumbent after each step and never decreases.  Raises ValueError for a
+    negative ``max_iters`` and NotDecomposable for a non-decomposable init.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
+    if not is_decomposable(init):
+        raise NotDecomposable("initial graph must be decomposable")
     current = init
     cur_lp = scorer.score(current).log_posterior
     best_g, best_lp = current, cur_lp
@@ -197,17 +200,18 @@ def shotgun_search(
         moved = False
         nbr_best: Edge | None = None
         nbr_lp = -math.inf
-        for e in decomposable_neighbors(current):
+        nbrs, size = current.neighbor_masks, current.size
+        for u, v, sep in _move_table(current):
             if cur_lp > -math.inf:
                 # a neighbour outside the support scores -inf, never taken
-                lp = cur_lp + scorer.log_posterior_delta(current, e)
+                lp = cur_lp + scorer._delta(u, v, sep, size, not nbrs[u] >> v & 1)
             else:
                 # above r_max (a jittered restart or the initial graph) there
                 # is no finite score to add a delta to
-                lp = scorer.score(current.toggled(*e)).log_posterior
+                lp = scorer.score(current.toggled(u, v)).log_posterior
             visited += 1
             if lp > nbr_lp:
-                nbr_best, nbr_lp = e, lp
+                nbr_best, nbr_lp = (u, v), lp
         if nbr_best is not None and nbr_lp > cur_lp:
             current = current.toggled(*nbr_best)
             cur_lp = scorer.score(current).log_posterior

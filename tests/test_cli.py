@@ -4,10 +4,17 @@ import math
 import numpy as np
 import pytest
 
+import gwish.graph
 from gwish import cli
 from gwish.cli import main
 from gwish.graph import UndirectedGraph, read_edge_list, write_edge_list
-from gwish.model import theory_r_max
+from gwish.model import (
+    Dataset,
+    Hyperparameters,
+    log_pairwise_bayes_factor,
+    log_posterior_ratio,
+    theory_r_max,
+)
 
 from oracles import perfect_sequence
 
@@ -291,6 +298,31 @@ class TestBayesFactor:
         assert fwd["log_bayes_factor"] == pytest.approx(-rev["log_bayes_factor"])
         saved = json.loads((tmp_path / "fwd/bf.json").read_text())
         assert saved["log_bayes_factor"] == fwd["log_bayes_factor"]
+
+    def test_one_clique_search_per_graph(self, data_dir, tmp_path, capsys, monkeypatch):
+        # the Bayes factor and the posterior ratio come from one scorer, so
+        # each graph's cliques are searched once; the values are those of
+        # the two library functions
+        calls = []
+        visit = gwish.graph._mcs_visit
+
+        def counted(g):
+            calls.append(g)
+            return visit(g)
+
+        monkeypatch.setattr(gwish.graph, "_mcs_visit", counted)
+        g1 = UndirectedGraph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        g0 = UndirectedGraph.from_edges(4, [(2, 3)])
+        write_edge_list(g1, str(tmp_path / "g1.edges"))
+        write_edge_list(g0, str(tmp_path / "g0.edges"))
+        assert run("bf", "--data", data_dir, "--g", 0.2, "--graph1", tmp_path / "g1.edges",
+                   "--graph0", tmp_path / "g0.edges") == 0
+        assert calls == [g1, g0]
+        payload = json.loads(capsys.readouterr().out)
+        x = np.loadtxt(data_dir / "X.csv", delimiter=",", ndmin=2)
+        data, hyper = Dataset.from_matrix(x), Hyperparameters(g=0.2)
+        assert payload["log_bayes_factor"] == log_pairwise_bayes_factor(data, g1, g0, hyper)
+        assert payload["log_posterior_ratio"] == log_posterior_ratio(data, g1, g0, hyper)
 
     def test_g_and_preset_conflict(self, data_dir, tmp_path):
         gpath = tmp_path / "g.edges"

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gwish.graph
 from gwish.errors import IndexOutOfRange, InvalidMove, NotDecomposable, NoValidMove
 from gwish.graph import (
     GrowingGraph,
     UndirectedGraph,
     _mcs_visit,
-    decomposable_neighbors,
+    _move_table,
+    enumerate_decomposable_graphs,
     enumerate_graphs,
     is_decomposable,
     move_is_decomposable,
@@ -35,6 +37,21 @@ from oracles import (
     relabel,
     relabelled_perfect_sequence,
 )
+
+
+def move_pairs(g):
+    """The (u, v) of each move in the table of ``g``, in table order."""
+    return [(u, v) for u, v, _ in _move_table(g)]
+
+
+def check_move_table(g):
+    """The table lists the per-pair reference's moves in its order, each
+    with S = N(u) & N(v)."""
+    table = _move_table(g)
+    assert [(u, v) for u, v, _ in table] == decomposable_neighbors_reference(g)
+    nbrs = g.neighbor_masks
+    for u, v, sep in table:
+        assert sep == nbrs[u] & nbrs[v]
 
 
 def all_graphs(p):
@@ -244,20 +261,15 @@ class TestMoves:
 
     def test_triangle_neighbors_are_three_deletions(self):
         k3 = UndirectedGraph.complete(3)
-        assert decomposable_neighbors(k3) == list(k3.sorted_edges)
+        assert move_pairs(k3) == list(k3.sorted_edges)
 
     def test_neighbors_of_empty_graph_are_all_additions(self):
-        nbrs = decomposable_neighbors(UndirectedGraph.empty(4))
+        nbrs = move_pairs(UndirectedGraph.empty(4))
         assert nbrs == [(i, j) for i in range(4) for j in range(i + 1, 4)]
-
-    def test_neighbors_requires_decomposable_input(self):
-        c4 = UndirectedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        with pytest.raises(NotDecomposable):
-            decomposable_neighbors(c4)
 
     def test_neighbors_deterministic_lexicographic(self):
         g = UndirectedGraph.from_edges(4, [(0, 1), (1, 2)])
-        nbrs = decomposable_neighbors(g)
+        nbrs = move_pairs(g)
         assert nbrs == sorted(nbrs)
         # every listed move must verify, every omitted one must fail
         listed = set(nbrs)
@@ -353,7 +365,29 @@ class TestLocalMoveRules:
     @settings(max_examples=150, deadline=None)
     @given(chordal_graphs)
     def test_neighbors_match_per_pair_reference(self, g):
-        assert decomposable_neighbors(g) == decomposable_neighbors_reference(g)
+        check_move_table(g)
+
+    def test_neighbors_match_per_pair_reference_up_to_p6(self):
+        for p in range(1, 7):
+            for g in enumerate_decomposable_graphs(p):
+                check_move_table(g)
+
+    def test_move_table_runs_no_chordality_pass(self, monkeypatch):
+        # the table trusts its graph to be decomposable; only a move test
+        # per visited pair runs, never a maximum cardinality search
+        calls = []
+        visit = gwish.graph._mcs_visit
+
+        def counted(g):
+            calls.append(g)
+            return visit(g)
+
+        monkeypatch.setattr(gwish.graph, "_mcs_visit", counted)
+        g = UndirectedGraph.from_edges(
+            8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (5, 6)]
+        )
+        assert _move_table(g)
+        assert calls == []
 
 
 class TestNoPerPairSearch:
@@ -366,8 +400,8 @@ class TestNoPerPairSearch:
         # every pair of the empty graph lies in different components; a path
         # is a tree, so each pair two steps apart is separated by its middle
         # vertex, and pairs further apart have no common neighbour
-        assert decomposable_neighbors(empty) == list(itertools.combinations(range(p), 2))
-        assert decomposable_neighbors(path) == sorted(
+        assert move_pairs(empty) == list(itertools.combinations(range(p), 2))
+        assert move_pairs(path) == sorted(
             [(i, i + 1) for i in range(p - 1)] + [(i, i + 2) for i in range(p - 2)]
         )
         assert separator_searches == []
@@ -389,7 +423,7 @@ class TestNoPerPairSearch:
         # a triangle with a tail: (0, 3) has common neighbour 2 in a component
         # with a cycle, so only the BFS avoiding {2} can accept it
         g = UndirectedGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-        assert (0, 3) in decomposable_neighbors(g)
+        assert (0, 3) in move_pairs(g)
         assert separator_searches
 
 
@@ -504,10 +538,8 @@ class TestMoveDelta:
     def test_delta_matches_full_marginal_difference(self, g):
         scorer = GraphScorer(Dataset.from_matrix(self.X[:, : g.p]), Hyperparameters(g=0.3))
         base = scorer.log_marginal_core(g)
-        for e in decomposable_neighbors(g):
-            full = scorer.log_marginal_core(g.toggled(*e)) - base
-            u, v = e
-            sep = g.neighbor_masks[u] & g.neighbor_masks[v]
+        for u, v, sep in _move_table(g):
+            full = scorer.log_marginal_core(g.toggled(u, v)) - base
             delta = scorer._move_delta(u, v, sep, not g.has_edge(u, v))
             assert abs(delta - full) <= 1e-9
 
@@ -520,9 +552,11 @@ class TestMoveDelta:
         hyper = Hyperparameters(g=0.3, r_max=g.size + dr)
         scorer = GraphScorer(Dataset.from_matrix(self.X[:n, : g.p]), hyper)
         base = scorer.score(g).log_posterior
-        for e in decomposable_neighbors(g):
-            g2 = g.toggled(*e)
-            got = scorer.log_posterior_delta(g, e)
+        for u, v, sep in _move_table(g):
+            g2 = g.toggled(u, v)
+            got = scorer.log_posterior_delta(g, (u, v))
+            # the table's separator gives the same delta, to the bit
+            assert scorer._delta(u, v, sep, g.size, not g.has_edge(u, v)) == got
             if g2.size > hyper.r_max or max(map(len, perfect_sequence(g2).cliques)) > n:
                 assert got == -math.inf
             else:

@@ -6,7 +6,7 @@ import pytest
 from gwish.errors import NotDecomposable
 from gwish.graph import (
     UndirectedGraph,
-    decomposable_neighbors,
+    _move_table,
     enumerate_decomposable_graphs,
 )
 from gwish.mcmc import (
@@ -27,7 +27,7 @@ from gwish.numerics import make_rng
 from gwish.search import threshold_init
 from gwish.simulate import TrueModelSpec, build_truth, sample_dataset
 
-from oracles import perfect_sequence
+from oracles import decomposable_neighbors_reference, perfect_sequence
 
 
 class FakeRng:
@@ -103,12 +103,16 @@ class TestExactProposal:
         # path on 4 vertices has 5 decomposable neighbours; adding (0,2)
         # yields a triangle with a tail, which has 6
         g = path_graph(4, 3)
-        nbrs = decomposable_neighbors(g)
+        nbrs = _move_table(g)
+        pairs = [(u, v) for u, v, _ in nbrs]
+        assert pairs == decomposable_neighbors_reference(g)
         assert len(nbrs) == 5
-        rng = FakeRng(ints=[nbrs.index((0, 2))])
-        edge, lqr, nbrs_new = _propose_exact(g, rng, nbrs)
-        assert edge == (0, 2)
-        assert nbrs_new == decomposable_neighbors(g.toggled(0, 2))
+        rng = FakeRng(ints=[pairs.index((0, 2))])
+        move, lqr, nbrs_new = _propose_exact(g, rng, nbrs)
+        assert move == (0, 2, 0b10)  # S = {1}
+        g2 = g.toggled(0, 2)
+        assert nbrs_new == _move_table(g2)
+        assert [(u, v) for u, v, _ in nbrs_new] == decomposable_neighbors_reference(g2)
         assert len(nbrs_new) == 6
         assert lqr == pytest.approx(math.log(5.0 / 6.0), abs=1e-12)
 

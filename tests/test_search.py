@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwish.cli import main
+from gwish.errors import NotDecomposable
 from gwish.graph import (
     UndirectedGraph,
-    decomposable_neighbors,
     enumerate_decomposable_graphs,
     is_decomposable,
     write_edge_list,
@@ -32,7 +32,7 @@ from gwish.search import (
 )
 from gwish.simulate import TrueModelSpec, build_truth, sample_dataset
 
-from oracles import candidate_graphs_reference
+from oracles import candidate_graphs_reference, decomposable_neighbors_reference
 
 
 @pytest.fixture(scope="module")
@@ -246,8 +246,17 @@ class TestShotgun:
             UndirectedGraph.empty(4), GraphScorer(ar1_data, hyper), max_iters=50
         )
         mode, lp = res.mode_graph, res.mode_score.log_posterior
-        for e in decomposable_neighbors(mode):
+        for e in decomposable_neighbors_reference(mode):
             assert log_post(ar1_data, mode.toggled(*e), hyper) <= lp
+
+    @pytest.mark.parametrize("r_max", [None, 2])
+    def test_non_decomposable_start_raises(self, ar1_data, r_max):
+        # above the cap the start's score is -inf without a clique search,
+        # so the entry point tests chordality itself
+        c4 = UndirectedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        scorer = GraphScorer(ar1_data, Hyperparameters(g=0.2, r_max=r_max))
+        with pytest.raises(NotDecomposable):
+            shotgun_search(c4, scorer, max_iters=3, rng=make_rng(1))
 
     def test_finds_enumerated_global_mode(self, ar1_data):
         # at this g the exact posterior mode over all 61 decomposable graphs
