@@ -68,6 +68,15 @@ def _write_matrix(path: Path, m: np.ndarray, header: list[str] | None = None) ->
         fh.write("".join([row % tuple(r) for r in m.tolist()]))
 
 
+def _write_rows(path: Path, rows: list[dict]) -> None:
+    """A header of the first row's keys, then one line of ``repr`` values per row."""
+    cols = list(rows[0])
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(row[c]) for c in cols) + "\n")
+
+
 def _read_matrix(path: str) -> np.ndarray:
     # tolerate a single non-numeric header line; Dataset.from_matrix reports
     # a file without data rows, so numpy's own warning about it is dropped
@@ -139,7 +148,6 @@ def _load_model(args) -> tuple[Dataset, Hyperparameters]:
 
 
 def _cmd_gen_data(args) -> int:
-    out = _outdir(args)
     try:
         spec = TrueModelSpec(kind=args.kind, p=args.p)
         truth = build_truth(spec)
@@ -147,6 +155,7 @@ def _cmd_gen_data(args) -> int:
         raise UsageError(f"invalid model spec: {exc}") from exc
     if args.n < 2:
         raise UsageError("n must be at least 2")
+    out = _outdir(args)
     rng = make_rng(args.seed, args.stream)
     data = sample_dataset(truth, args.n, rng)
     header = [f"x{i + 1}" for i in range(args.p)] if args.header else None
@@ -189,8 +198,8 @@ def _cmd_mcmc(args) -> int:
     )
     if args.p4_oracle and data.p != 4:
         raise UsageError("--p4-oracle requires 4-column data")
-    out = _outdir(args)
     result = run_chain(config, data, hyper)
+    out = _outdir(args)
     median = median_probability_graph(result)
     _write_matrix(out / "inclusion.csv", result.inclusion)
     write_edge_list(median, str(out / "median_graph.edges"))
@@ -318,11 +327,7 @@ def _cmd_ratio_experiment(args) -> int:
         n_seeds=args.replicates,
     )
     out = _outdir(args)
-    cols = list(rows[0].keys())
-    with open(out / "ratio.csv", "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(row[c]) for c in cols) + "\n")
+    _write_rows(out / "ratio.csv", rows)
     _write_meta(
         out,
         {
@@ -398,15 +403,11 @@ def _cmd_metrics(args) -> int:
             "mcc": rep.mcc,
             "degenerate": int(rep.degenerate),
         }
-        with open(out / "selection.csv", "w") as fh:
-            fh.write(",".join(row.keys()) + "\n")
-            fh.write(",".join(repr(v) for v in row.values()) + "\n")
+        _write_rows(out / "selection.csv", [row])
         summary["selection"] = row
     if args.omega:
         errs = relative_errors(est_m, tru_m)
-        with open(out / "errors.csv", "w") as fh:
-            fh.write(",".join(errs.keys()) + "\n")
-            fh.write(",".join(repr(v) for v in errs.values()) + "\n")
+        _write_rows(out / "errors.csv", [errs])
         summary["relative_errors"] = errs
     print(json.dumps(summary, indent=2, sort_keys=True))
     _write_meta(out, summary)
@@ -440,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--burn-in", type=int, default=3000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--stream", type=int, default=0)
-    sp.add_argument("--kernel", choices=KERNELS, default="uniform")
+    sp.add_argument("--kernel", choices=tuple(KERNELS), default="uniform")
     sp.add_argument("--init", choices=("empty", "threshold"), help="default: empty")
     sp.add_argument("--init-graph", default=None, help="edge-list file to start from")
     sp.add_argument(

@@ -1,16 +1,16 @@
 """Metropolis-Hastings over decomposable graphs.
 
-A proposal is one edge: the move deletes it from the current graph if
-present and adds it otherwise.  The ``uniform`` kernel flips a fair coin
-and draws one existing edge (delete) or one absent pair (add), uniformly.
-The ``exact`` kernel draws uniformly from the table of decomposable moves
-with their S = N(u) & N(v) (``graph._move_table``) and corrects by the
-table sizes.  Both leave the graph posterior invariant.
+A proposal is one edge move (u, v, S), S = N(u) & N(v): it deletes (u, v)
+if present and adds it otherwise.  Each ``KERNELS`` entry proposes a move
+with its log Hastings ratio.  ``uniform`` flips a fair coin and draws one
+existing edge (delete) or one absent pair (add), uniformly; ``exact`` draws
+uniformly from the table of decomposable moves (``graph._move_table``) and
+corrects by the table sizes.  Both leave the graph posterior invariant.
 
 The support is the decomposable graphs with at most r_max edges and no
 clique larger than n; a proposal outside it is a rejected step, never an
-error (Giudici & Green 1999).  Other proposals are scored by the four-term
-delta of ``GraphScorer.log_posterior_delta``; only an accepted move builds
+error (Giudici & Green 1999).  ``mh_step`` scores every other proposal by
+the four-term delta of ``GraphScorer._delta``; only an accepted move builds
 the new graph and gives it a full score, so every recorded score is exact.
 
 The model-averaged precision estimate E[Omega | X] = sum_G pi(G | X)
@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import CliqueTooLarge, NotDecomposable
 from .graph import (
-    Edge,
     UndirectedGraph,
     _move_table,
     enumerate_decomposable_graphs,
@@ -46,9 +45,6 @@ from .model import (
 )
 from .numerics import make_rng
 from .search import threshold_init
-
-KERNELS = ("uniform", "exact")
-
 
 @dataclass(frozen=True)
 class ChainConfig:
@@ -78,19 +74,21 @@ class ChainConfig:
         if self.sample_precision and self.iterations == 0:
             raise ValueError("sample_precision needs iterations > 0")
         if self.kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
+            raise ValueError(
+                f"kernel must be one of {tuple(KERNELS)}, got {self.kernel!r}"
+            )
         if isinstance(self.init, str) and self.init not in ("empty", "threshold"):
             raise ValueError(f"unknown init {self.init!r}")
 
 
 @dataclass
 class ChainState:
-    """Current graph with its cached score; ``neighbors`` memoises the
-    exact kernel's move table, (u, v, S) per move (``graph._move_table``)."""
+    """Current graph with its cached score; ``table`` memoises the exact
+    kernel's move table, (u, v, S) per move (``graph._move_table``)."""
 
     graph: UndirectedGraph
     score: GraphScore
-    neighbors: list[tuple[int, int, int]] | None = None
+    table: list[tuple[int, int, int]] | None = None
 
 
 @dataclass
@@ -98,11 +96,7 @@ class ChainResult:
     """Post-burn-in summaries plus full traces of one chain."""
 
     p: int
-    burn_in: int
     iterations: int
-    kernel: str
-    seed: int
-    stream: int
     inclusion: np.ndarray
     log_posterior_trace: np.ndarray
     size_trace: np.ndarray
@@ -119,6 +113,10 @@ class ChainResult:
         return float(np.mean(self.accepted_trace))
 
 
+# a move (u, v, S), its log Hastings ratio and the move table of G', if any
+Proposal = tuple[tuple[int, int, int], float, list[tuple[int, int, int]] | None]
+
+
 def _uniform_absent_pair(
     g: UndirectedGraph, rng: np.random.Generator
 ) -> tuple[int, int]:
@@ -132,38 +130,44 @@ def _uniform_absent_pair(
             return e
 
 
-def _propose_uniform(
-    g: UndirectedGraph, rng: np.random.Generator
-) -> tuple[Edge, float] | None:
-    """One fair coin, then one uniform edge (delete) or absent pair (add),
-    with its log Hastings ratio log q(G|G') - log q(G'|G); None when the
-    coin finds no edge of its kind or the move breaks decomposability."""
-    m = g.max_edges
-    k = g.size
+def _propose_uniform(state: ChainState, rng: np.random.Generator) -> Proposal | None:
+    """One fair coin, then one uniform edge (delete) or absent pair (add):
+    the move (u, v, S), its log Hastings ratio log q(G|G') - log q(G'|G) and
+    no table; None when the coin finds no edge of its kind or the move
+    breaks decomposability."""
+    g = state.graph
+    m, k = g.max_edges, g.size
     if rng.random() < 0.5:
         if k == 0:
             return None
-        e = g.sorted_edges[int(rng.integers(k))]
-        if not move_is_decomposable(g, e):
+        u, v = g.sorted_edges[int(rng.integers(k))]
+        lqr = math.log(k) - math.log(m - k + 1)
+    else:
+        if k == m:
             return None
-        return e, math.log(k) - math.log(m - k + 1)
-    if k == m:
+        u, v = _uniform_absent_pair(g, rng)
+        lqr = math.log(m - k) - math.log(k + 1)
+    if not move_is_decomposable(g, (u, v)):
         return None
-    e = _uniform_absent_pair(g, rng)
-    if not move_is_decomposable(g, e):
-        return None
-    return e, math.log(m - k) - math.log(k + 1)
+    nbrs = g.neighbor_masks
+    return (u, v, nbrs[u] & nbrs[v]), lqr, None
 
 
-def _propose_exact(
-    g: UndirectedGraph, rng: np.random.Generator, neighbors: list[tuple[int, int, int]]
-) -> tuple[tuple[int, int, int], float, list[tuple[int, int, int]]]:
-    """The proposed move (u, v, S), its log Hastings ratio and the move
-    table of the graph it leads to."""
-    move = neighbors[int(rng.integers(len(neighbors)))]
-    neighbors_new = _move_table(g.toggled(move[0], move[1]))
-    lqr = math.log(len(neighbors)) - math.log(len(neighbors_new))
-    return move, lqr, neighbors_new
+def _propose_exact(state: ChainState, rng: np.random.Generator) -> Proposal:
+    """One uniform move (u, v, S) from the state's move table, its log
+    Hastings ratio (the log ratio of the two table sizes) and the move table
+    of the graph it leads to."""
+    if state.table is None:
+        # memoised so a rejected step does not rebuild it next time
+        state.table = _move_table(state.graph)
+    table = state.table
+    move = table[int(rng.integers(len(table)))]
+    table_new = _move_table(state.graph.toggled(move[0], move[1]))
+    return move, math.log(len(table)) - math.log(len(table_new)), table_new
+
+
+# name -> (state, rng) -> Proposal, or None for a step rejected unscored
+KERNELS = {"uniform": _propose_uniform, "exact": _propose_exact}
 
 
 def mh_step(
@@ -182,27 +186,20 @@ def mh_step(
     not in KERNELS.
     """
     if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    if state.graph.max_edges == 0:
+        raise ValueError(f"kernel must be one of {tuple(KERNELS)}, got {kernel!r}")
+    g = state.graph
+    if g.max_edges == 0:
         return state, False
-    if kernel == "exact":
-        if state.neighbors is None:
-            # memoised so a rejected step does not recompute it next time
-            state.neighbors = _move_table(state.graph)
-        (i, j, sep), lqr, nbrs_new = _propose_exact(state.graph, rng, state.neighbors)
-        edge, adding = (i, j), not state.graph.neighbor_masks[i] >> j & 1
-        # the delta of log_posterior_delta, from the table's S
-        log_alpha = scorer._delta(i, j, sep, state.graph.size, adding) + lqr
-    else:
-        proposal = _propose_uniform(state.graph, rng)
-        if proposal is None:
-            return state, False
-        (edge, lqr), nbrs_new = proposal, None
-        log_alpha = scorer.log_posterior_delta(state.graph, edge) + lqr
+    proposal = KERNELS[kernel](state, rng)
+    if proposal is None:
+        return state, False
+    (i, j, sep), lqr, table_new = proposal
+    adding = not g.neighbor_masks[i] >> j & 1
+    log_alpha = scorer._delta(i, j, sep, g.size, adding) + lqr
     u = rng.random()
     if math.log(u) < log_alpha:
-        g_new = state.graph.toggled(*edge)
-        return ChainState(g_new, scorer.score(g_new), nbrs_new), True
+        g_new = g.toggled(i, j)
+        return ChainState(g_new, scorer.score(g_new), table_new), True
     return state, False
 
 
@@ -287,11 +284,7 @@ def run_chain(
 
     return ChainResult(
         p=p,
-        burn_in=config.burn_in,
         iterations=config.iterations,
-        kernel=config.kernel,
-        seed=config.seed,
-        stream=config.stream,
         inclusion=inclusion,
         log_posterior_trace=log_post,
         size_trace=sizes,

@@ -30,7 +30,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import CliqueTooLarge, DimensionMismatch
-from .graph import Edge, UndirectedGraph, _bits, _clique_masks
+from .graph import UndirectedGraph, _bits, _clique_masks
 from .numerics import (
     LOG_2,
     LOG_2PI,
@@ -311,8 +311,14 @@ class GraphScorer:
         return self._size_prior(k)
 
     def _delta(self, u: int, v: int, sep: int, size: int, adding: bool) -> float:
-        # log_posterior_delta of the move on (u, v) in a graph with ``size``
-        # edges and common-neighbour mask ``sep``
+        """Log posterior of g' minus that of g for the move on (u, v) of a
+        decomposable g with ``size`` edges and ``sep`` = S = N(u) & N(v).
+
+        The size-prior change plus ``_move_delta``.  -inf when g' lies outside
+        the support: more than r_max edges (the marginal is then never
+        evaluated), or an addition whose new clique S | {u, v} has more
+        vertices than the sample size.
+        """
         log_prior = self._support_prior(sep, size + 1 if adding else size - 1, adding)
         if log_prior == -math.inf:
             return -math.inf
@@ -331,18 +337,6 @@ class GraphScorer:
             bu, bv = 1 << u, 1 << v
             masks += (sep | bu | bv, sep | bu, sep | bv, sep)
         self._factorise(masks)
-
-    def log_posterior_delta(self, g: UndirectedGraph, edge: Edge) -> float:
-        """Log posterior of g' minus that of ``g`` for the move on ``edge``.
-
-        The size-prior change plus ``_move_delta``.  -inf when g' lies outside
-        the support: more than r_max edges (the marginal is then never
-        evaluated), or an addition whose new clique S | {u, v} has more
-        vertices than the sample size.
-        """
-        u, v = edge
-        nbrs = g.neighbor_masks
-        return self._delta(u, v, nbrs[u] & nbrs[v], g.size, not nbrs[u] >> v & 1)
 
 
 def log_pairwise_bayes_factor(

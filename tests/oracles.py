@@ -12,12 +12,13 @@ the log determinant of one ``cholesky_factor``.  ``log_graph_prior`` states
 the graph prior on its own, with its own chordality test, as the reference
 for the scorer's size prior.  The other exceptions are the former
 implementations at the end, kept as references for their faster
-replacements: the dense maximum cardinality search, the per-pair and
-per-move walks, which call the library's single-move test and posterior
-delta (both have oracle tests of their own), the per-vertex posterior precision sampler, the Monte Carlo
-reference for both closed-form estimators, the Monte Carlo Stein-loss
-estimator built on it, and the frozenset-based clique/separator sum of the
-closed-form estimators.
+replacements: ``log_posterior_delta``, the scorer's move delta with S read
+from the edge set, the dense maximum cardinality search, the per-pair and
+per-move walks, which call the library's single-move test and that delta
+(both have oracle tests of their own), the per-vertex posterior precision
+sampler, the Monte Carlo reference for both closed-form estimators, the
+Monte Carlo Stein-loss estimator built on it, and the frozenset-based
+clique/separator sum of the closed-form estimators.
 """
 
 from __future__ import annotations
@@ -494,6 +495,24 @@ def decomposable_neighbors_reference(g: UndirectedGraph) -> list[tuple[int, int]
     ]
 
 
+def common_neighbour_mask(g: UndirectedGraph, u: int, v: int) -> int:
+    """S = N(u) & N(v) as a vertex mask, one edge-set lookup per vertex."""
+    return sum(
+        1 << w for w in range(g.p)
+        if w not in (u, v) and g.has_edge(u, w) and g.has_edge(v, w)
+    )
+
+
+def log_posterior_delta(scorer, g: UndirectedGraph, edge: Edge) -> float:
+    """Log posterior of g' minus that of ``g`` for the move on ``edge``: the
+    scorer's ``_delta`` with S = N(u) & N(v) and the move's direction read
+    vertex by vertex from the edge set, the reference for every caller that
+    hands ``_delta`` an S of its own."""
+    u, v = edge
+    sep = common_neighbour_mask(g, u, v)
+    return scorer._delta(u, v, sep, g.size, not g.has_edge(u, v))
+
+
 def candidate_graphs_reference(scorer, config) -> list[tuple[UndirectedGraph, float]]:
     """Thresholded candidates by the frozen-graph walk: pairs sorted as
     Python tuples by (-weight, i, j), one ``move_is_decomposable`` test per
@@ -524,7 +543,7 @@ def candidate_graphs_reference(scorer, config) -> list[tuple[UndirectedGraph, fl
                 consumed += 1
                 if move_is_decomposable(g, (i, j)):
                     if lp > -math.inf:
-                        lp += scorer.log_posterior_delta(g, (i, j))
+                        lp += log_posterior_delta(scorer, g, (i, j))
                     g = g.toggled(i, j)
             if g.edges not in seen:
                 seen.add(g.edges)

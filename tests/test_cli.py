@@ -66,6 +66,14 @@ class TestGenData:
                    "--out", tmp_path / "z") == 2
         assert capsys.readouterr().err == "gen-data: n must be at least 2\n"
 
+    @pytest.mark.parametrize("kind, p, n", [("star", 30, 50), ("ar1", 4, 1)],
+                             ids=["spec", "n"])
+    def test_invalid_input_creates_no_out_directory(self, tmp_path, kind, p, n):
+        out = tmp_path / "bad"
+        assert run("gen-data", "--kind", kind, "--p", p, "--n", n,
+                   "--out", out) == 2
+        assert not out.exists()
+
     def test_header_and_conditions(self, tmp_path):
         out = tmp_path / "h"
         assert run("gen-data", "--kind", "ar1", "--p", 3, "--n", 12,
@@ -183,6 +191,19 @@ class TestMcmc:
         assert run("mcmc", "--data", data_dir, "--iterations", 10, "--burn-in", 0,
                    "--out", out) == 0
         assert json.loads((out / "meta.json").read_text())["init"] == "empty"
+
+    def test_non_decomposable_init_graph_creates_no_out_directory(
+        self, data_dir, tmp_path, capsys
+    ):
+        cycle = tmp_path / "c4.edges"
+        write_edge_list(
+            UndirectedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), str(cycle)
+        )
+        out = tmp_path / "chain"
+        assert run("mcmc", "--data", data_dir, "--init-graph", cycle,
+                   "--iterations", 10, "--burn-in", 0, "--out", out) == 3
+        assert "decomposable" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sample_precision_average_is_symmetric(self, data_dir, tmp_path):
         out = tmp_path / "chain"

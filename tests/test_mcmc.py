@@ -1,15 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gwish.mcmc
 from gwish.errors import NotDecomposable
 from gwish.graph import (
     UndirectedGraph,
     _move_table,
     enumerate_decomposable_graphs,
+    is_decomposable,
 )
 from gwish.mcmc import (
+    KERNELS,
     ChainConfig,
     ChainResult,
     ChainState,
@@ -27,7 +33,12 @@ from gwish.numerics import make_rng
 from gwish.search import threshold_init
 from gwish.simulate import TrueModelSpec, build_truth, sample_dataset
 
-from oracles import decomposable_neighbors_reference, perfect_sequence
+from conftest import chordal_graphs
+from oracles import (
+    common_neighbour_mask,
+    decomposable_neighbors_reference,
+    perfect_sequence,
+)
 
 
 class FakeRng:
@@ -46,6 +57,19 @@ class FakeRng:
         return v
 
 
+class FixedDelta:
+    """Scores every move with one fixed delta; full scores are not needed."""
+
+    def __init__(self, delta):
+        self.delta = delta
+
+    def _delta(self, *move):
+        return self.delta
+
+    def score(self, g):
+        return None
+
+
 class NoScorer:
     """Fails the test on any use."""
 
@@ -62,8 +86,8 @@ class TestUniformProposal:
         # p=10, k=5: adding gives log((m-k)/(k+1)) = log(40/6)
         g = path_graph(10, 5)
         rng = FakeRng(randoms=[0.9], ints=[0, 8])  # coin -> add, pair -> (0, 9)
-        edge, lqr = _propose_uniform(g, rng)
-        assert edge == (0, 9) and not g.has_edge(*edge)
+        move, lqr, table = _propose_uniform(ChainState(g, None), rng)
+        assert move == (0, 9, 0) and not g.has_edge(0, 9) and table is None
         assert lqr == pytest.approx(math.log(40.0 / 6.0), abs=1e-12)
         assert lqr == pytest.approx(1.8971199848858813, abs=1e-12)
 
@@ -71,8 +95,8 @@ class TestUniformProposal:
         # p=10, k=5: deleting gives log(k/(m-k+1)) = log(5/41)
         g = path_graph(10, 5)
         rng = FakeRng(randoms=[0.1], ints=[0])  # coin -> delete, edge 0 = (0,1)
-        edge, lqr = _propose_uniform(g, rng)
-        assert edge == (0, 1) and g.has_edge(*edge)
+        move, lqr, table = _propose_uniform(ChainState(g, None), rng)
+        assert move == (0, 1, 0) and g.has_edge(0, 1) and table is None
         assert lqr == pytest.approx(math.log(5.0 / 41.0), abs=1e-12)
 
     # a draw with no posterior mass is a rejected step before any score or
@@ -98,30 +122,76 @@ class TestUniformProposal:
         assert rng.randoms == [] and rng.ints == []
 
 
+KERNEL_ERROR = "kernel must be one of ('uniform', 'exact'), got 'swap'"
+
+
 class TestExactProposal:
     def test_neighbourhood_ratio(self):
         # path on 4 vertices has 5 decomposable neighbours; adding (0,2)
         # yields a triangle with a tail, which has 6
         g = path_graph(4, 3)
-        nbrs = _move_table(g)
-        pairs = [(u, v) for u, v, _ in nbrs]
-        assert pairs == decomposable_neighbors_reference(g)
-        assert len(nbrs) == 5
+        pairs = decomposable_neighbors_reference(g)
+        assert len(pairs) == 5
+        state = ChainState(g, None)
         rng = FakeRng(ints=[pairs.index((0, 2))])
-        move, lqr, nbrs_new = _propose_exact(g, rng, nbrs)
+        move, lqr, table_new = _propose_exact(state, rng)
+        assert [(u, v) for u, v, _ in state.table] == pairs
         assert move == (0, 2, 0b10)  # S = {1}
         g2 = g.toggled(0, 2)
-        assert nbrs_new == _move_table(g2)
-        assert [(u, v) for u, v, _ in nbrs_new] == decomposable_neighbors_reference(g2)
-        assert len(nbrs_new) == 6
+        assert table_new == _move_table(g2)
+        assert [(u, v) for u, v, _ in table_new] == decomposable_neighbors_reference(g2)
+        assert len(table_new) == 6
         assert lqr == pytest.approx(math.log(5.0 / 6.0), abs=1e-12)
+
+    def test_move_table_memo(self, monkeypatch):
+        # a fresh state builds its own table and that of G'; a rejected step
+        # keeps the memo, and an accepted state starts with the table of G'
+        built = []
+
+        def counted(g):
+            built.append(g)
+            return _move_table(g)
+
+        monkeypatch.setattr(gwish.mcmc, "_move_table", counted)
+        state = ChainState(path_graph(4, 3), None)
+        for delta, accept, tables in [
+            (-math.inf, False, 2), (-math.inf, False, 1), (math.inf, True, 1),
+            (-math.inf, False, 1),
+        ]:
+            del built[:]
+            rng = FakeRng(randoms=[0.5], ints=[0])
+            state, accepted = mh_step(state, FixedDelta(delta), "exact", rng)
+            assert accepted == accept and len(built) == tables
+            assert state.table == _move_table(state.graph)
 
     def test_unknown_kernel(self, small_data):
         # raised before any draw: FakeRng has none to give
         scorer = GraphScorer(small_data, Hyperparameters())
         g = UndirectedGraph.empty(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(KERNEL_ERROR)):
             mh_step(ChainState(g, scorer.score(g)), scorer, "swap", FakeRng())
+
+    def test_config_error_lists_the_kernels(self):
+        with pytest.raises(ValueError, match=re.escape(KERNEL_ERROR)):
+            ChainConfig(kernel="swap")
+
+
+class TestProposalSeparators:
+    @settings(max_examples=100, deadline=None)
+    @given(chordal_graphs, st.integers(0, 2**32 - 1))
+    def test_valid_proposals_carry_their_separator(self, g, seed):
+        # every kernel's S is N(u) & N(v) of the current graph, whatever
+        # the move's direction, and the move keeps g decomposable
+        rng = make_rng(seed)
+        for kernel, propose in KERNELS.items():
+            state = ChainState(g, None)
+            for _ in range(10):
+                proposal = propose(state, rng)
+                if proposal is None:
+                    continue
+                (u, v, sep), _, _ = proposal
+                assert u < v and sep == common_neighbour_mask(g, u, v), kernel
+                assert is_decomposable(g.toggled(u, v))
 
 
 @pytest.fixture(scope="module")
@@ -371,11 +441,7 @@ class TestPosteriorSummaries:
         inclusion[1, 2] = inclusion[2, 1] = 0.5 + 1e-9
         res = ChainResult(
             p=3,
-            burn_in=0,
             iterations=1,
-            kernel="uniform",
-            seed=0,
-            stream=0,
             inclusion=inclusion,
             log_posterior_trace=np.zeros(1),
             size_trace=np.zeros(1, dtype=np.int64),
