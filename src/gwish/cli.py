@@ -4,6 +4,11 @@
 ``mcmc --sample-precision``.  Every run writes a ``meta.json`` with the
 fully resolved configuration.  Exit codes: 0 on success, 2 on usage or
 validation problems, 3 on model or numerical failures.
+
+Building the parser runs no library module, and the library is called
+through the package's lazily loaded modules, so a command loads numpy and
+each module only when it uses them: ``--version``, ``--help``, usage errors
+and ``metrics --graph --truth`` load no numpy.
 """
 
 from __future__ import annotations
@@ -15,41 +20,18 @@ import warnings
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from . import __version__
-from .errors import GwishError, NotPositiveDefinite
-from .graph import UndirectedGraph, is_decomposable, read_edge_list, write_edge_list
-from .mcmc import (
-    KERNELS,
-    ChainConfig,
-    exact_posterior,
-    median_probability_graph,
-    run_chain,
-    tv_distance,
-    visit_frequencies,
-)
-from .metrics import relative_errors, selection_report
-from .model import (
-    Dataset,
-    Hyperparameters,
-    PRESETS,
-    _check_finite,
-    _log_bayes_factor_and_ratio,
-    bayes_estimator_l1_stein,
-    posterior_mean_precision,
-    theory_r_max,
-)
-from .numerics import make_rng
-from .search import CandidateConfig, hybrid_mode
-from .simulate import (
-    KINDS,
-    TrueModelSpec,
-    build_truth,
-    conditions_report,
-    posterior_ratio_experiment,
-    sample_dataset,
-)
+from . import __version__, errors, graph, mcmc, metrics, model, numerics, search, simulate
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# the names of ``model.PRESETS``, ``mcmc.KERNELS`` and ``simulate.KINDS``,
+# spelled out so that building the parser runs no library module
+_PRESETS = ("ratio", "selection")
+_KERNELS = ("uniform", "exact")
+_KINDS = ("sim1-ar1-cov", "ar1", "ar2", "ar4", "star", "circle")
 
 
 class UsageError(Exception):
@@ -60,6 +42,8 @@ def _write_matrix(path: Path, m: np.ndarray, header: list[str] | None = None) ->
     """The rows of a float array as ``%.17g`` comma-separated lines, after an
     optional header: the bytes ``np.savetxt(..., delimiter=",", fmt="%.17g")``
     writes."""
+    import numpy as np
+
     m = np.atleast_2d(m)
     row = ",".join(["%.17g"] * m.shape[1]) + "\n"
     with open(path, "w") as fh:
@@ -80,6 +64,8 @@ def _write_rows(path: Path, rows: list[dict]) -> None:
 def _read_matrix(path: str) -> np.ndarray:
     # tolerate a single non-numeric header line; Dataset.from_matrix reports
     # a file without data rows, so numpy's own warning about it is dropped
+    import numpy as np
+
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
@@ -104,6 +90,21 @@ def _outdir(args) -> Path:
     return out
 
 
+def _comma_list(convert):
+    """An argparse type: a comma-separated list of ``convert`` values as a
+    tuple, empty for an empty string."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(v) for v in text.split(",")) if text else ()
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {convert.__name__} values, got {text!r}"
+            ) from None
+
+    return parse
+
+
 def _add_model_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--data", default=None, help="directory from gen-data")
     sp.add_argument("--x", default=None, help="data matrix CSV")
@@ -111,7 +112,7 @@ def _add_model_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--g", type=float, default=None, help="prior scale multiplier")
     sp.add_argument(
         "--preset",
-        choices=sorted(PRESETS),
+        choices=_PRESETS,
         default=None,
         help="resolve g from a named power-law preset at the data dimension",
     )
@@ -124,14 +125,14 @@ def _add_model_flags(sp: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_model(args) -> tuple[Dataset, Hyperparameters]:
+def _load_model(args) -> tuple[model.Dataset, model.Hyperparameters]:
     if args.data:
         xpath = Path(args.data) / "X.csv"
         if not xpath.exists():
             raise UsageError(f"no X.csv under {args.data}")
-        data = Dataset.from_matrix(_read_matrix(str(xpath)))
+        data = model.Dataset.from_matrix(_read_matrix(str(xpath)))
     elif args.x:
-        data = Dataset.from_matrix(_read_matrix(args.x))
+        data = model.Dataset.from_matrix(_read_matrix(args.x))
     else:
         raise UsageError("supply --data DIR or --x FILE")
     if args.g is not None and args.preset is not None:
@@ -140,28 +141,28 @@ def _load_model(args) -> tuple[Dataset, Hyperparameters]:
     if args.r_theory:
         if r_max is not None:
             raise UsageError("--r-max and --r-theory are mutually exclusive")
-        r_max = theory_r_max(data.n, data.p)
+        r_max = model.theory_r_max(data.n, data.p)
     fields = {"nu": args.nu, "c_tau": args.c_tau, "r_max": r_max}
     if args.g is not None:
-        return data, Hyperparameters(g=args.g, **fields)
-    return data, Hyperparameters.preset(args.preset or "selection", data.p, **fields)
+        return data, model.Hyperparameters(g=args.g, **fields)
+    return data, model.Hyperparameters.preset(args.preset or "selection", data.p, **fields)
 
 
 def _cmd_gen_data(args) -> int:
     try:
-        spec = TrueModelSpec(kind=args.kind, p=args.p)
-        truth = build_truth(spec)
-    except (ValueError, NotPositiveDefinite) as exc:
+        spec = simulate.TrueModelSpec(kind=args.kind, p=args.p)
+        truth = simulate.build_truth(spec)
+    except (ValueError, errors.NotPositiveDefinite) as exc:
         raise UsageError(f"invalid model spec: {exc}") from exc
     if args.n < 2:
         raise UsageError("n must be at least 2")
     out = _outdir(args)
-    rng = make_rng(args.seed, args.stream)
-    data = sample_dataset(truth, args.n, rng)
+    rng = numerics.make_rng(args.seed, args.stream)
+    data = simulate.sample_dataset(truth, args.n, rng)
     header = [f"x{i + 1}" for i in range(args.p)] if args.header else None
     _write_matrix(out / "X.csv", data.x, header)
     _write_matrix(out / "omega0.csv", truth.omega)
-    write_edge_list(truth.graph, str(out / "graph0.edges"))
+    graph.write_edge_list(truth.graph, str(out / "graph0.edges"))
     meta = {
         "command": "gen-data",
         "kind": args.kind,
@@ -172,7 +173,9 @@ def _cmd_gen_data(args) -> int:
         "true_edges": truth.graph.size,
     }
     if args.conditions:
-        rep = conditions_report(truth, rng=make_rng(args.seed, args.stream + 1))
+        rep = simulate.conditions_report(
+            truth, rng=numerics.make_rng(args.seed, args.stream + 1)
+        )
         _write_json(out / "conditions.json", rep.__dict__)
         meta["conditions"] = "conditions.json"
     _write_meta(out, meta)
@@ -181,12 +184,12 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_mcmc(args) -> int:
     data, hyper = _load_model(args)
-    init: UndirectedGraph | str = args.init or "empty"
+    init: graph.UndirectedGraph | str = args.init or "empty"
     if args.init_graph:
         if args.init is not None:
             raise UsageError("--init and --init-graph are mutually exclusive")
-        init = read_edge_list(args.init_graph, p=data.p)
-    config = ChainConfig(
+        init = graph.read_edge_list(args.init_graph, p=data.p)
+    config = mcmc.ChainConfig(
         iterations=args.iterations,
         burn_in=args.burn_in,
         seed=args.seed,
@@ -198,12 +201,16 @@ def _cmd_mcmc(args) -> int:
     )
     if args.p4_oracle and data.p != 4:
         raise UsageError("--p4-oracle requires 4-column data")
-    result = run_chain(config, data, hyper)
+    if args.p4_oracle and config.iterations == 0:
+        raise UsageError("--p4-oracle needs --iterations > 0")
+    result = mcmc.run_chain(config, data, hyper)
     out = _outdir(args)
-    median = median_probability_graph(result)
+    median = mcmc.median_probability_graph(result)
     _write_matrix(out / "inclusion.csv", result.inclusion)
-    write_edge_list(median, str(out / "median_graph.edges"))
-    write_edge_list(result.best_graph, str(out / "best_graph.edges"))
+    graph.write_edge_list(median, str(out / "median_graph.edges"))
+    graph.write_edge_list(result.best_graph, str(out / "best_graph.edges"))
+    import numpy as np
+
     trace = np.column_stack(
         [
             np.arange(len(result.log_posterior_trace)),
@@ -228,13 +235,13 @@ def _cmd_mcmc(args) -> int:
         "acceptance_rate": result.acceptance_rate,
         "best_log_posterior": result.best_score.log_posterior,
         "median_graph_edges": median.size,
-        "median_graph_decomposable": is_decomposable(median),
+        "median_graph_decomposable": graph.is_decomposable(median),
     }
     if result.precision_mean is not None:
         _write_matrix(out / "omega_mcmc.csv", result.precision_mean)
     if args.p4_oracle:
-        exact = exact_posterior(data, hyper)
-        tv = tv_distance(visit_frequencies(result), exact)
+        exact = mcmc.exact_posterior(data, hyper)
+        tv = mcmc.tv_distance(mcmc.visit_frequencies(result), exact)
         meta["p4_oracle_tv"] = tv
         print(f"p4 oracle: total variation distance = {tv:.4f}")
     _write_meta(out, meta)
@@ -245,16 +252,14 @@ def _cmd_search(args) -> int:
     data, hyper = _load_model(args)
     kwargs = {}
     if args.ridge_grid:
-        kwargs["ridge_grid"] = tuple(float(v) for v in args.ridge_grid.split(","))
+        kwargs["ridge_grid"] = args.ridge_grid
     if args.threshold_grid:
-        kwargs["threshold_grid"] = tuple(
-            float(v) for v in args.threshold_grid.split(",")
-        )
+        kwargs["threshold_grid"] = args.threshold_grid
     if args.max_candidates is not None:
         kwargs["max_candidates"] = args.max_candidates
-    config = CandidateConfig(**kwargs)
-    rng = make_rng(args.seed, args.stream)
-    result = hybrid_mode(
+    config = search.CandidateConfig(**kwargs)
+    rng = numerics.make_rng(args.seed, args.stream)
+    result = search.hybrid_mode(
         data,
         hyper,
         config=config,
@@ -262,7 +267,7 @@ def _cmd_search(args) -> int:
         rng=rng,
     )
     out = _outdir(args)
-    write_edge_list(result.mode_graph, str(out / "mode_graph.edges"))
+    graph.write_edge_list(result.mode_graph, str(out / "mode_graph.edges"))
     payload = {
         "log_marginal": result.mode_score.log_marginal,
         "log_prior": result.mode_score.log_prior,
@@ -292,9 +297,9 @@ def _cmd_search(args) -> int:
 
 def _cmd_bf(args) -> int:
     data, hyper = _load_model(args)
-    g1 = read_edge_list(args.graph1, p=data.p)
-    g0 = read_edge_list(args.graph0, p=data.p)
-    log_bf, log_ratio = _log_bayes_factor_and_ratio(data, g1, g0, hyper)
+    g1 = graph.read_edge_list(args.graph1, p=data.p)
+    g0 = graph.read_edge_list(args.graph0, p=data.p)
+    log_bf, log_ratio = model._log_bayes_factor_and_ratio(data, g1, g0, hyper)
     payload = {
         "log_bayes_factor": log_bf,
         "log_posterior_ratio": log_ratio,
@@ -317,9 +322,10 @@ def _cmd_bf(args) -> int:
 
 
 def _cmd_ratio_experiment(args) -> int:
-    p_list = [int(v) for v in args.p_list.split(",")]
-    rows = posterior_ratio_experiment(
-        p_list,
+    if not args.p_list:
+        raise UsageError("--p-list is empty")
+    rows = simulate.posterior_ratio_experiment(
+        args.p_list,
         args.n,
         args.case,
         seed=args.seed,
@@ -333,7 +339,7 @@ def _cmd_ratio_experiment(args) -> int:
         {
             "command": "ratio-experiment",
             "case": args.case,
-            "p_list": p_list,
+            "p_list": args.p_list,
             "n": args.n,
             "seed": args.seed,
             "replicates": args.replicates,
@@ -345,11 +351,11 @@ def _cmd_ratio_experiment(args) -> int:
 
 def _cmd_estimate(args) -> int:
     data, hyper = _load_model(args)
-    graph = read_edge_list(args.graph, p=data.p)
+    g = graph.read_edge_list(args.graph, p=data.p)
     if args.estimator == "l2":
-        omega = posterior_mean_precision(data, graph, hyper)
+        omega = model.posterior_mean_precision(data, g, hyper)
     else:
-        omega = bayes_estimator_l1_stein(data, graph, hyper)
+        omega = model.bayes_estimator_l1_stein(data, g, hyper)
     out = _outdir(args)
     _write_matrix(out / "omega_hat.csv", omega)
     _write_meta(
@@ -361,7 +367,7 @@ def _cmd_estimate(args) -> int:
             "p": data.p,
             "seed": args.seed,
             "hyper": asdict(hyper),
-            "graph_edges": graph.size,
+            "graph_edges": g.size,
         },
     )
     return 0
@@ -375,15 +381,15 @@ def _cmd_metrics(args) -> int:
     if not (args.graph or args.omega):
         raise UsageError("nothing to do: pass --graph/--truth and/or --omega/--omega0")
     if args.graph:
-        est = read_edge_list(args.graph, p=args.p)
-        tru = read_edge_list(args.truth, p=args.p)
+        est = graph.read_edge_list(args.graph, p=args.p)
+        tru = graph.read_edge_list(args.truth, p=args.p)
         if est.p != tru.p:
             raise UsageError(f"--graph has p={est.p} but --truth has p={tru.p}")
     if args.omega:
         est_m = _read_matrix(args.omega)
         tru_m = _read_matrix(args.omega0)
-        _check_finite(est_m, args.omega)
-        _check_finite(tru_m, args.omega0)
+        model._check_finite(est_m, args.omega)
+        model._check_finite(tru_m, args.omega0)
         if est_m.shape != tru_m.shape:
             raise UsageError(
                 f"--omega has shape {est_m.shape} but --omega0 has shape {tru_m.shape}"
@@ -391,7 +397,7 @@ def _cmd_metrics(args) -> int:
     out = _outdir(args)
     summary: dict = {"command": "metrics"}
     if args.graph:
-        rep = selection_report(est, tru)
+        rep = metrics.selection_report(est, tru)
         row = {
             "tp": rep.counts.tp,
             "fp": rep.counts.fp,
@@ -406,7 +412,7 @@ def _cmd_metrics(args) -> int:
         _write_rows(out / "selection.csv", [row])
         summary["selection"] = row
     if args.omega:
-        errs = relative_errors(est_m, tru_m)
+        errs = metrics.relative_errors(est_m, tru_m)
         _write_rows(out / "errors.csv", [errs])
         summary["relative_errors"] = errs
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -423,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gen-data", help="simulate a dataset from a named truth")
-    sp.add_argument("--kind", choices=KINDS, required=True)
+    sp.add_argument("--kind", choices=_KINDS, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
@@ -441,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--burn-in", type=int, default=3000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--stream", type=int, default=0)
-    sp.add_argument("--kernel", choices=tuple(KERNELS), default="uniform")
+    sp.add_argument("--kernel", choices=_KERNELS, default="uniform")
     sp.add_argument("--init", choices=("empty", "threshold"), help="default: empty")
     sp.add_argument("--init-graph", default=None, help="edge-list file to start from")
     sp.add_argument(
@@ -459,8 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", help="hunt for the posterior mode graph")
     _add_model_flags(sp)
-    sp.add_argument("--ridge-grid", default=None, help="comma-separated ridge values")
-    sp.add_argument("--threshold-grid", default=None, help="comma-separated thresholds")
+    sp.add_argument(
+        "--ridge-grid", type=_comma_list(float), help="comma-separated ridge values"
+    )
+    sp.add_argument(
+        "--threshold-grid", type=_comma_list(float), help="comma-separated thresholds"
+    )
     sp.add_argument("--max-candidates", type=int, default=None)
     sp.add_argument("--search-iters", type=int, default=30)
     sp.add_argument("--seed", type=int, default=0)
@@ -479,11 +489,11 @@ def build_parser() -> argparse.ArgumentParser:
         "ratio-experiment", help="posterior ratios of case graphs vs the truth"
     )
     sp.add_argument("--case", type=int, choices=(1, 2, 3, 4), required=True)
-    sp.add_argument("--p-list", default="50,100,150")
+    sp.add_argument("--p-list", type=_comma_list(int), default="50,100,150")
     sp.add_argument("--n", type=int, default=150)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--replicates", type=int, default=1)
-    sp.add_argument("--preset", choices=sorted(PRESETS), default=None)
+    sp.add_argument("--preset", choices=_PRESETS, default=None)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_ratio_experiment)
 
@@ -526,7 +536,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, OSError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
-    except GwishError as exc:
+    except errors.GwishError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 3
 

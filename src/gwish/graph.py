@@ -37,11 +37,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import IndexOutOfRange, InvalidMove, NotDecomposable, NoValidMove
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Edge = tuple[int, int]
 
@@ -397,6 +398,8 @@ class GrowingGraph:
         """Flat indices u * p + v of the absent pairs u < v that are in
         different components or have a common neighbour, ascending (the
         row-major order of the pairs)."""
+        import numpy as np
+
         if self.adj is None:
             self.adj = np.zeros((self.p, self.p), dtype=bool)
             for u, v in self.edges:

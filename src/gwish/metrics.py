@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch
 from .graph import UndirectedGraph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NORMS = ("l1", "spectral", "frobenius", "max")
 
@@ -87,6 +89,8 @@ def selection_report(
 
 def matrix_norm(m: np.ndarray, which: str) -> float:
     """One of the l1 (max column sum), spectral, frobenius or max norms."""
+    import numpy as np
+
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
@@ -106,6 +110,8 @@ def relative_errors(estimate: np.ndarray, truth: np.ndarray) -> dict[str, float]
 
     The truth must be nonzero.  Keys follow NORMS order.
     """
+    import numpy as np
+
     estimate = np.asarray(estimate, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if estimate.shape != truth.shape:

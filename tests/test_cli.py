@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 import gwish.graph
+import gwish.mcmc
+import gwish.model
+import gwish.search
+import gwish.simulate
 from gwish import cli
 from gwish.cli import main
 from gwish.graph import UndirectedGraph, read_edge_list, write_edge_list
@@ -219,11 +223,26 @@ class TestMcmc:
         def no_chain(*args):
             raise AssertionError("run_chain was called")
 
-        monkeypatch.setattr(cli, "run_chain", no_chain)
+        monkeypatch.setattr(gwish.mcmc, "run_chain", no_chain)
         out = tmp_path / "chain"
         assert run("mcmc", "--data", data_dir, "--sample-precision",
                    "--iterations", 0, "--burn-in", 20000, "--out", out) == 2
         assert ("mcmc: sample_precision needs iterations > 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_p4_oracle_without_iterations_exits_2_first(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        # no visit is kept, so the check comes before the burn-in
+        def no_chain(*args):
+            raise AssertionError("run_chain was called")
+
+        monkeypatch.setattr(gwish.mcmc, "run_chain", no_chain)
+        out = tmp_path / "chain"
+        assert run("mcmc", "--data", data_dir, "--p4-oracle", "--iterations", 0,
+                   "--burn-in", 20000, "--out", out) == 2
+        assert ("mcmc: --p4-oracle needs --iterations > 0"
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -285,6 +304,31 @@ class TestSearch:
                    "--out", out) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--ridge-grid", "0.1,,1"), ("--ridge-grid", ","),
+         ("--threshold-grid", "0.0,x"), ("--threshold-grid", "0.1,")],
+    )
+    def test_malformed_grid_is_a_usage_error(self, data_dir, tmp_path, capsys,
+                                             flag, value):
+        out = tmp_path / "mode"
+        with pytest.raises(SystemExit) as exc:
+            run("search", "--data", data_dir, "--g", 0.05, flag, value,
+                "--out", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected comma-separated float values" in err
+        assert not out.exists()
+
+    def test_empty_grid_means_the_default(self, data_dir, tmp_path):
+        out = tmp_path / "mode"
+        assert run("search", "--data", data_dir, "--g", 0.05, "--ridge-grid", "",
+                   "--threshold-grid", "", "--search-iters", 0, "--out", out) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        default = gwish.search.CandidateConfig()
+        assert meta["ridge_grid"] == list(default.ridge_grid)
+        assert meta["threshold_grid_size"] == len(default.threshold_grid)
 
     def test_infinite_threshold_keeps_no_pair(self, data_dir, tmp_path):
         out = tmp_path / "mode"
@@ -412,6 +456,22 @@ class TestRatioExperiment:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["p_list"] == [8, 10]
         assert meta["preset"] == "ratio"
+
+    @pytest.mark.parametrize("value", [",", "8,,10", "8.5"])
+    def test_malformed_p_list_is_a_usage_error(self, tmp_path, capsys, value):
+        out = tmp_path / "ratio"
+        with pytest.raises(SystemExit) as exc:
+            run("ratio-experiment", "--case", 4, "--p-list", value, "--out", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --p-list: expected comma-separated int values" in err
+        assert not out.exists()
+
+    def test_empty_p_list_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "ratio"
+        assert run("ratio-experiment", "--case", 4, "--p-list", "", "--out", out) == 2
+        assert "ratio-experiment: --p-list is empty" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "args, message",
@@ -693,6 +753,31 @@ class TestTopLevel:
             run("--version")
         assert exc.value.code == 0
         assert "gwish" in capsys.readouterr().out
+
+    def test_literal_choices_match_the_library(self):
+        # the parser spells these out so that building it runs no library module
+        assert list(cli._PRESETS) == sorted(gwish.model.PRESETS)
+        assert cli._KERNELS == tuple(gwish.mcmc.KERNELS)
+        assert cli._KINDS == gwish.simulate.KINDS
+
+    @pytest.mark.parametrize(
+        "dest, names, argv",
+        [("preset", sorted(gwish.model.PRESETS), ["mcmc", "--out", "o", "--preset"]),
+         ("preset", sorted(gwish.model.PRESETS),
+          ["ratio-experiment", "--case", "1", "--out", "o", "--preset"]),
+         ("kernel", list(gwish.mcmc.KERNELS), ["mcmc", "--out", "o", "--kernel"]),
+         ("kind", list(gwish.simulate.KINDS),
+          ["gen-data", "--p", "4", "--n", "10", "--out", "o", "--kind"])],
+        ids=["mcmc-preset", "ratio-preset", "kernel", "kind"],
+    )
+    def test_parser_accepts_exactly_the_library_names(self, dest, names, argv, capsys):
+        parser = cli.build_parser()
+        for name in names:
+            assert getattr(parser.parse_args([*argv, name]), dest) == name
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*argv, "no-such-name"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'no-such-name'" in capsys.readouterr().err
 
     def test_garbage_csv_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -2,9 +2,16 @@
 
 Each probe runs in a fresh interpreter that imports gwish from the same
 directory as this test session, then prints the scipy modules it loaded.
+Since importing the package runs no library module, one probe runs all
+eight of them, so a top-level scipy import in any module is caught.
 One more probe checks that the thresholded-candidate search loads no
 ``numpy.ma``, whose import costs every ``search`` and ``mcmc --init
 threshold`` process 10 to 15 ms.
+
+Start-up probes check that numpy is loaded on first use: importing the
+package or the CLI, ``--version``, ``--help``, an argparse usage error and
+``metrics --graph --truth`` load no numpy, while ``gen-data`` does, which
+shows that the probe can fail.
 """
 
 import json
@@ -25,8 +32,13 @@ REPORT = (
     "                        if m == 'scipy' or m.startswith('scipy.'))))\n"
 )
 
+LIBRARY = sorted(f"gwish.{m}" for m in (
+    "errors", "graph", "mcmc", "metrics", "model", "numerics", "search", "simulate"))
+
 # the CLI probe is ``python -m gwish.cli --version`` run through runpy, so the
-# modules can be listed after argparse's SystemExit
+# modules can be listed after argparse's SystemExit; importing the package
+# runs no library module, so the last probe runs each one through its
+# namespace (the LazyLoader executes a module on its first attribute access)
 PROBES = {
     "import gwish": "import gwish\n",
     "import gwish.cli": "import gwish.cli\n",
@@ -37,6 +49,12 @@ PROBES = {
         "    runpy.run_module('gwish.cli', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code in (None, 0), exc.code\n"
+    ),
+    "every library module": (
+        "import sys\n"
+        "import gwish\n"
+        f"for name in {LIBRARY!r}:\n"
+        "    assert '__file__' in vars(sys.modules[name]), name\n"
     ),
 }
 
@@ -77,3 +95,62 @@ def test_threshold_init_loads_no_masked_arrays():
         "             if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
     )
     assert lines == ["5", "[]"]
+
+
+LOADED = (
+    "import json, sys\n"
+    "print(json.dumps(['numpy' in sys.modules,\n"
+    "                  sorted(m for m in sys.modules if m.startswith('gwish.'))]))\n"
+)
+
+
+def cli_probe(*argv):
+    """``python -m gwish.cli ARGV`` run through runpy, printing its exit code."""
+    return (
+        "import runpy, sys\n"
+        f"sys.argv = ['gwish', *{[str(a) for a in argv]!r}]\n"
+        "try:\n"
+        "    runpy.run_module('gwish.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code)\n"
+    )
+
+
+@pytest.mark.parametrize("probe", ["import gwish", "import gwish.cli"])
+def test_import_loads_no_numpy_and_registers_every_module(probe):
+    (last,) = run_probe(PROBES[probe] + LOADED)
+    cli = ["gwish.cli"] if probe.endswith(".cli") else []
+    assert json.loads(last) == [False, sorted(LIBRARY + cli)]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--version"], 0),
+     (["--help"], 0),
+     (["search", "--ridge-grid", "0.1,,1", "--out", "x"], 2),
+     (["ratio-experiment", "--case", 4, "--p-list", ",", "--out", "x"], 2),
+     (["mcmc", "--kernel", "gibbs", "--out", "x"], 2)],
+    ids=["version", "help", "ridge-grid", "p-list", "kernel"],
+)
+def test_command_without_computation_loads_no_numpy(argv, code):
+    *_, exit_code, last = run_probe(cli_probe(*argv) + LOADED)
+    assert exit_code == str(code)
+    assert json.loads(last)[0] is False
+
+
+def test_selection_metrics_load_no_numpy(tmp_path):
+    (tmp_path / "est.edges").write_text("p=4\n1 2\n2 3\n")
+    (tmp_path / "truth.edges").write_text("p=4\n1 2\n3 4\n")
+    *_, exit_code, last = run_probe(cli_probe(
+        "metrics", "--graph", tmp_path / "est.edges", "--truth",
+        tmp_path / "truth.edges", "--out", tmp_path / "m") + LOADED)
+    assert exit_code == "0"
+    assert json.loads(last)[0] is False
+    assert (tmp_path / "m" / "selection.csv").exists()
+
+
+def test_gen_data_loads_numpy(tmp_path):
+    *_, exit_code, last = run_probe(cli_probe(
+        "gen-data", "--kind", "ar1", "--p", 4, "--n", 10, "--out", tmp_path / "d") + LOADED)
+    assert exit_code == "0"
+    assert json.loads(last)[0] is True

@@ -154,16 +154,13 @@ def test_layer_tracer_runs_the_chain_and_the_search_unchanged():
 
 
 def test_every_export_is_used():
-    """Each name that ``gwish/__init__`` imports from a module is referenced
-    by code in another module of the package, or named in the README, so
-    a function that only the tests call is not public."""
+    """Each name of ``gwish``'s export table is referenced by code in
+    another module of the package, or named in the README, so a function
+    that only the tests call is not public."""
     modules = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
-    exported = {
-        alias.asname or alias.name
-        for node in modules.pop("__init__").body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    del modules["__init__"]
+    exported = set(gwish._MODULE_OF)
+    assert exported, "the export table is empty"
     used = {
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in modules.values()
@@ -176,6 +173,18 @@ def test_every_export_is_used():
         if not re.search(rf"\b{re.escape(name)}\b", readme)
     )
     assert unused == [], f"exported but used only by tests: {unused}"
+
+
+def test_every_export_resolves():
+    """Each name of the export table resolves as ``gwish.<name>`` to the
+    object of that name in its module and is listed by ``dir(gwish)``; a
+    name outside the table is an AttributeError."""
+    listed = dir(gwish)
+    for name, module in gwish._MODULE_OF.items():
+        assert getattr(gwish, name) is getattr(sys.modules[f"gwish.{module}"], name)
+        assert name in listed
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gwish.no_such_name
 
 
 def test_cli_parses_every_benchmark_command(monkeypatch):
