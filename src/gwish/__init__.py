@@ -22,25 +22,20 @@ _EXPORTS = {
         "UndirectedGraph", "is_decomposable", "move_is_decomposable",
         "read_edge_list", "write_edge_list",
     ),
-    "mcmc": (
-        "ChainConfig", "ChainResult", "median_probability_graph", "mh_step",
-        "run_chain",
-    ),
+    "mcmc": ("ChainConfig", "ChainResult", "median_probability_graph", "run_chain"),
     "metrics": (
-        "ConfusionCounts", "SelectionReport", "confusion", "matrix_norm",
-        "relative_errors", "selection_report",
+        "ConfusionCounts", "SelectionReport", "confusion", "relative_errors",
+        "selection_report",
     ),
     "model": (
         "Dataset", "GraphScore", "GraphScorer", "GroundTruth", "Hyperparameters",
-        "bayes_estimator_l1_stein", "log_pairwise_bayes_factor",
-        "log_posterior_ratio", "posterior_mean_precision",
+        "bayes_estimator_l1_stein", "log_posterior_ratio", "posterior_mean_precision",
     ),
     "numerics": ("log_multigamma", "make_rng", "sample_mvn", "submatrix"),
     "search": ("CandidateConfig", "ModeSearchResult", "hybrid_mode", "shotgun_search"),
     "simulate": (
-        "ConditionsReport", "TrueModelSpec", "build_truth", "case_graph",
-        "conditions_report", "partial_correlation", "posterior_ratio_experiment",
-        "sample_dataset",
+        "ConditionsReport", "TrueModelSpec", "build_truth", "conditions_report",
+        "posterior_ratio_experiment", "sample_dataset",
     ),
 }
 # the one name -> module table behind ``__getattr__`` and ``__dir__``

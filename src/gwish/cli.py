@@ -106,19 +106,23 @@ def _comma_list(convert):
 
 
 def _add_model_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--data", default=None, help="directory from gen-data")
-    sp.add_argument("--x", default=None, help="data matrix CSV")
+    # each pair below is exclusive, so a conflict is a usage error at parse time
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", default=None, help="directory from gen-data")
+    source.add_argument("--x", default=None, help="data matrix CSV")
     sp.add_argument("--nu", type=float, default=3.0, help="Wishart df (> 2)")
-    sp.add_argument("--g", type=float, default=None, help="prior scale multiplier")
-    sp.add_argument(
+    scale = sp.add_mutually_exclusive_group()
+    scale.add_argument("--g", type=float, default=None, help="prior scale multiplier")
+    scale.add_argument(
         "--preset",
         choices=_PRESETS,
         default=None,
         help="resolve g from a named power-law preset at the data dimension",
     )
     sp.add_argument("--c-tau", type=float, default=0.5, help="prior size penalty slope")
-    sp.add_argument("--r-max", type=int, default=None, help="edge-count cap")
-    sp.add_argument(
+    cap = sp.add_mutually_exclusive_group()
+    cap.add_argument("--r-max", type=int, default=None, help="edge-count cap")
+    cap.add_argument(
         "--r-theory",
         action="store_true",
         help="set the edge cap to the theory scaling (n / log max(n, p))^(1/4)",
@@ -126,22 +130,13 @@ def _add_model_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _load_model(args) -> tuple[model.Dataset, model.Hyperparameters]:
-    if args.data:
-        xpath = Path(args.data) / "X.csv"
-        if not xpath.exists():
+    path = args.x
+    if args.data is not None:
+        path = Path(args.data) / "X.csv"
+        if not path.exists():
             raise UsageError(f"no X.csv under {args.data}")
-        data = model.Dataset.from_matrix(_read_matrix(str(xpath)))
-    elif args.x:
-        data = model.Dataset.from_matrix(_read_matrix(args.x))
-    else:
-        raise UsageError("supply --data DIR or --x FILE")
-    if args.g is not None and args.preset is not None:
-        raise UsageError("--g and --preset are mutually exclusive")
-    r_max = args.r_max
-    if args.r_theory:
-        if r_max is not None:
-            raise UsageError("--r-max and --r-theory are mutually exclusive")
-        r_max = model.theory_r_max(data.n, data.p)
+    data = model.Dataset.from_matrix(_read_matrix(str(path)))
+    r_max = model.theory_r_max(data.n, data.p) if args.r_theory else args.r_max
     fields = {"nu": args.nu, "c_tau": args.c_tau, "r_max": r_max}
     if args.g is not None:
         return data, model.Hyperparameters(g=args.g, **fields)
@@ -186,8 +181,6 @@ def _cmd_mcmc(args) -> int:
     data, hyper = _load_model(args)
     init: graph.UndirectedGraph | str = args.init or "empty"
     if args.init_graph:
-        if args.init is not None:
-            raise UsageError("--init and --init-graph are mutually exclusive")
         init = graph.read_edge_list(args.init_graph, p=data.p)
     config = mcmc.ChainConfig(
         iterations=args.iterations,
@@ -394,11 +387,12 @@ def _cmd_metrics(args) -> int:
             raise UsageError(
                 f"--omega has shape {est_m.shape} but --omega0 has shape {tru_m.shape}"
             )
-    out = _outdir(args)
+    # both reports are computed before the output directory is made, so an
+    # error leaves no half-written --out
     summary: dict = {"command": "metrics"}
     if args.graph:
         rep = metrics.selection_report(est, tru)
-        row = {
+        summary["selection"] = {
             "tp": rep.counts.tp,
             "fp": rep.counts.fp,
             "tn": rep.counts.tn,
@@ -409,12 +403,13 @@ def _cmd_metrics(args) -> int:
             "mcc": rep.mcc,
             "degenerate": int(rep.degenerate),
         }
-        _write_rows(out / "selection.csv", [row])
-        summary["selection"] = row
     if args.omega:
-        errs = metrics.relative_errors(est_m, tru_m)
-        _write_rows(out / "errors.csv", [errs])
-        summary["relative_errors"] = errs
+        summary["relative_errors"] = metrics.relative_errors(est_m, tru_m)
+    out = _outdir(args)
+    if args.graph:
+        _write_rows(out / "selection.csv", [summary["selection"]])
+    if args.omega:
+        _write_rows(out / "errors.csv", [summary["relative_errors"]])
     print(json.dumps(summary, indent=2, sort_keys=True))
     _write_meta(out, summary)
     return 0
@@ -448,8 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--stream", type=int, default=0)
     sp.add_argument("--kernel", choices=_KERNELS, default="uniform")
-    sp.add_argument("--init", choices=("empty", "threshold"), help="default: empty")
-    sp.add_argument("--init-graph", default=None, help="edge-list file to start from")
+    start = sp.add_mutually_exclusive_group()
+    start.add_argument("--init", choices=("empty", "threshold"), help="default: empty")
+    start.add_argument(
+        "--init-graph", default=None, help="edge-list file to start from"
+    )
     sp.add_argument(
         "--sample-precision",
         action="store_true",

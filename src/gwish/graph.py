@@ -371,9 +371,6 @@ class GrowingGraph:
     def size(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return ((i, j) if i < j else (j, i)) in self.edges
-
     def can_add(self, u: int, v: int) -> bool:
         """Would adding the absent pair (u, v) keep the graph decomposable?"""
         return _addition_is_decomposable(self, u, v, self.labels, self._cyclic)

@@ -96,7 +96,6 @@ class ChainResult:
     """Post-burn-in summaries plus full traces of one chain."""
 
     p: int
-    iterations: int
     inclusion: np.ndarray
     log_posterior_trace: np.ndarray
     size_trace: np.ndarray
@@ -284,7 +283,6 @@ def run_chain(
 
     return ChainResult(
         p=p,
-        iterations=config.iterations,
         inclusion=inclusion,
         log_posterior_trace=log_post,
         size_trace=sizes,
@@ -296,10 +294,8 @@ def run_chain(
     )
 
 
-def median_probability_graph(
-    result: ChainResult, threshold: float = 0.5
-) -> UndirectedGraph:
-    """Edges whose inclusion frequency strictly exceeds the threshold.
+def median_probability_graph(result: ChainResult) -> UndirectedGraph:
+    """Edges whose inclusion frequency strictly exceeds 1/2.
 
     The result is reported as-is; it need not be decomposable.
     """
@@ -308,7 +304,7 @@ def median_probability_graph(
         (i, j)
         for i in range(p)
         for j in range(i + 1, p)
-        if result.inclusion[i, j] > threshold
+        if result.inclusion[i, j] > 0.5
     ]
     return UndirectedGraph.from_edges(p, edges)
 

@@ -114,17 +114,13 @@ def _check_finite(m: np.ndarray, name: str) -> None:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An n x p data matrix with its Gram matrix X'X cached.
-
-    ``truth`` optionally carries the generating model for simulations.
-    """
+    """An n x p data matrix with its Gram matrix X'X cached."""
 
     x: np.ndarray
     gram: np.ndarray
-    truth: GroundTruth | None = None
 
     @classmethod
-    def from_matrix(cls, x: np.ndarray, truth: GroundTruth | None = None) -> "Dataset":
+    def from_matrix(cls, x: np.ndarray) -> "Dataset":
         """Wrap an n x p matrix; ValueError if it has fewer than 2 rows or
         any entry is NaN or infinite."""
         x = np.asarray(x, dtype=float)
@@ -133,7 +129,7 @@ class Dataset:
         if x.shape[0] < 2:
             raise ValueError(f"data needs at least 2 rows, got {x.shape[0]}")
         _check_finite(x, "data")
-        return cls(x=x, gram=symmetrize(x.T @ x), truth=truth)
+        return cls(x=x, gram=symmetrize(x.T @ x))
 
     @property
     def n(self) -> int:
@@ -339,17 +335,6 @@ class GraphScorer:
         self._factorise(masks)
 
 
-def log_pairwise_bayes_factor(
-    data: Dataset,
-    g1: UndirectedGraph,
-    g0: UndirectedGraph,
-    hyper: Hyperparameters,
-) -> float:
-    """log f(X | G1) - log f(X | G0); the 2 pi constants cancel exactly."""
-    scorer = GraphScorer(data, hyper)
-    return scorer.log_marginal_core(g1) - scorer.log_marginal_core(g0)
-
-
 def log_posterior_ratio(
     data: Dataset,
     g1: UndirectedGraph,
@@ -365,7 +350,9 @@ def log_posterior_ratio(
 def _log_bayes_factor_and_ratio(
     data: Dataset, g1: UndirectedGraph, g0: UndirectedGraph, hyper: Hyperparameters
 ) -> tuple[float, float]:
-    # the two functions above on one scorer: one clique search per graph
+    # the log Bayes factor log f(X | G1) - log f(X | G0), whose 2 pi constants
+    # cancel exactly, and the ratio above, from one scorer: one clique search
+    # per graph
     scorer = GraphScorer(data, hyper)
     bf = scorer.log_marginal_core(g1) - scorer.log_marginal_core(g0)
     lp1, lp0 = scorer._size_prior(g1.size), scorer._size_prior(g0.size)

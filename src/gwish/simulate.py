@@ -102,9 +102,8 @@ def build_truth(spec: TrueModelSpec) -> GroundTruth:
 def sample_dataset(
     truth: GroundTruth, n: int, rng: np.random.Generator
 ) -> Dataset:
-    """n rows from N(0, truth.sigma), carrying the truth along."""
-    x = sample_mvn(n, truth.sigma, rng)
-    return Dataset.from_matrix(x, truth=truth)
+    """n rows from N(0, truth.sigma)."""
+    return Dataset.from_matrix(sample_mvn(n, truth.sigma, rng))
 
 
 def partial_correlation(

@@ -14,8 +14,8 @@ from gwish.cli import main
 from gwish.graph import UndirectedGraph, read_edge_list, write_edge_list
 from gwish.model import (
     Dataset,
+    GraphScorer,
     Hyperparameters,
-    log_pairwise_bayes_factor,
     log_posterior_ratio,
     theory_r_max,
 )
@@ -161,11 +161,13 @@ class TestMcmc:
 
     def test_r_theory_and_r_max_are_exclusive(self, data_dir, tmp_path, capsys):
         out = tmp_path / "chain"
-        assert run("mcmc", "--data", data_dir, "--g", 0.2, "--r-theory",
-                   "--r-max", 3, "--iterations", 20, "--burn-in", 0,
-                   "--out", out) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-        assert not (out / "meta.json").exists()
+        with pytest.raises(SystemExit) as exc:
+            run("mcmc", "--data", data_dir, "--g", 0.2, "--r-theory",
+                "--r-max", 3, "--iterations", 20, "--burn-in", 0, "--out", out)
+        assert exc.value.code == 2
+        assert ("argument --r-max: not allowed with argument --r-theory"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_init_graph_must_match_data_p(self, data_dir, tmp_path, capsys):
         wrong = tmp_path / "p5.edges"
@@ -186,11 +188,13 @@ class TestMcmc:
         write_edge_list(UndirectedGraph.from_edges(4, [(0, 1)]), str(gpath))
         out = tmp_path / "chain"
         for init in ("empty", "threshold"):
-            assert run("mcmc", "--data", data_dir, "--init", init,
-                       "--init-graph", gpath, "--iterations", 10, "--burn-in", 0,
-                       "--out", out) == 2
-            assert "mutually exclusive" in capsys.readouterr().err
-            assert not (out / "meta.json").exists()
+            with pytest.raises(SystemExit) as exc:
+                run("mcmc", "--data", data_dir, "--init", init, "--init-graph", gpath,
+                    "--iterations", 10, "--burn-in", 0, "--out", out)
+            assert exc.value.code == 2
+            assert ("argument --init-graph: not allowed with argument --init"
+                    in capsys.readouterr().err)
+            assert not out.exists()
         # with neither flag the chain starts from the empty graph
         assert run("mcmc", "--data", data_dir, "--iterations", 10, "--burn-in", 0,
                    "--out", out) == 0
@@ -246,11 +250,25 @@ class TestMcmc:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    def test_missing_data_exit_2(self, tmp_path):
-        assert run("mcmc", "--out", tmp_path / "o", "--iterations", 1,
-                   "--burn-in", 0) == 2
+    def test_missing_data_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("mcmc", "--out", tmp_path / "o", "--iterations", 1, "--burn-in", 0)
+        assert exc.value.code == 2
+        assert ("one of the arguments --data --x is required"
+                in capsys.readouterr().err)
         assert run("mcmc", "--data", tmp_path / "absent", "--out", tmp_path / "o",
                    "--iterations", 1, "--burn-in", 0) == 2
+
+    def test_data_and_x_are_exclusive(self, data_dir, tmp_path, capsys):
+        # with both, the chain used to run on --data and ignore --x
+        out = tmp_path / "chain"
+        with pytest.raises(SystemExit) as exc:
+            run("mcmc", "--data", data_dir, "--x", data_dir / "X.csv",
+                "--iterations", 1, "--burn-in", 0, "--out", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --x: not allowed with argument --data" in err
+        assert not out.exists()
 
 
 class TestSearch:
@@ -366,8 +384,8 @@ class TestBayesFactor:
 
     def test_one_clique_search_per_graph(self, data_dir, tmp_path, capsys, monkeypatch):
         # the Bayes factor and the posterior ratio come from one scorer, so
-        # each graph's cliques are searched once; the values are those of
-        # the two library functions
+        # each graph's cliques are searched once; the values are the
+        # difference of log_marginal_core values and log_posterior_ratio
         calls = []
         visit = gwish.graph._mcs_visit
 
@@ -386,14 +404,20 @@ class TestBayesFactor:
         payload = json.loads(capsys.readouterr().out)
         x = np.loadtxt(data_dir / "X.csv", delimiter=",", ndmin=2)
         data, hyper = Dataset.from_matrix(x), Hyperparameters(g=0.2)
-        assert payload["log_bayes_factor"] == log_pairwise_bayes_factor(data, g1, g0, hyper)
+        scorer = GraphScorer(data, hyper)
+        log_bf = scorer.log_marginal_core(g1) - scorer.log_marginal_core(g0)
+        assert payload["log_bayes_factor"] == log_bf
         assert payload["log_posterior_ratio"] == log_posterior_ratio(data, g1, g0, hyper)
 
-    def test_g_and_preset_conflict(self, data_dir, tmp_path):
+    def test_g_and_preset_conflict(self, data_dir, tmp_path, capsys):
         gpath = tmp_path / "g.edges"
         write_edge_list(UndirectedGraph.empty(4), str(gpath))
-        assert run("bf", "--data", data_dir, "--g", 0.2, "--preset", "ratio",
-                   "--graph1", gpath, "--graph0", gpath) == 2
+        with pytest.raises(SystemExit) as exc:
+            run("bf", "--data", data_dir, "--g", 0.2, "--preset", "ratio",
+                "--graph1", gpath, "--graph0", gpath)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --preset: not allowed with argument --g" in err
 
     def test_both_graphs_outside_support_exits_2(self, data_dir, tmp_path, capsys):
         # at r_max = 0 both one-edge graphs have prior -inf; the ratio is
@@ -747,6 +771,78 @@ class TestOneColumn:
         assert omega.shape == (1, 1) and omega[0, 0] > 0.0
 
 
+class TestErrorsCreateNoOutDirectory:
+    """On each documented exit-2 or exit-3 error of these commands, no
+    ``--out`` directory is made: a command checks its input and computes
+    everything it writes before it creates the directory."""
+
+    @pytest.fixture()
+    def inputs(self, data_dir, tmp_path):
+        graphs = {
+            "empty": UndirectedGraph.empty(4),
+            "edge01": UndirectedGraph.from_edges(4, [(0, 1)]),
+            "edge23": UndirectedGraph.from_edges(4, [(2, 3)]),
+            "c4": UndirectedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+            "k4": UndirectedGraph.complete(4),
+            "p5": UndirectedGraph.empty(5),
+        }
+        paths = {"data": data_dir}
+        for name, g in graphs.items():
+            paths[name] = tmp_path / f"{name}.edges"
+            write_edge_list(g, str(paths[name]))
+        paths["badline"] = tmp_path / "badline.edges"
+        paths["badline"].write_text("p=4\n2 2\n")
+        nan = np.eye(2)
+        nan[0, 1] = np.nan
+        # three rows of four columns: a clique of 4 vertices is oversized
+        matrices = {"small": np.arange(12.0).reshape(3, 4) ** 0.5,
+                    "one": np.ones((2, 2)), "zero": np.zeros((2, 2)),
+                    "eye3": np.eye(3), "nan": nan}
+        for name, m in matrices.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            np.savetxt(paths[name], m, delimiter=",")
+        return paths
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(("search", "--data", "{data}", "--max-candidates", 0), 2),
+         (("search", "--data", "{data}", "--search-iters", -1), 2),
+         (("search", "--data", "{data}", "--ridge-grid", "0"), 2),
+         (("search", "--data", "{data}", "--threshold-grid", "nan"), 2),
+         (("estimate", "--data", "{data}", "--estimator", "l2", "--graph", "{c4}"), 3),
+         (("estimate", "--x", "{small}", "--g", 0.2, "--estimator", "l1-stein",
+           "--graph", "{k4}"), 3),
+         (("estimate", "--data", "{data}", "--estimator", "l2", "--graph", "{p5}"), 2),
+         (("estimate", "--data", "{data}", "--estimator", "l2", "--graph",
+           "{badline}"), 2),
+         (("bf", "--data", "{data}", "--g", 0.2, "--r-max", 0, "--graph1", "{edge01}",
+           "--graph0", "{edge23}"), 2),
+         (("bf", "--data", "{data}", "--graph1", "{c4}", "--graph0", "{empty}"), 3),
+         (("bf", "--x", "{small}", "--g", 0.2, "--graph1", "{k4}",
+           "--graph0", "{empty}"), 3),
+         (("ratio-experiment", "--case", 1, "--p-list", "5,1", "--n", 20), 2),
+         (("ratio-experiment", "--case", 1, "--p-list", "5", "--replicates", 0), 2),
+         (("ratio-experiment", "--case", 3, "--p-list", "3", "--n", 20), 2),
+         (("metrics", "--graph", "{p5}", "--truth", "{empty}"), 2),
+         (("metrics", "--graph", "{badline}", "--truth", "{empty}"), 2),
+         (("metrics", "--omega", "{one}", "--omega0", "{eye3}"), 2),
+         (("metrics", "--omega", "{nan}", "--omega0", "{one}"), 2),
+         (("metrics", "--graph", "{empty}", "--truth", "{empty}",
+           "--omega", "{one}", "--omega0", "{zero}"), 2)],
+        ids=["search-max-candidates", "search-iters", "search-ridge",
+             "search-threshold", "estimate-cycle", "estimate-oversized-clique",
+             "estimate-p", "estimate-edge-line", "bf-outside-support", "bf-cycle",
+             "bf-oversized-clique", "ratio-p", "ratio-replicates",
+             "ratio-case-edges", "metrics-graph-p", "metrics-edge-line",
+             "metrics-shapes", "metrics-non-finite", "metrics-zero-reference"],
+    )
+    def test_no_out_directory(self, inputs, tmp_path, argv, code):
+        out = tmp_path / "out"
+        args = [str(a).format(**inputs) for a in argv]
+        assert run(*args, "--out", out) == code
+        assert not out.exists()
+
+
 class TestTopLevel:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -762,10 +858,12 @@ class TestTopLevel:
 
     @pytest.mark.parametrize(
         "dest, names, argv",
-        [("preset", sorted(gwish.model.PRESETS), ["mcmc", "--out", "o", "--preset"]),
+        [("preset", sorted(gwish.model.PRESETS),
+          ["mcmc", "--data", "d", "--out", "o", "--preset"]),
          ("preset", sorted(gwish.model.PRESETS),
           ["ratio-experiment", "--case", "1", "--out", "o", "--preset"]),
-         ("kernel", list(gwish.mcmc.KERNELS), ["mcmc", "--out", "o", "--kernel"]),
+         ("kernel", list(gwish.mcmc.KERNELS),
+          ["mcmc", "--data", "d", "--out", "o", "--kernel"]),
          ("kind", list(gwish.simulate.KINDS),
           ["gen-data", "--p", "4", "--n", "10", "--out", "o", "--kind"])],
         ids=["mcmc-preset", "ratio-preset", "kernel", "kind"],

@@ -475,7 +475,7 @@ class TestGrowingGraph:
         pairs = list(itertools.combinations(range(g.p), 2))
         for k in make_rng(seed).permutation(len(pairs)).tolist():
             u, v = pairs[k]
-            if not early.has_edge(u, v) and early.can_add(u, v):
+            if (u, v) not in early.edges and early.can_add(u, v):
                 early.add(u, v)
                 late.add(u, v)
         assert late.adj is None and late.shared is None
@@ -518,7 +518,7 @@ class TestGrowingGraph:
         for k in range(1, p):
             g = UndirectedGraph(p, frozenset(grown.edges))
             for i, j in itertools.combinations(range(p), 2):
-                if not grown.has_edge(i, j):
+                if (i, j) not in grown.edges:
                     verdicts.append((g, (i, j), grown.can_add(i, j)))
             # attach the next vertex to an earlier one: a random tree
             u, v = sorted((order[k], order[int(rng.integers(k))]))

@@ -9,8 +9,9 @@ One more probe checks that the thresholded-candidate search loads no
 threshold`` process 10 to 15 ms.
 
 Start-up probes check that numpy is loaded on first use: importing the
-package or the CLI, ``--version``, ``--help``, an argparse usage error and
-``metrics --graph --truth`` load no numpy, while ``gen-data`` does, which
+package or the CLI, ``--version``, ``--help``, an argparse usage error (a
+conflict of exclusive flags included) and ``metrics --graph --truth`` load
+no numpy, while ``gen-data`` does, which
 shows that the probe can fail.
 """
 
@@ -129,10 +130,15 @@ def test_import_loads_no_numpy_and_registers_every_module(probe):
      (["--help"], 0),
      (["search", "--ridge-grid", "0.1,,1", "--out", "x"], 2),
      (["ratio-experiment", "--case", 4, "--p-list", ",", "--out", "x"], 2),
-     (["mcmc", "--kernel", "gibbs", "--out", "x"], 2)],
-    ids=["version", "help", "ridge-grid", "p-list", "kernel"],
+     (["mcmc", "--kernel", "gibbs", "--out", "x"], 2),
+     (["search", "--data", "{data}", "--g", 0.2, "--preset", "ratio",
+       "--out", "x"], 2)],
+    ids=["version", "help", "ridge-grid", "p-list", "kernel", "g-preset"],
 )
-def test_command_without_computation_loads_no_numpy(argv, code):
+def test_command_without_computation_loads_no_numpy(argv, code, tmp_path):
+    # a conflict of exclusive flags is caught before the data is read
+    (tmp_path / "X.csv").write_text("1,2\n3,5\n4,4\n")
+    argv = [str(a).format(data=tmp_path) for a in argv]
     *_, exit_code, last = run_probe(cli_probe(*argv) + LOADED)
     assert exit_code == str(code)
     assert json.loads(last)[0] is False

@@ -286,13 +286,13 @@ class TestRunChain:
             small_data,
             Hyperparameters(g=0.2),
         )
-        assert res.iterations == 20
+        assert len(res.log_posterior_trace) == 20
         res = run_chain(
             ChainConfig(iterations=20, burn_in=0, seed=0, init="threshold"),
             small_data,
             Hyperparameters(g=0.2),
         )
-        assert res.iterations == 20
+        assert len(res.log_posterior_trace) == 20
 
     def test_threshold_start_shares_the_walks_scorer(self, monkeypatch):
         # the chain scores with the scorer that ranked the threshold walk;
@@ -441,7 +441,6 @@ class TestPosteriorSummaries:
         inclusion[1, 2] = inclusion[2, 1] = 0.5 + 1e-9
         res = ChainResult(
             p=3,
-            iterations=1,
             inclusion=inclusion,
             log_posterior_trace=np.zeros(1),
             size_trace=np.zeros(1, dtype=np.int64),

@@ -36,9 +36,13 @@ from oracles import candidate_graphs_reference, decomposable_neighbors_reference
 
 
 @pytest.fixture(scope="module")
-def ar1_data():
-    truth = build_truth(TrueModelSpec(kind="ar1", p=4))
-    return sample_dataset(truth, n=200, rng=make_rng(31))
+def ar1_truth():
+    return build_truth(TrueModelSpec(kind="ar1", p=4))
+
+
+@pytest.fixture(scope="module")
+def ar1_data(ar1_truth):
+    return sample_dataset(ar1_truth, n=200, rng=make_rng(31))
 
 
 @pytest.fixture(scope="module")
@@ -258,7 +262,7 @@ class TestShotgun:
         with pytest.raises(NotDecomposable):
             shotgun_search(c4, scorer, max_iters=3, rng=make_rng(1))
 
-    def test_finds_enumerated_global_mode(self, ar1_data):
+    def test_finds_enumerated_global_mode(self, ar1_data, ar1_truth):
         # at this g the exact posterior mode over all 61 decomposable graphs
         # is the generating path; the search must land on it
         hyper = Hyperparameters(g=0.01)
@@ -266,7 +270,7 @@ class TestShotgun:
             enumerate_decomposable_graphs(4),
             key=lambda g: log_post(ar1_data, g, hyper),
         )
-        assert exact_mode == ar1_data.truth.graph
+        assert exact_mode == ar1_truth.graph
         res = shotgun_search(
             UndirectedGraph.empty(4), GraphScorer(ar1_data, hyper), max_iters=40,
             rng=make_rng(8),
@@ -343,11 +347,11 @@ class TestHybrid:
 
 
 class TestEstimators:
-    def test_l2_is_posterior_mean(self, ar1_data, tmp_path):
+    def test_l2_is_posterior_mean(self, ar1_data, ar1_truth, tmp_path):
         # ``estimate --estimator l2`` writes the posterior mean precision;
         # %.17g round-trips every double, so the match is exact
         np.savetxt(tmp_path / "X.csv", ar1_data.x, delimiter=",", fmt="%.17g")
-        g = ar1_data.truth.graph
+        g = ar1_truth.graph
         write_edge_list(g, str(tmp_path / "g.edges"))
         assert main(["estimate", "--x", str(tmp_path / "X.csv"), "--g", "0.2",
                      "--estimator", "l2", "--graph", str(tmp_path / "g.edges"),
@@ -357,10 +361,10 @@ class TestEstimators:
             omega, posterior_mean_precision(ar1_data, g, Hyperparameters(g=0.2))
         )
 
-    def test_estimates_are_exactly_symmetric(self, ar1_data):
+    def test_estimates_are_exactly_symmetric(self, ar1_data, ar1_truth):
         # symmetric inverses and sums of them need no symmetrising pass
         hyper = Hyperparameters(g=0.2)
-        g = ar1_data.truth.graph
+        g = ar1_truth.graph
         for est in (
             posterior_mean_precision(ar1_data, g, hyper),
             bayes_estimator_l1_stein(ar1_data, g, hyper),

@@ -97,12 +97,11 @@ class TestBuildTruth:
 
 
 class TestSampling:
-    def test_shapes_and_truth_attached(self):
+    def test_shapes(self):
         truth = build_truth(TrueModelSpec("ar1", 5))
         data = sample_dataset(truth, 17, make_rng(0))
         assert data.x.shape == (17, 5)
         assert data.n == 17 and data.p == 5
-        assert data.truth is truth
 
     def test_deterministic(self):
         truth = build_truth(TrueModelSpec("ar1", 5))
