@@ -8,16 +8,15 @@ validation problems, 3 on model or numerical failures.
 Building the parser runs no library module, and the library is called
 through the package's lazily loaded modules, so a command loads numpy and
 each module only when it uses them: ``--version``, ``--help``, usage errors
-and ``metrics --graph --truth`` load no numpy.
+and ``metrics --graph --truth`` load no numpy.  ``json`` is imported where
+output is written, so ``--version`` does not load it either.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 
 from typing import TYPE_CHECKING
@@ -75,6 +74,8 @@ def _read_matrix(path: str) -> np.ndarray:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    import json
+
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
@@ -224,7 +225,7 @@ def _cmd_mcmc(args) -> int:
         "stream": config.stream,
         "kernel": config.kernel,
         "init": str(config.init),
-        "hyper": asdict(hyper),
+        "hyper": vars(hyper),
         "acceptance_rate": result.acceptance_rate,
         "best_log_posterior": result.best_score.log_posterior,
         "median_graph_edges": median.size,
@@ -281,7 +282,7 @@ def _cmd_search(args) -> int:
             "ridge_grid": list(config.ridge_grid),
             "threshold_grid_size": len(config.threshold_grid),
             "max_candidates": config.max_candidates,
-            "hyper": asdict(hyper),
+            "hyper": vars(hyper),
             **payload,
         },
     )
@@ -296,7 +297,7 @@ def _cmd_bf(args) -> int:
     payload = {
         "log_bayes_factor": log_bf,
         "log_posterior_ratio": log_ratio,
-        "hyper": asdict(hyper),
+        "hyper": vars(hyper),
         "n": data.n,
         "p": data.p,
     }
@@ -305,6 +306,8 @@ def _cmd_bf(args) -> int:
         # no infinity: the ratio is null and the key names that graph
         payload["log_posterior_ratio"] = None
         payload["outside_support"] = "graph1" if log_ratio < 0 else "graph0"
+    import json
+
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if args.out:
@@ -359,7 +362,7 @@ def _cmd_estimate(args) -> int:
             "n": data.n,
             "p": data.p,
             "seed": args.seed,
-            "hyper": asdict(hyper),
+            "hyper": vars(hyper),
             "graph_edges": g.size,
         },
     )
@@ -410,6 +413,8 @@ def _cmd_metrics(args) -> int:
         _write_rows(out / "selection.csv", [summary["selection"]])
     if args.omega:
         _write_rows(out / "errors.csv", [summary["relative_errors"]])
+    import json
+
     print(json.dumps(summary, indent=2, sort_keys=True))
     _write_meta(out, summary)
     return 0

@@ -17,8 +17,8 @@ cliques and separators are masks too; no dense adjacency is built for any
 of them.
 
 A single-edge move is named by its edge alone: it deletes (u, v) when the
-graph has that edge and adds it otherwise (``UndirectedGraph.toggled``,
-which flips two bits of the masks).  Moves on a decomposable graph are
+graph has that edge and adds it otherwise (``UndirectedGraph.toggled``).
+Moves on a decomposable graph are
 tested locally, without re-running MCS (Giudici & Green 1999): with
 S = N(u) & N(v), adding (u, v) keeps the graph decomposable iff S
 separates u from v, and deleting it does iff S is complete.  Component
@@ -165,22 +165,7 @@ class UndirectedGraph:
         u, v = _normalize_edge(i, j)
         if not (0 <= u and v < self.p):
             raise IndexOutOfRange(f"edge ({u},{v}) invalid for p={self.p}")
-        g = UndirectedGraph._trusted(self.p, self.edges ^ {(u, v)})
-        # the parent's cached reads, changed in one edge, are the child's
-        known = self.__dict__
-        if "neighbor_masks" in known:
-            nbrs = list(known["neighbor_masks"])
-            nbrs[u] ^= 1 << v
-            nbrs[v] ^= 1 << u
-            g.__dict__["neighbor_masks"] = tuple(nbrs)
-        if "sorted_edges" in known:
-            old = known["sorted_edges"]
-            if (u, v) in self.edges:
-                k = old.index((u, v))
-                g.__dict__["sorted_edges"] = old[:k] + old[k + 1:]
-            else:  # one insertion into a sorted run: a linear merge
-                g.__dict__["sorted_edges"] = tuple(sorted(old + ((u, v),)))
-        return g
+        return UndirectedGraph._trusted(self.p, self.edges ^ {(u, v)})
 
     def connected(self, u: int, v: int, blocked: int = 0) -> bool:
         """Breadth-first reachability between u and v avoiding ``blocked``.

@@ -51,12 +51,11 @@ class CandidateConfig:
 
 @dataclass(frozen=True)
 class ModeSearchResult:
-    """Best graph found, its score, work counter and best-so-far trace."""
+    """Best graph found, its score and work counter."""
 
     mode_graph: UndirectedGraph
     mode_score: GraphScore
     visited: int
-    score_trace: tuple[float, ...]
 
 
 def _ridge_edge_order(
@@ -69,7 +68,8 @@ def _ridge_edge_order(
     w = spd_inverse(data.gram / data.n + lam * np.eye(p))
     rows, cols = np.triu_indices(p, 1)
     weights = np.abs(w[rows, cols])
-    order = np.lexsort((cols, rows, -weights))
+    # triu_indices lists the pairs by (i, j), which a stable sort keeps for ties
+    order = np.argsort(-weights, kind="stable")
     lengths = np.searchsorted(-weights[order], -np.asarray(thresholds), side="left")
     pairs = list(zip(rows[order].tolist(), cols[order].tolist()))
     return pairs, sorted(set(lengths.tolist()))
@@ -183,8 +183,7 @@ def shotgun_search(
     two random decomposability-preserving moves, or stops there when no rng
     is given.  Neighbours with a clique larger than n are skipped, and a
     restart whose jitter creates one starts from the unperturbed incumbent.
-    Only the states moved to get a full score.  The score trace records the
-    incumbent after each step and never decreases.  Raises ValueError for a
+    Only the states moved to get a full score.  Raises ValueError for a
     negative ``max_iters`` and NotDecomposable for a non-decomposable init.
     """
     if max_iters < 0:
@@ -195,7 +194,6 @@ def shotgun_search(
     cur_lp = scorer.score(current).log_posterior
     best_g, best_lp = current, cur_lp
     visited = 1
-    trace: list[float] = []
     for _ in range(max_iters):
         moved = False
         nbr_best: Edge | None = None
@@ -218,7 +216,6 @@ def shotgun_search(
             moved = True
             if cur_lp > best_lp:
                 best_g, best_lp = current, cur_lp
-        trace.append(best_lp)
         if not moved:
             if rng is None:
                 break
@@ -238,7 +235,6 @@ def shotgun_search(
         mode_graph=best_g,
         mode_score=scorer.score(best_g),
         visited=visited,
-        score_trace=tuple(trace),
     )
 
 

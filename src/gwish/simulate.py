@@ -252,12 +252,15 @@ def posterior_ratio_experiment(
     drawn per (p, replicate), a case graph is built, and the log posterior
     ratio of the case graph over the true graph is recorded.  Streams are
     derived from the p index and replicate, so p values are reproducible
-    independently of each other.  Raises ValueError for p < 2 (via
-    ``TrueModelSpec``, before the preset is resolved), for ``n_seeds`` < 1,
-    and for a case graph larger than p allows.
+    independently of each other.  Raises ValueError for a p below 2 in
+    ``p_list`` or ``n_seeds`` < 1, before any dataset is drawn, and for a
+    case graph larger than p allows.
     """
     if n_seeds < 1:
         raise ValueError(f"need at least one replicate, got {n_seeds}")
+    for p in p_list:
+        if p < 2:
+            raise ValueError(f"p_list needs p >= 2, got {p}")
     rows: list[dict] = []
     for ip, p in enumerate(p_list):
         truth = build_truth(TrueModelSpec("sim1-ar1-cov", p))

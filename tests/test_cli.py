@@ -497,6 +497,21 @@ class TestRatioExperiment:
         assert "ratio-experiment: --p-list is empty" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("p_list", ["1", "5,1"])
+    def test_p_below_2_fails_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                             p_list):
+        # the message names the p_list value, not the truth kind built from
+        # it, and no cell is computed before the bad value is found
+        def draw(*args):
+            raise AssertionError("a dataset was drawn")
+
+        monkeypatch.setattr(gwish.simulate, "sample_dataset", draw)
+        out = tmp_path / "ratio"
+        assert run("ratio-experiment", "--case", 1, "--p-list", p_list,
+                   "--n", 20, "--out", out) == 2
+        assert "ratio-experiment: p_list needs p >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args, message",
         [(("--case", 1, "--p-list", 2), "case 1 needs 2 edges but p=2 allows 1"),

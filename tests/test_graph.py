@@ -136,8 +136,8 @@ class TestBasics:
     @given(any_graphs(), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
                                   max_size=8))
     def test_toggled_derives_the_reads_of_a_fresh_graph(self, g, moves):
-        # a child built by toggled carries masks and sorted edges derived from
-        # its parent's; they must be those the same edge set builds afresh
+        # a child built by toggled from a parent whose reads are cached must
+        # read the masks and sorted edges its edge set builds afresh
         g.neighbor_masks, g.sorted_edges
         for i, j in moves:
             i, j = i % g.p, j % g.p

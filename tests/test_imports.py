@@ -12,7 +12,8 @@ Start-up probes check that numpy is loaded on first use: importing the
 package or the CLI, ``--version``, ``--help``, an argparse usage error (a
 conflict of exclusive flags included) and ``metrics --graph --truth`` load
 no numpy, while ``gen-data`` does, which
-shows that the probe can fail.
+shows that the probe can fail.  ``--version`` also loads no ``json``,
+``dataclasses`` or ``inspect`` that the bare interpreter had not loaded.
 """
 
 import json
@@ -142,6 +143,16 @@ def test_command_without_computation_loads_no_numpy(argv, code, tmp_path):
     *_, exit_code, last = run_probe(cli_probe(*argv) + LOADED)
     assert exit_code == str(code)
     assert json.loads(last)[0] is False
+
+
+def test_version_loads_no_json_or_dataclasses():
+    lines = run_probe(
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        + cli_probe("--version")
+        + "print(sorted({'json', 'dataclasses', 'inspect'} & set(sys.modules) - bare))\n"
+    )
+    assert lines == [f"gwish {gwish.__version__}", "0", "[]"]
 
 
 def test_selection_metrics_load_no_numpy(tmp_path):

@@ -22,9 +22,10 @@ from gwish.model import (
     bayes_estimator_l1_stein,
     posterior_mean_precision,
 )
-from gwish.numerics import make_rng
+from gwish.numerics import make_rng, spd_inverse
 from gwish.search import (
     CandidateConfig,
+    _ridge_edge_order,
     _walk_candidates,
     hybrid_mode,
     shotgun_search,
@@ -233,17 +234,24 @@ class TestCandidateWalk:
         assert separator_searches == []
 
 
-class TestShotgun:
-    def test_trace_never_decreases(self, ar1_data):
-        hyper = Hyperparameters(g=0.2)
-        res = shotgun_search(
-            UndirectedGraph.empty(4), GraphScorer(ar1_data, hyper), max_iters=25,
-            rng=make_rng(3),
-        )
-        trace = np.array(res.score_trace)
-        assert np.all(np.diff(trace) >= 0.0)
-        assert res.mode_score.log_posterior == pytest.approx(trace[-1])
+    def test_tied_weights_keep_pair_order(self):
+        # three equal blocks on the pairs (0, 3), (1, 4) and (2, 5): their
+        # weights tie exactly, as do the twelve zero weights of the other
+        # pairs, and a tie goes to the lower pair (i, j)
+        y = np.array([[1.0, 0.5], [0.2, 1.0], [0.7, -0.3]])
+        x = np.zeros((9, 6))
+        for k in range(3):
+            x[3 * k:3 * k + 3, [k, k + 3]] = y
+        data = Dataset.from_matrix(x)
+        for lam in CandidateConfig().ridge_grid:
+            pairs, _ = _ridge_edge_order(data, lam, (0.0,))
+            w = np.abs(spd_inverse(data.gram / data.n + lam * np.eye(6)))
+            assert len({w[e] for e in pairs}) == 2
+            assert pairs == sorted(itertools.combinations(range(6), 2),
+                                   key=lambda e: (-w[e], e))
 
+
+class TestShotgun:
     def test_without_rng_stops_at_local_optimum(self, ar1_data):
         hyper = Hyperparameters(g=0.2)
         res = shotgun_search(
@@ -288,17 +296,18 @@ class TestShotgun:
             key=lambda g: log_post(ar1_data, g, hyper),
         )
         assert res.mode_graph == best
-        assert res.score_trace[0] == log_post(ar1_data, best, hyper)
+        assert res.mode_score.log_posterior == log_post(ar1_data, best, hyper)
 
     def test_restarts_at_p1_return(self):
-        # one vertex has no pair to jitter, so each restart keeps the graph
+        # one vertex has no pair to jitter, so each restart keeps the graph;
+        # the start and each of the three restarts are scored
         data = Dataset.from_matrix(np.random.default_rng(2).standard_normal((10, 1)))
         res = shotgun_search(
             UndirectedGraph.empty(1), GraphScorer(data, Hyperparameters()), max_iters=3,
             rng=make_rng(0),
         )
         assert res.mode_graph == UndirectedGraph.empty(1)
-        assert len(res.score_trace) == 3
+        assert res.visited == 4
 
     def test_negative_iterations_raise(self, ar1_data):
         with pytest.raises(ValueError, match="max_iters"):
@@ -342,7 +351,6 @@ class TestHybrid:
         assert len(built) == 1
         assert res.mode_graph == cold.mode_graph
         assert res.mode_score == cold.mode_score
-        assert res.score_trace == cold.score_trace
         assert res.visited == cold.visited + n_candidates
 
 
